@@ -1117,7 +1117,6 @@ def _build_or_resume(
                 level="dataset",
                 version=CACHE_VERSION,
                 fields={"mica": mica, "hpc": hpc},
-                compress=True,
             )
         except OSError as error:
             from ..perf.cache import _degrade

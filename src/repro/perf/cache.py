@@ -31,8 +31,12 @@ dataset-level matrix cache of :mod:`repro.experiments.dataset`:
 
       profile.fingerprint() + length + seed + TRACE_GEN_VERSION
 
-  (no content hash needed) and stores the full instruction array, so a
-  warm :func:`cached_generate_trace` never runs the generator at all.
+  (no content hash needed) and stores the full instruction array,
+  uncompressed, so a warm :func:`cached_generate_trace` never runs the
+  generator at all.  Entries are ~6x larger than deflated ones (2.90 MB
+  against 0.48 MB at 100k instructions) but write in ~13 ms instead of
+  ~97 ms, which was the largest single tax on a cold build (see
+  :mod:`repro.perf.integrity`).
   :data:`~repro.synth.TRACE_GEN_VERSION` is part of the key because the
   bytes a (profile, length, seed) triple produces may legitimately
   change when the generation engine's draw protocol changes.
@@ -144,12 +148,10 @@ def trace_fingerprint(trace: Trace) -> str:
     """Content hash of a trace (independent of its name).
 
     Two traces with identical instruction streams hash identically, so
-    renamed or regenerated-but-equal traces share cache entries.
+    renamed or regenerated-but-equal traces share cache entries.  The
+    hash is memoized on the trace (:meth:`repro.trace.Trace.fingerprint`).
     """
-    digest = hashlib.sha256()
-    digest.update(str(trace.data.dtype).encode())
-    digest.update(trace.data.tobytes())
-    return digest.hexdigest()[:32]
+    return trace.fingerprint()
 
 
 def _entry_key(trace: Trace, config: ReproConfig) -> str:
@@ -216,15 +218,12 @@ class _NpzCacheDirectory:
         )
         return None if arrays is None else arrays.get(field)
 
-    def _store_entry(
-        self, key: str, compress: bool = False, **fields: np.ndarray
-    ) -> Path:
+    def _store_entry(self, key: str, **fields: np.ndarray) -> Path:
         return integrity.write_entry(
             self._path(key),
             level=self._prefix,
             version=self._schema_version(),
             fields=fields,
-            compress=compress,
         )
 
     def verify(self) -> "List[QuarantineEvent]":
@@ -515,8 +514,7 @@ class TraceCache(_NpzCacheDirectory):
     ) -> Path:
         """Persist one generated trace; returns the entry path."""
         return self._store_entry(
-            _trace_key(profile, length, seed), compress=True,
-            data=trace.data,
+            _trace_key(profile, length, seed), data=trace.data
         )
 
 

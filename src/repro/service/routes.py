@@ -45,6 +45,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    # ``_respond`` writes headers and body as two sends.  With Nagle on,
+    # a keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch("GET")

@@ -29,6 +29,7 @@ from .memory import (
     SequentialStream,
     make_behavior,
 )
+from .rng import choice_cdf, choice_indices
 
 #: Base address of the code segment.
 CODE_BASE = 0x0012_0000
@@ -497,12 +498,6 @@ def _sample_block_length(
     return 2 + int(rng.geometric(min(max(p, 1e-6), 1.0))) - 1
 
 
-def _sample_body_class(
-    rng: np.random.Generator, classes: np.ndarray, weights: np.ndarray
-) -> int:
-    return int(rng.choice(classes, p=weights))
-
-
 def build_code(
     rng: np.random.Generator,
     spec: CodeSpec,
@@ -526,6 +521,7 @@ def build_code(
     mean_block_length = max(2.0, 1.0 / branch_fraction)
 
     body_classes, body_weights = mix.body_distribution()
+    body_cdf = choice_cdf(body_weights)
 
     blocks: List[BasicBlock] = []
     functions: List[Function] = []
@@ -544,11 +540,10 @@ def build_code(
             for position in range(body_size):
                 length = _sample_block_length(rng, mean_block_length)
                 opclasses = np.empty(length, dtype=np.uint8)
-                for slot in range(length - 1):
-                    opclasses[slot] = _sample_body_class(
-                        rng, body_classes, body_weights
-                    )
-                opclasses[length - 1] = int(OpClass.BRANCH)
+                opclasses[:-1] = body_classes[
+                    choice_indices(rng, body_cdf, length - 1)
+                ]
+                opclasses[-1] = int(OpClass.BRANCH)
                 in_body = position < body_size - 1
                 diamond = None
                 if in_body and rng.random() < spec.diamond_rate:
@@ -600,26 +595,33 @@ def _assign_memory_behaviors(
     scalar behaviors get a single slot each.  Returns the total number of
     data bytes allocated.
     """
-    load_slots: List[Tuple[BasicBlock, int]] = []
-    store_slots: List[Tuple[BasicBlock, int]] = []
-    for block in blocks:
-        for slot, opclass in enumerate(block.opclasses):
-            if opclass == int(OpClass.LOAD):
-                load_slots.append((block, slot))
-            elif opclass == int(OpClass.STORE):
-                store_slots.append((block, slot))
+    # Every slot of every block, block-major: the order the loads (then
+    # the stores) draw their behavior kinds in.
+    lengths = np.array([len(block) for block in blocks], dtype=np.int64)
+    opclasses = np.concatenate([block.opclasses for block in blocks])
+    owners = np.repeat(np.arange(len(blocks)), lengths)
+    slots = np.arange(len(opclasses)) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
 
     plan: List[Tuple[BasicBlock, int, str]] = []
-    for slots, mix in (
-        (load_slots, memory_spec.load_mix),
-        (store_slots, memory_spec.store_mix),
+    for opclass, mix in (
+        (OpClass.LOAD, memory_spec.load_mix),
+        (OpClass.STORE, memory_spec.store_mix),
     ):
+        positions = np.flatnonzero(opclasses == int(opclass))
         kinds = list(mix.keys())
         weights = np.array([mix[kind] for kind in kinds], dtype=float)
         weights = weights / weights.sum()
-        for block, slot in slots:
-            kind = str(rng.choice(kinds, p=weights))
-            plan.append((block, slot, kind))
+        drawn = choice_indices(rng, choice_cdf(weights), len(positions))
+        plan.extend(
+            (blocks[owner], slot, kinds[index])
+            for owner, slot, index in zip(
+                owners[positions].tolist(),
+                slots[positions].tolist(),
+                drawn.tolist(),
+            )
+        )
 
     non_scalar = sum(1 for _, _, kind in plan if kind != "scalar")
     region_bytes = memory_spec.footprint_bytes // max(non_scalar, 1)

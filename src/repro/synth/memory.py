@@ -28,9 +28,15 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import ProfileError
+from .rng import choice_cdf, choice_indices
 
 #: Natural access alignment in bytes.
 ACCESS_BYTES = 8
+
+#: Dwell repeats a ``sequential`` behavior draws from, and the
+#: :func:`~repro.synth.rng.choice_cdf` table of their weights.
+_SEQUENTIAL_REPEATS = (1, 2, 4)
+_SEQUENTIAL_REPEAT_CDF = choice_cdf([0.4, 0.35, 0.25])
 
 
 def random_slots_from_uniforms(
@@ -256,7 +262,10 @@ def make_behavior(
     if kind == "scalar":
         return ScalarStream(base, min(footprint, ACCESS_BYTES))
     if kind == "sequential":
-        repeats = int(rng.choice([1, 2, 4], p=[0.4, 0.35, 0.25]))
+        # One scalar draw: it interleaves with PointerChase's seed draws.
+        repeats = _SEQUENTIAL_REPEATS[
+            int(choice_indices(rng, _SEQUENTIAL_REPEAT_CDF))
+        ]
         return SequentialStream(base, footprint, repeats=repeats)
     if kind == "strided":
         return StridedStream(base, footprint, stride=stride)

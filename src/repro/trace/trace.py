@@ -57,6 +57,7 @@ class Trace:
         # the backing array is read-only for the trace's lifetime.
         self._derived: Dict[str, np.ndarray] = {}
         self._digest: "str | None" = None
+        self._fingerprint: "str | None" = None
 
     def _cached(self, key: str, compute) -> np.ndarray:
         array = self._derived.get(key)
@@ -228,6 +229,20 @@ class Trace:
             hasher.update(self._data.tobytes())
             self._digest = hasher.hexdigest()[:16]
         return self._digest
+
+    def fingerprint(self) -> str:
+        """Cache-key content hash: sha256 over the dtype and the bytes.
+
+        Memoized like :meth:`content_digest`, so the several cache keys
+        one characterization derives from a trace hash its bytes once.
+        :func:`repro.perf.trace_fingerprint` delegates here.
+        """
+        if self._fingerprint is None:
+            hasher = hashlib.sha256()
+            hasher.update(str(self._data.dtype).encode())
+            hasher.update(self._data.tobytes())
+            self._fingerprint = hasher.hexdigest()[:32]
+        return self._fingerprint
 
     def class_counts(self) -> "dict[OpClass, int]":
         """Dynamic instruction count per class."""

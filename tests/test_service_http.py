@@ -362,6 +362,27 @@ class TestValidation:
         finally:
             conn.close()
 
+    def test_keep_alive_responses_do_not_stall(self, live_service):
+        # Headers and body go out as two sends; with Nagle on, a plain
+        # client's delayed ACK stalls every keep-alive response ~40 ms.
+        _, client = live_service()
+        conn = http.client.HTTPConnection(
+            client.host, client.port, timeout=10
+        )
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f} s"
+
 
 class TestInjectedFaults:
 
