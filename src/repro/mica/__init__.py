@@ -25,7 +25,6 @@ from .ppm import (
 )
 from .characterize import CharacteristicVector, characterize
 from .segmented import (
-    SECTION_CATEGORIES,
     segmented_characterize,
     segmented_producer_indices,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "ppm_predictabilities_reference",
     "CharacteristicVector",
     "characterize",
-    "SECTION_CATEGORIES",
     "segmented_characterize",
     "segmented_producer_indices",
     "SECTION_ORDER",

@@ -9,7 +9,11 @@ so the schema is the single source of truth for indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from ..errors import CharacterizationError
 
 
 @dataclass(frozen=True)
@@ -124,3 +128,50 @@ def category_slices() -> Dict[str, slice]:
             current = characteristic.category
     slices[current] = slice(start, len(CHARACTERISTICS))
     return slices
+
+
+_SLICES = category_slices()
+
+
+def resolve_wanted(
+    categories: "Optional[Iterable[str]]" = None,
+    indices: "Optional[Iterable[int]]" = None,
+) -> np.ndarray:
+    """The 47-entry mask of characteristics a partial request wants.
+
+    Everything is wanted when neither argument is given; otherwise the
+    union of the named categories' slices and the listed 0-based
+    indices.
+
+    Raises:
+        CharacterizationError: unknown category name or out-of-range
+            characteristic index.
+    """
+    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
+    if categories is None and indices is None:
+        wanted[:] = True
+        return wanted
+    if categories is not None:
+        categories = tuple(categories)
+        unknown = set(categories) - set(_SLICES)
+        if unknown:
+            raise CharacterizationError(
+                f"unknown Table II categories: {sorted(unknown)}"
+            )
+        for category in categories:
+            wanted[_SLICES[category]] = True
+    if indices is not None:
+        for index in indices:
+            if not 0 <= int(index) < NUM_CHARACTERISTICS:
+                raise CharacterizationError(
+                    f"characteristic index out of range: {index}"
+                )
+            wanted[int(index)] = True
+    return wanted
+
+
+def wanted_sections(wanted: np.ndarray) -> Tuple[str, ...]:
+    """The Table II categories a wanted mask touches, in vector order."""
+    return tuple(
+        name for name, section in _SLICES.items() if wanted[section].any()
+    )

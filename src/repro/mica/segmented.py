@@ -51,7 +51,11 @@ from ..errors import CharacterizationError
 from ..isa import NO_REG, OpClass
 from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
-from .characteristics import NUM_CHARACTERISTICS, category_slices
+from .characteristics import (
+    NUM_CHARACTERISTICS,
+    category_slices,
+    resolve_wanted,
+)
 from .ilp import NO_PRODUCER
 from .ppm import (
     MAX_VECTOR_ORDER,
@@ -61,10 +65,6 @@ from .ppm import (
     _variant_predictions,
     ppm_predictabilities,
 )
-
-#: The six Table II section names, in schema order.  ``categories``
-#: arguments are validated against this tuple.
-SECTION_CATEGORIES: Tuple[str, ...] = tuple(category_slices())
 
 
 def _full_interval_count(trace: Trace, interval: int) -> int:
@@ -834,26 +834,8 @@ def segmented_characterize(
             out-of-range index.
     """
     count = _full_interval_count(trace, interval)
-    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
+    wanted = resolve_wanted(categories, indices)
     slices = category_slices()
-    if categories is None and indices is None:
-        wanted[:] = True
-    else:
-        if categories is not None:
-            unknown = set(categories) - set(SECTION_CATEGORIES)
-            if unknown:
-                raise CharacterizationError(
-                    f"unknown Table II categories: {sorted(unknown)}"
-                )
-            for category in categories:
-                wanted[slices[category]] = True
-        if indices is not None:
-            for index in indices:
-                if not 0 <= int(index) < NUM_CHARACTERISTICS:
-                    raise CharacterizationError(
-                        f"characteristic index out of range: {index}"
-                    )
-                wanted[int(index)] = True
 
     values = np.full((count, NUM_CHARACTERISTICS), np.nan)
     ctx = _SegmentedContext(trace, interval, count)

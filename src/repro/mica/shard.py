@@ -59,7 +59,12 @@ from ..errors import CharacterizationError
 from ..isa import NO_REG, OpClass
 from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
-from .characteristics import NUM_CHARACTERISTICS, category_slices
+from .characteristics import (
+    NUM_CHARACTERISTICS,
+    category_slices,
+    resolve_wanted,
+    wanted_sections,
+)
 from .ilp import NO_PRODUCER, full_window_cycle_counts, producer_indices
 from .ppm import (
     MAX_VECTOR_ORDER,
@@ -81,45 +86,6 @@ _STRIDE_SLICE = _SLICES["data stream strides"]
 _PPM_SLICE = _SLICES["branch predictability"]
 
 _U64_ONE = np.uint64(1)
-
-
-def resolve_wanted(
-    categories: "Optional[Sequence[str]]" = None,
-    indices: "Optional[Sequence[int]]" = None,
-) -> np.ndarray:
-    """The 47-entry wanted mask, mirroring ``segmented_characterize``.
-
-    Raises:
-        CharacterizationError: unknown category name or out-of-range
-            characteristic index.
-    """
-    wanted = np.zeros(NUM_CHARACTERISTICS, dtype=bool)
-    if categories is None and indices is None:
-        wanted[:] = True
-        return wanted
-    if categories is not None:
-        unknown = set(categories) - set(SECTION_ORDER)
-        if unknown:
-            raise CharacterizationError(
-                f"unknown Table II categories: {sorted(unknown)}"
-            )
-        for category in categories:
-            wanted[_SLICES[category]] = True
-    if indices is not None:
-        for index in indices:
-            if not 0 <= int(index) < NUM_CHARACTERISTICS:
-                raise CharacterizationError(
-                    f"characteristic index out of range: {index}"
-                )
-            wanted[int(index)] = True
-    return wanted
-
-
-def wanted_sections(wanted: np.ndarray) -> Tuple[str, ...]:
-    """The Table II categories a wanted mask touches, in vector order."""
-    return tuple(
-        name for name in SECTION_ORDER if wanted[_SLICES[name]].any()
-    )
 
 
 # -- small shared helpers -------------------------------------------------

@@ -41,6 +41,7 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CharacterizationError
 from ..mica import CharacteristicVector
+from ..mica.characteristics import resolve_wanted, wanted_sections
 from ..mica.shard import (
     SECTION_ORDER,
     ShardState,
@@ -48,11 +49,9 @@ from ..mica.shard import (
     merge_states,
     ppm_empty_state,
     ppm_shard_correct,
-    resolve_wanted,
     shard_state,
     state_from_arrays,
     state_to_arrays,
-    wanted_sections,
 )
 from ..trace import (
     MappedTraceSource,

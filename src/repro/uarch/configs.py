@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import ConfigurationError
 from .branch_predictors import (
     BimodalPredictor,
     BranchPredictor,
@@ -44,6 +45,18 @@ class MachineConfig:
     latencies: LatencyModel
     predictor_kind: str = "bimodal"
     window_size: int = 0  # 0 for in-order machines.
+
+    def __post_init__(self) -> None:
+        if self.issue_width < 1:
+            raise ConfigurationError(
+                f"{self.name}: issue_width must be >= 1, "
+                f"got {self.issue_width}"
+            )
+        if self.window_size < 0:
+            raise ConfigurationError(
+                f"{self.name}: window_size must be >= 0, "
+                f"got {self.window_size}"
+            )
 
     def make_predictor(self) -> BranchPredictor:
         """Instantiate a fresh branch predictor of the configured kind."""

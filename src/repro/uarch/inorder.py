@@ -15,10 +15,9 @@ result latencies) is folded into precomputed arrays by vectorized
 passes, and the remaining reduced recurrence is walked without any
 per-instruction opclass or register-validity branching.
 :meth:`InOrderModel.run_reference` retains the original scalar loop
-verbatim as the executable specification; the batch path (and the
-independent max-plus fixed-point engine in
-:mod:`~repro.uarch.pipeline_batch`) are pinned to it bit-for-bit on IPC
-by ``tests/test_uarch_pipeline_equivalence.py``.
+verbatim as the executable specification, and also runs machines wider
+than two, which the walk's fold does not cover.  The walk is pinned to
+it bit-for-bit on IPC by ``tests/test_uarch_pipeline_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -59,6 +58,8 @@ class InOrderModel:
             raise SimulationError("cannot simulate an empty trace")
         if events is None:
             events = simulate_events(trace, self.machine)
+        if self.machine.issue_width > 2:
+            return self.run_reference(trace, events)
         total_cycles = inorder_walk(trace, self.machine, events)
         return len(trace) / total_cycles, events
 

@@ -1,75 +1,24 @@
-"""Batch engines for the two pipeline models (max-plus fixed point).
+"""Production walks for the two pipeline models.
 
-Both pipeline models are, exactly, longest-path problems on a static
-max-plus constraint graph.  Writing ``issue[i]`` for the in-order
-model's issue cycles, the scalar loop in
-:meth:`repro.uarch.inorder.InOrderModel.run_reference` computes the
-least array satisfying::
+:func:`inorder_walk` and :func:`ooo_walk` compute the total cycles that
+:meth:`repro.uarch.inorder.InOrderModel.run_reference` and
+:meth:`repro.uarch.ooo.OutOfOrderModel.run_reference` compute, bit for
+bit, with less work per instruction.  Every per-instruction stall term
+is precomputed as an array by vectorized passes: folded chain weights
+(fetch stalls, mispredict redirects, the memory-port conflict of
+consecutive memory operations), result latencies per opclass, and
+``NO_REG``-free source/destination indices via a scratch register that
+absorbs dead reads and writes.  The remaining reduced recurrence is
+walked with no opclass branching, no front-end state machine and no
+register-validity checks.
 
-    issue[i] >= issue[i-1] + c[i]          # front end: fetch stalls and
-                                           #   mispredict redirect penalties
-    issue[i] >= issue[i-W] + 1             # at most W issues per cycle
-    issue[i] >= issue[pm]   + 1            # one memory port per cycle
-    issue[i] >= issue[p]    + latency[p]   # register dataflow
-
-and the out-of-order model is the analogous coupled system over fetch
-cycles ``F`` and completion times ``finish``::
-
-    F[i]      >= F[i-1] + l[i]             # fetch; l = I-miss stall
-    F[i]      >= F[i-W] + l[i] + 1         # W fetches per cycle
-    F[i]      >= finish[i-window]          # finite instruction window
-    F[i]      >= finish[i-1] + pen + l[i]  # mispredict resume
-    finish[i] == lat[i] + max(F[i], finish[p1], finish[p2])
-
-All edges are known up front (mispredict positions, fetch latencies and
-memory latencies come from :func:`~repro.uarch.events.simulate_events`;
-producer indices from :func:`~repro.mica.ilp.producer_indices`), so the
-engine solves the system as a monotone fixed point over whole-trace
-arrays instead of walking instructions one by one:
-
-* **Potential transform.**  With ``C = cumsum(c)`` and ``z = x - C``,
-  every chain constraint becomes plain monotonicity (``z[i] >= z[i-1]``)
-  and every other edge gets a *static* z-space weight, so the chain
-  closure is a single ``np.maximum.accumulate``.  Adjacent producer
-  edges, the memory-port conflict of consecutive memory operations and
-  mispredict penalties are folded into ``c`` first.
-
-* **Static subsumption.**  The width constraint guarantees
-  ``x[i] >= x[s] + floor((i-s)/W)``, so a dataflow edge of latency L can
-  only ever bind within distance ``W*L``; edges beyond that (and, for
-  the out-of-order model, producers older than the window, which the
-  window stall provably covers) are dropped, leaving compact per-family
-  edge lists.
-
-* **Joint closure.**  The interaction of the 0-weight chain and the
-  +1-weight width-skip edges is closed *exactly* in one shot: the best
-  number of skip edges between two positions is a maximum independent
-  selection over statically-known runs of skip-eligible positions, which
-  decomposes into one global cummax over statically weighted scores, a
-  per-run-prefix gather, and W per-lane segmented cummaxes
-  (:func:`joint_close`).
-
-* **Jump ladder.**  Long dependence chains (thousands of serialized
-  cache misses) are contracted logarithmically: each round re-picks
-  every node's best predecessor by current value and squares the
-  resulting jump pointers, composing path sums over 2^k hops.
-
-* **Exact-prefix scalar resume.**  Every update applies a true
-  constraint, so iterates never exceed the reference solution, and — by
-  induction over the (strictly backward) edges — the prefix before the
-  *first violated constraint* is already bit-exact at any point.  After
-  a fixed round budget the engine reconstructs the scalar machine state
-  (cycle, issue slots, front-end, register-ready times) at that frontier
-  from the exact prefix and finishes with the serial recurrence.  The
-  result is bit-identical to the scalar reference by construction —
-  convergence speed is a heuristic property, correctness is not — and
-  the worst case is bounded by one scalar walk of the unconverged tail.
+Both models are serial max-plus recurrences whose binding chain covers
+most of the trace, so the walk is where the remaining time goes;
+``tests/test_uarch_pipeline_equivalence.py`` pins each walk to its
+reference on IPC.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -78,15 +27,6 @@ from ..isa.registers import TOTAL_REGS
 from ..trace import Trace
 from .configs import MachineConfig
 from .events import MachineEvents
-
-#: Sentinel weight for absent edges: far below any reachable value but
-#: safe against int32 overflow when two sentinels are added.
-_NEG = np.int32(-(1 << 28))
-
-#: Vector rounds before handing the unconverged tail to the scalar
-#: resume (each round is a handful of whole-trace passes; well-behaved
-#: traces converge in far fewer).
-_ROUND_BUDGET = 12
 
 
 def result_latencies(
@@ -104,21 +44,6 @@ def result_latencies(
     return rl
 
 
-# ---------------------------------------------------------------------------
-# Production walk engines
-# ---------------------------------------------------------------------------
-#
-# The production path precomputes every per-instruction stall term as an
-# array — folded chain weights (fetch stalls, mispredict redirects, the
-# memory-port conflict of consecutive memory operations), result
-# latencies per opclass, and NO_REG-free source/destination indices via
-# a scratch register that absorbs dead reads and writes — and then walks
-# the *reduced* max-plus recurrence.  The walk carries no opclass
-# branching, no front-end state machine and no register-validity checks;
-# it is pinned bit-for-bit against the retained reference loops (and the
-# independent fixed-point engines below) by the equivalence tests.
-
-
 def _scratch_register_streams(trace: Trace):
     """Source/dest index lists with NO_REG mapped to a scratch slot."""
     scratch = TOTAL_REGS + 1
@@ -133,19 +58,17 @@ def inorder_walk(
 ) -> int:
     """Total cycles of the in-order model via the reduced recurrence.
 
-    For widths 1 and 2 (every production machine) the scalar state
-    machine collapses to ``x[i] = max(x[i-1] + c[i], x[i-2] + 1,
-    ready[src])`` with all chain terms folded into ``c`` up front; wider
-    in-order machines carry memory-port edges the fold cannot express
-    and fall back to the reference recurrence.
+    Requires ``machine.issue_width <= 2`` (every production machine):
+    there the scalar state machine collapses to ``x[i] = max(x[i-1] +
+    c[i], x[i-2] + 1, ready[src])`` with all chain terms folded into
+    ``c`` up front.  Wider in-order machines carry memory-port edges
+    the fold cannot express; :meth:`InOrderModel.run` sends them to
+    the reference loop instead.
     """
     n = len(trace)
     if n == 0:
         return 1
     width = machine.issue_width
-    if width > 2:
-        rl = result_latencies(trace, machine, events)
-        return _inorder_resume(trace, machine, events, rl, None, 0)
     latencies = machine.latencies
     opclass = trace.opclass
     is_mem = trace.memory_mask
@@ -257,726 +180,3 @@ def ooo_walk(
                 fetched = 0
         index += 1
     return max(last, 1)
-
-
-# ---------------------------------------------------------------------------
-# Joint closure of {monotone chain, width-skip} in z-space
-# ---------------------------------------------------------------------------
-
-
-def _build_joint_tables(eligible: np.ndarray, width: int, n: int):
-    """Static tables for :func:`joint_close`.
-
-    ``eligible[k]`` marks positions whose width-skip edge carries its
-    full +1 weight in z-space (no chain weight hides inside the skipped
-    span).  A path from j to i can use one skip per ``width`` positions
-    inside each maximal run of eligible positions intersected with
-    ``[j+width, i]``; runs are separated by >= width-1 ineligible
-    positions, so per-run greedy selections never conflict.
-    """
-    e = eligible
-    idx = np.arange(n, dtype=np.int64)
-    run_start = e & ~np.concatenate([[False], e[:-1]])
-    rs = np.flatnonzero(run_start)
-    if len(rs) == 0:
-        return None
-    re = np.flatnonzero(e & ~np.concatenate([e[1:], [False]]))
-    ceils = -(-(re - rs + 1) // width)
-    cum = np.concatenate([[0], np.cumsum(ceils)])
-    rid = np.cumsum(run_start) - 1
-    rid[~e] = -1
-
-    # i-side: rB = last run starting at or before i, its ceil clipped at
-    # i, and the ceil-prefix of all earlier runs.
-    rB = np.searchsorted(rs, idx, side="right") - 1
-    has = rB >= 0
-    rBc = np.maximum(rB, 0)
-    plen = np.minimum(re[rBc], idx) - rs[rBc] + 1
-    partial_i = np.where(has & (plen > 0), -(-plen // width), 0)
-    cumB = np.where(has, cum[rBc], 0)
-    # J_i: the last j whose first reachable run lies strictly before rB
-    # (j + width <= end of run rB-1); for those j the cross-run score is
-    # exact, so one prefix-max gather covers them all.
-    JI = np.where(rBc >= 1, re[np.maximum(rBc - 1, 0)] - width, -1)
-    JI = np.where(has, JI, -1)
-
-    # j-side static score offset: selections from j+width onward.
-    jw = idx + width
-    jw_rid = np.full(n, -1, dtype=np.int64)
-    valid = jw < n
-    jw_rid[valid] = rid[np.minimum(jw, n - 1)][valid]
-    q = np.full(n, np.int64(_NEG), dtype=np.int64)
-    inside = jw_rid >= 0
-    if inside.any():
-        r = jw_rid[inside]
-        q[inside] = -(-(re[r] - jw[inside] + 1) // width) - cum[r + 1]
-    outside = ~inside
-    rA = np.searchsorted(rs, jw[outside], side="left")
-    q[outside] = np.where(
-        rA < len(rs), -cum[np.minimum(rA, len(rs) - 1)], np.int64(_NEG)
-    )
-    # Lane reads must stop at the last j whose selections still fit
-    # inside i's run (j + width <= run end): lane scores are keyed by
-    # rid[j+width], and when the ineligible gap between runs is
-    # narrower than the width (possible for the out-of-order skip
-    # semantics), a position's own score can carry the *next* run's
-    # key and bury the current segment in the prefix max.
-    lane_cap = np.minimum(idx, np.where(rid >= 0, re[rBc] - width, -1))
-    return {
-        "q": q,
-        "cumB": cumB,
-        "partial_i": partial_i,
-        "JI": JI,
-        "jw_rid": jw_rid,
-        "rid": rid,
-        "lane_cap": lane_cap,
-        "width": width,
-        "n": n,
-    }
-
-
-def joint_close(z: np.ndarray, tables) -> np.ndarray:
-    """Close ``z`` (in place) under chain monotonicity and width skips.
-
-    Exact: equals iterating [cummax; apply skip edges] to a fixed point,
-    in a constant number of vector passes (pinned against that
-    brute-force closure by the equivalence tests' randomized traces).
-    """
-    np.maximum.accumulate(z, out=z)
-    if tables is None:
-        return z
-    n = tables["n"]
-    width = tables["width"]
-    # Cross-run component: one cummax over statically-offset scores.
-    M = z + tables["q"]
-    np.maximum.accumulate(M, out=M)
-    JI = tables["JI"]
-    ok = JI >= 0
-    cand = np.where(
-        ok, M[np.maximum(JI, 0)] + tables["cumB"] + tables["partial_i"], _NEG
-    )
-    np.maximum(z, cand.astype(z.dtype), out=z)
-    # Same-run component: per-lane segmented cummax (segment key: run id
-    # of the first selectable position j+width), exact where j and i sit
-    # inside one run and the cross-run decomposition would over-count.
-    jw_rid = tables["jw_rid"]
-    rid = tables["rid"]
-    idx = np.arange(n, dtype=np.int64)
-    lane_ordinal = idx // width
-    BIG = np.int64(1) << 34
-    score = np.where(
-        jw_rid >= 0, z.astype(np.int64) - lane_ordinal + jw_rid * BIG, _NEG
-    )
-    for lane in range(width):
-        view = score[lane::width]
-        np.maximum.accumulate(view, out=view)
-    has = rid >= 0
-    base = rid * BIG
-    lane_cap = tables["lane_cap"]
-    for lane in range(width):
-        ai = (idx - lane) // width
-        # Last lane-`lane` position whose selections fit inside i's run;
-        # later same-lane positions carry later-run keys in the scan.
-        j = lane + width * ((lane_cap - lane) // width)
-        jc = np.where((j >= 0) & (j <= idx), j, 0)
-        cand = score[jc] - base + ai
-        good = has & (j >= 0) & (cand < (np.int64(1) << 33))
-        # Clamp before the narrowing cast: cross-segment scores sit
-        # whole multiples of BIG below any real value and would wrap.
-        cand = np.maximum(np.where(good, cand, _NEG), _NEG)
-        np.maximum(z, cand.astype(z.dtype), out=z)
-    np.maximum.accumulate(z, out=z)
-    return z
-
-
-# ---------------------------------------------------------------------------
-# Shared fixed-point machinery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Family:
-    """One compact edge family: ``z[target] >= z[source] + weight``."""
-
-    targets: np.ndarray  # int64, strictly increasing (unique targets)
-    sources: np.ndarray  # int64
-    weights: np.ndarray  # int32, z-space
-
-
-def _apply_families(z: np.ndarray, families: List[_Family]) -> None:
-    for fam in families:
-        current = z[fam.targets]
-        np.maximum(current, z[fam.sources] + fam.weights, out=current)
-        z[fam.targets] = current
-
-
-def _first_family_violation(z: np.ndarray, families: List[_Family]) -> int:
-    first = len(z)
-    for fam in families:
-        bad = z[fam.sources] + fam.weights > z[fam.targets]
-        if bad.any():
-            first = min(first, int(fam.targets[int(np.argmax(bad))]))
-    return first
-
-
-def _jump_ladder(
-    z: np.ndarray,
-    families: List[_Family],
-    depth: int,
-    monotone: bool = True,
-) -> None:
-    """One refresh-and-square pass of value-informed jump pointers.
-
-    Every node picks its best predecessor under the *current* values
-    (the chain parent ``i-1`` by default when the array is monotone,
-    itself otherwise; any family edge that beats it); squaring the
-    pointer array then composes path sums over ``2**depth`` hops, so
-    serialized dependence chains collapse logarithmically instead of one
-    edge per round.  Sound for any pointer choice: each composed jump is
-    a sum of true constraints.
-    """
-    n = len(z)
-    J = np.arange(n, dtype=np.int64)
-    if monotone:
-        J[1:] -= 1
-    A = np.zeros(n, dtype=z.dtype)
-    best = z[J].copy()
-    for fam in families:
-        value = z[fam.sources] + fam.weights
-        better = value > best[fam.targets]
-        chosen = fam.targets[better]
-        J[chosen] = fam.sources[better]
-        A[chosen] = fam.weights[better]
-        best[chosen] = value[better]
-    del best
-    for rung in range(depth):
-        np.maximum(z, z[J] + A, out=z)
-        A = np.maximum(A + A[J], _NEG)
-        J = J[J]
-        if monotone and rung % 4 == 3:
-            np.maximum.accumulate(z, out=z)
-
-
-def _ladder_depth(n: int) -> int:
-    depth = 1
-    while (1 << depth) < n:
-        depth += 1
-    return min(depth, 20)
-
-
-def _last_writer_ready(
-    trace: Trace, x: np.ndarray, rl: "Optional[np.ndarray]", v: int
-) -> list:
-    """``ready[]`` of the scalar loops after the exact prefix ``x[:v]``.
-
-    For the in-order model ``x`` holds issue cycles and the writer's
-    result latency ``rl`` is added; for the out-of-order model ``x``
-    holds finish times, which already include it (``rl=None``).
-    """
-    ready = [0] * (TOTAL_REGS + 1)
-    dst = trace.dst[:v]
-    writers = np.flatnonzero(dst != NO_REG)
-    if len(writers):
-        regs = dst[writers].astype(np.int64)
-        # Keep only each register's last writer.
-        last_from_end = np.unique(regs[::-1], return_index=True)[1]
-        for position in len(writers) - 1 - last_from_end:
-            register = int(regs[position])
-            writer = int(writers[position])
-            value = int(x[writer])
-            if rl is not None:
-                value += int(rl[writer])
-            ready[register] = value
-    return ready
-
-
-# ---------------------------------------------------------------------------
-# In-order model
-# ---------------------------------------------------------------------------
-
-
-def inorder_cycles(
-    trace: Trace,
-    machine: MachineConfig,
-    events: MachineEvents,
-    producers: "Optional[Tuple[np.ndarray, np.ndarray]]" = None,
-) -> int:
-    """Total cycles of the in-order model via the fixed-point engine.
-
-    An implementation of the same semantics that is independent of both
-    the reference loop and :func:`inorder_walk` — the equivalence tests
-    pin all three bit-for-bit.  ``producers`` is the
-    :func:`~repro.mica.ilp.producer_indices` pair (computed on demand).
-    """
-    if producers is None:
-        from ..mica.ilp import producer_indices
-
-        producers = producer_indices(trace)
-    n = len(trace)
-    width = machine.issue_width
-    latencies = machine.latencies
-    opclass = trace.opclass
-    is_mem = trace.memory_mask
-    rl = result_latencies(trace, machine, events)
-    idx = np.arange(n, dtype=np.int64)
-    p1, p2 = producers
-
-    # Chain weights; fold in everything the chain edge can carry: the
-    # mispredict redirect, adjacent producers, the memory-port conflict
-    # of back-to-back memory operations (width 1 serializes every pair).
-    c = events.fetch_latency.astype(np.int64).copy()
-    mispredicted = (opclass == int(OpClass.BRANCH)) & events.mispredict
-    c[1:] += np.int64(latencies.mispredict_penalty) * mispredicted[:-1]
-    base0 = int(c[0])
-    c[0] = 0
-    for p in (p1, p2):
-        adjacent = (p >= 0) & (p == idx - 1)
-        if adjacent.any():
-            np.maximum(c, np.where(adjacent, rl[np.maximum(p, 0)], 0), out=c)
-    consecutive_mem = np.zeros(n, dtype=bool)
-    consecutive_mem[1:] = is_mem[1:] & is_mem[:-1]
-    if width > 1:
-        np.maximum(c, consecutive_mem.astype(np.int64), out=c)
-    else:
-        c[1:] = np.maximum(c[1:], 1)
-    C = np.cumsum(c)
-
-    # Compact dataflow families: distance-1 edges were folded above,
-    # edges the width floor provably covers are dropped.
-    families: List[_Family] = []
-    for p in (p1, p2):
-        distance = idx - p
-        candidate = (p >= 0) & (distance >= 2)
-        pc = p[candidate]
-        t = idx[candidate]
-        latency = rl[pc]
-        w = latency + C[pc] - C[t]
-        growth = (
-            distance[candidate] // width if width > 1 else distance[candidate]
-        )
-        alive = (w >= 1) & (latency > growth)
-        if alive.any():
-            families.append(
-                _Family(t[alive], pc[alive], w[alive].astype(np.int32))
-            )
-    if width > 2:
-        # Memory-port edges at distances 2..width-1 (farther pairs are
-        # covered by the width skip, adjacent pairs by the chain fold).
-        mem_positions = np.flatnonzero(is_mem)
-        if len(mem_positions) > 1:
-            t = mem_positions[1:]
-            s = mem_positions[:-1]
-            d = t - s
-            keep = (d >= 2) & (d < width)
-            if keep.any():
-                tk, sk = t[keep], s[keep]
-                w = 1 + C[sk] - C[tk]
-                alive = w >= 1
-                if alive.any():
-                    families.append(
-                        _Family(tk[alive], sk[alive], w[alive].astype(np.int32))
-                    )
-
-    skip_sources = np.maximum(idx - width, 0)
-    if width > 1:
-        skip_weights = np.where(
-            idx >= width, 1 + C[skip_sources] - C, np.int64(_NEG)
-        ).astype(np.int32)
-        tables = _build_joint_tables(skip_weights == 1, width, n)
-    else:
-        skip_weights = None
-        tables = None
-
-    z = np.full(n, base0, dtype=np.int32)
-    joint_close(z, tables)
-
-    depth = _ladder_depth(n)
-    converged = False
-    for _ in range(_ROUND_BUDGET):
-        previous = z.copy()
-        _apply_families(z, families)
-        joint_close(z, tables)
-        _jump_ladder(z, families, depth)
-        joint_close(z, tables)
-        if np.array_equal(z, previous):
-            converged = True
-            break
-
-    if not converged:
-        frontier = _inorder_first_violation(
-            z, families, skip_sources, skip_weights
-        )
-        if frontier < n:
-            x = z.astype(np.int64) + C
-            return _inorder_resume(trace, machine, events, rl, x, frontier)
-
-    total = int(z[n - 1]) + int(C[n - 1]) + 1
-    # A mispredicted final branch still advances the cycle past its
-    # redirect in the reference; the fold has no next instruction to
-    # carry that penalty.
-    if mispredicted[n - 1]:
-        total += latencies.mispredict_penalty
-    return max(total, 1)
-
-
-def _inorder_first_violation(z, families, skip_sources, skip_weights) -> int:
-    n = len(z)
-    first = _first_family_violation(z, families)
-    mono = z[:-1] > z[1:]
-    if mono.any():
-        first = min(first, int(np.argmax(mono)) + 1)
-    if skip_weights is not None:
-        skip = z[skip_sources] + skip_weights > z
-        if skip.any():
-            first = min(first, int(np.argmax(skip)))
-    return first
-
-
-def _inorder_resume(
-    trace: Trace,
-    machine: MachineConfig,
-    events: MachineEvents,
-    rl: np.ndarray,
-    x: np.ndarray,
-    v: int,
-) -> int:
-    """Finish the in-order recurrence serially from exact prefix ``x[:v]``.
-
-    The machine state at ``v`` is fully determined by the prefix: the
-    current cycle (with the mispredict redirect of ``v-1`` applied), the
-    trailing same-cycle issue group (slot and memory-port occupancy) and
-    the per-register ready times of each register's last writer.
-    ``v=0`` runs the whole recurrence from the initial state.
-    """
-    latencies = machine.latencies
-    width = machine.issue_width
-    n = len(trace)
-    opclass = trace.opclass.tolist()
-    src1 = trace.src1.tolist()
-    src2 = trace.src2.tolist()
-    dst = trace.dst.tolist()
-    memory_latency = events.memory_latency.tolist()
-    fetch_latency = events.fetch_latency.tolist()
-    mispredict = events.mispredict.tolist()
-    is_mem = trace.memory_mask
-
-    load_class = int(OpClass.LOAD)
-    store_class = int(OpClass.STORE)
-    branch_class = int(OpClass.BRANCH)
-    mul_class = int(OpClass.INT_MUL)
-    fp_class = int(OpClass.FP)
-    no_reg = NO_REG
-
-    if v == 0:
-        ready = [0] * (TOTAL_REGS + 1)
-        cycle = 0
-        issued_this_cycle = 0
-        memory_issued_this_cycle = False
-        front_end_free = 0
-    else:
-        ready = _last_writer_ready(trace, x, rl, v)
-        cycle = int(x[v - 1])
-        group_start = v - 1
-        while group_start > 0 and x[group_start - 1] == cycle:
-            group_start -= 1
-        issued_this_cycle = v - group_start
-        memory_issued_this_cycle = bool(is_mem[group_start:v].any())
-        front_end_free = cycle
-        if opclass[v - 1] == branch_class and mispredict[v - 1]:
-            front_end_free = cycle + latencies.mispredict_penalty
-            if front_end_free > cycle:
-                cycle = front_end_free
-                issued_this_cycle = 0
-                memory_issued_this_cycle = False
-
-    for index in range(v, n):
-        earliest = front_end_free + fetch_latency[index]
-        a = src1[index]
-        b = src2[index]
-        if a != no_reg and ready[a] > earliest:
-            earliest = ready[a]
-        if b != no_reg and ready[b] > earliest:
-            earliest = ready[b]
-        op = opclass[index]
-        is_memory = op == load_class or op == store_class
-        if earliest > cycle:
-            cycle = earliest
-            issued_this_cycle = 0
-            memory_issued_this_cycle = False
-        elif issued_this_cycle >= width or (
-            is_memory and memory_issued_this_cycle
-        ):
-            cycle += 1
-            issued_this_cycle = 0
-            memory_issued_this_cycle = False
-        issued_this_cycle += 1
-        if is_memory:
-            memory_issued_this_cycle = True
-        if op == load_class:
-            result_latency = memory_latency[index]
-        elif op == mul_class:
-            result_latency = latencies.int_mul
-        elif op == fp_class:
-            result_latency = latencies.fp_op
-        else:
-            result_latency = 1
-        d = dst[index]
-        if d != no_reg:
-            ready[d] = cycle + result_latency
-        if op == branch_class and mispredict[index]:
-            front_end_free = cycle + latencies.mispredict_penalty
-            if front_end_free > cycle:
-                cycle = front_end_free
-                issued_this_cycle = 0
-                memory_issued_this_cycle = False
-        elif front_end_free < cycle:
-            front_end_free = cycle
-    return max(cycle + 1, 1)
-
-
-# ---------------------------------------------------------------------------
-# Out-of-order model
-# ---------------------------------------------------------------------------
-
-
-def ooo_cycles(
-    trace: Trace,
-    machine: MachineConfig,
-    events: MachineEvents,
-    producers: "Optional[Tuple[np.ndarray, np.ndarray]]" = None,
-) -> int:
-    """Total cycles of the out-of-order model via the fixed-point engine.
-
-    Two coupled value arrays: ``zF`` (fetch cycles) closes under the
-    front-end chain/width system like the in-order model; ``zf``
-    (completion times) closes under dataflow edges; window stalls and
-    mispredict redirects feed completions back into ``zF`` as
-    fixed-distance shifts.  Producers older than the window are dropped:
-    instruction ``p + window`` only fetches once ``p`` finished, so
-    ``F[i] >= finish[p]`` already holds for every ``p <= i - window``.
-    """
-    if producers is None:
-        from ..mica.ilp import producer_indices
-
-        producers = producer_indices(trace)
-    n = len(trace)
-    width = machine.issue_width
-    window = machine.window_size
-    latencies = machine.latencies
-    opclass = trace.opclass
-    rl = result_latencies(trace, machine, events)
-    idx = np.arange(n, dtype=np.int64)
-    p1, p2 = producers
-
-    l = events.fetch_latency.astype(np.int64)
-    CF = np.cumsum(l)
-    lat32 = rl.astype(np.int32)
-
-    families: List[_Family] = []
-    for p in (p1, p2):
-        distance = idx - p
-        candidate = (p >= 0) & (distance >= 1) & (distance < window)
-        pc = p[candidate]
-        t = idx[candidate]
-        w = (rl[t] + CF[pc] - CF[t]).astype(np.int32)
-        np.maximum(w, _NEG, out=w)
-        families.append(_Family(t, pc, w))
-
-    skip_sources = np.maximum(idx - width, 0)
-    if width > 1:
-        # z-space skip weight: (l[i] + 1) - (CF[i] - CF[i-W]).
-        skip_weights = np.where(
-            idx >= width, 1 + l + CF[skip_sources] - CF, np.int64(_NEG)
-        ).astype(np.int32)
-        tables = _build_joint_tables(skip_weights == 1, width, n)
-        close_front = lambda zF: joint_close(zF, tables)  # noqa: E731
-        ramp = None
-    else:
-        # Width 1 fetches one instruction per cycle: F[i] >= F[i-1] +
-        # l[i] + 1, i.e. zF[i] >= zF[i-1] + 1 — a ramped cummax.
-        skip_weights = None
-        tables = None
-        ramp = np.arange(n, dtype=np.int32)
-
-        def close_front(zF):
-            zF -= ramp
-            np.maximum.accumulate(zF, out=zF)
-            zF += ramp
-            return zF
-
-    mispredicted = (opclass == int(OpClass.BRANCH)) & events.mispredict
-    pen = np.int32(latencies.mispredict_penalty)
-    window_weight = (
-        (CF[: n - window] - CF[window:]).astype(np.int32)
-        if n > window
-        else None
-    )
-
-    zF = np.zeros(n, dtype=np.int32)
-    close_front(zF)
-    zf = zF + lat32
-
-    depth = _ladder_depth(n)
-    converged = False
-    for _ in range(_ROUND_BUDGET):
-        prevF = zF.copy()
-        prevf = zf.copy()
-        # Dataflow into completions.
-        _apply_families(zf, families)
-        # Completions feed the front end: window stalls and redirects.
-        if window_weight is not None:
-            np.maximum(
-                zF[window:], zf[: n - window] + window_weight, out=zF[window:]
-            )
-        np.maximum(
-            zF[1:],
-            np.where(mispredicted[:-1], zf[:-1] + pen, _NEG),
-            out=zF[1:],
-        )
-        close_front(zF)
-        # Front end feeds completions.
-        np.maximum(zf, zF + lat32, out=zf)
-        # Contract dependence chains (finish is not monotone: no chain
-        # parents in the ladder).
-        _jump_ladder(zf, families, depth, monotone=False)
-        np.maximum(zf, zF + lat32, out=zf)
-        if np.array_equal(zF, prevF) and np.array_equal(zf, prevf):
-            converged = True
-            break
-
-    if not converged:
-        frontier = _ooo_first_violation(
-            zF, zf, families, skip_sources, skip_weights, width, window,
-            window_weight, mispredicted, pen, lat32,
-        )
-        if frontier < n:
-            F = zF.astype(np.int64) + CF
-            fin = zf.astype(np.int64) + CF
-            return _ooo_resume(trace, machine, events, F, fin, frontier)
-
-    total = int((zf.astype(np.int64) + CF).max())
-    return max(total, 1)
-
-
-def _ooo_first_violation(
-    zF, zf, families, skip_sources, skip_weights, width, window,
-    window_weight, mispredicted, pen, lat32,
-) -> int:
-    n = len(zF)
-    first = _first_family_violation(zf, families)
-    step = 1 if width == 1 else 0
-    mono = zF[:-1] + step > zF[1:]
-    if mono.any():
-        first = min(first, int(np.argmax(mono)) + 1)
-    if skip_weights is not None:
-        skip = zF[skip_sources] + skip_weights > zF
-        if skip.any():
-            first = min(first, int(np.argmax(skip)))
-    if window_weight is not None:
-        win = zf[: n - window] + window_weight > zF[window:]
-        if win.any():
-            first = min(first, int(np.argmax(win)) + window)
-    resume = np.where(mispredicted[:-1], zf[:-1] + pen, _NEG) > zF[1:]
-    if resume.any():
-        first = min(first, int(np.argmax(resume)) + 1)
-    start = zF + lat32 > zf
-    if start.any():
-        first = min(first, int(np.argmax(start)))
-    return first
-
-
-def _ooo_resume(
-    trace: Trace,
-    machine: MachineConfig,
-    events: MachineEvents,
-    F: np.ndarray,
-    fin: np.ndarray,
-    v: int,
-) -> int:
-    """Finish the out-of-order recurrence serially from exact prefixes.
-
-    ``F[:v]`` and ``fin[:v]`` determine the machine state at ``v``: the
-    fetch cycle (with ``v-1``'s mispredict resume applied), the trailing
-    same-cycle fetch group, per-register ready times, the window's
-    recent finish times and the running maximum finish.
-    """
-    latencies = machine.latencies
-    width = machine.issue_width
-    window = machine.window_size
-    n = len(trace)
-    opclass = trace.opclass.tolist()
-    src1 = trace.src1.tolist()
-    src2 = trace.src2.tolist()
-    dst = trace.dst.tolist()
-    memory_latency = events.memory_latency.tolist()
-    fetch_latency = events.fetch_latency.tolist()
-    mispredict = events.mispredict.tolist()
-
-    load_class = int(OpClass.LOAD)
-    branch_class = int(OpClass.BRANCH)
-    mul_class = int(OpClass.INT_MUL)
-    fp_class = int(OpClass.FP)
-    no_reg = NO_REG
-
-    # Entries past v are stale lower bounds, but the loop rewrites
-    # finish[index] before any window lookback can read it.
-    ready = _last_writer_ready(trace, fin, None, v)
-    finish = fin.tolist()
-    last_cycle = max(int(fin[:v].max()), 0)
-    fetch_cycle = int(F[v - 1])
-    group_start = v - 1
-    while group_start > 0 and F[group_start - 1] == fetch_cycle:
-        group_start -= 1
-    fetched_this_cycle = v - group_start
-    if opclass[v - 1] == branch_class and mispredict[v - 1]:
-        resume = finish[v - 1] + latencies.mispredict_penalty
-        if resume > fetch_cycle:
-            fetch_cycle = resume
-            fetched_this_cycle = 0
-
-    for index in range(v, n):
-        if fetched_this_cycle >= width:
-            fetch_cycle += 1
-            fetched_this_cycle = 0
-        stall_until = fetch_cycle
-        extra_fetch = fetch_latency[index]
-        if extra_fetch:
-            stall_until += extra_fetch
-        if index >= window:
-            oldest_finish = finish[index - window]
-            if oldest_finish > stall_until:
-                stall_until = oldest_finish
-        if stall_until > fetch_cycle:
-            fetch_cycle = stall_until
-            fetched_this_cycle = 0
-        fetched_this_cycle += 1
-
-        start = fetch_cycle
-        a = src1[index]
-        if a != no_reg and ready[a] > start:
-            start = ready[a]
-        b = src2[index]
-        if b != no_reg and ready[b] > start:
-            start = ready[b]
-        op = opclass[index]
-        if op == load_class:
-            latency = memory_latency[index]
-        elif op == mul_class:
-            latency = latencies.int_mul
-        elif op == fp_class:
-            latency = latencies.fp_op
-        else:
-            latency = 1
-        done = start + latency
-        finish[index] = done
-        if done > last_cycle:
-            last_cycle = done
-        d = dst[index]
-        if d != no_reg:
-            ready[d] = done
-        if op == branch_class and mispredict[index]:
-            resume = done + latencies.mispredict_penalty
-            if resume > fetch_cycle:
-                fetch_cycle = resume
-                fetched_this_cycle = 0
-    return max(last_cycle, 1)

@@ -33,12 +33,11 @@ from repro.mica.shard import (
     merge_states,
     ppm_empty_state,
     ppm_shard_correct,
-    resolve_wanted,
     shard_state,
     state_from_arrays,
     state_to_arrays,
 )
-from repro.mica.characteristics import category_slices
+from repro.mica.characteristics import category_slices, resolve_wanted
 from repro.perf import (
     cold_state_call_count,
     reset_cold_state_call_count,

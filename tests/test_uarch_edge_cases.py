@@ -5,9 +5,12 @@ degenerate traces: no branches, no memory operations, single
 instructions, all-NOP streams, pathological conflict patterns.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.isa import NO_REG, OpClass
 from repro.trace import TraceBuilder
 from repro.uarch import (
@@ -135,8 +138,6 @@ class TestConflictPatterns:
 class TestEventConsistency:
     def test_ipc_decreases_with_memory_latency(self):
         """Injecting a slower memory must not speed anything up."""
-        from dataclasses import replace
-
         trace = branchless_trace(2000)
         slow_machine = replace(
             EV56_CONFIG,
@@ -147,8 +148,6 @@ class TestEventConsistency:
         assert slow_ipc <= fast_ipc
 
     def test_wider_machine_not_slower(self):
-        from dataclasses import replace
-
         trace = branchless_trace(2000)
         narrow = replace(EV67_CONFIG, issue_width=1)
         wide_ipc, _ = OutOfOrderModel(EV67_CONFIG).run(trace)
@@ -156,10 +155,24 @@ class TestEventConsistency:
         assert wide_ipc >= narrow_ipc - 1e-9
 
     def test_larger_window_not_slower(self):
-        from dataclasses import replace
-
         trace = branchless_trace(2000)
         small = replace(EV67_CONFIG, window_size=4)
         big_ipc, _ = OutOfOrderModel(EV67_CONFIG).run(trace)
         small_ipc, _ = OutOfOrderModel(small).run(trace)
         assert big_ipc >= small_ipc - 1e-9
+
+
+class TestMachineValidation:
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_issue_width_below_one_rejected(self, width):
+        with pytest.raises(ConfigurationError, match="issue_width"):
+            replace(EV56_CONFIG, issue_width=width)
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ConfigurationError, match="window_size"):
+            replace(EV67_CONFIG, window_size=-1)
+
+    def test_fingerprints_unchanged(self):
+        """Validation leaves ``repr``, and so the HPC cache keys, alone."""
+        assert EV56_CONFIG.fingerprint() == "2ee2c9bc02d2710c"
+        assert EV67_CONFIG.fingerprint() == "1c8ba49dd782221e"

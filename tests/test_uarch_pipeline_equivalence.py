@@ -1,22 +1,22 @@
-"""Batch pipeline engines vs the retained scalar references.
+"""Batch pipeline walks vs the retained scalar references.
 
-Three implementations of each pipeline model must agree bit-for-bit on
-IPC: the production batch walk (``run``), the retained scalar loop
-(``run_reference``) and the independent max-plus fixed-point engine
-(:mod:`repro.uarch.pipeline_batch`'s ``inorder_cycles``/``ooo_cycles``).
-Coverage spans the eight-benchmark test population, randomized traces,
-and hand-built adversarial traces exercising window-full stalls,
-memory-port conflicts at full issue width, back-to-back mispredicted
-branches, fetch-latency/dependence ties, length-1 traces and
-``issue_width=1`` machines.
+Both implementations of each pipeline model must agree bit-for-bit on
+IPC: the production batch walk (``run``) and the retained scalar loop
+(``run_reference``).  Coverage spans the eight-benchmark test
+population, hypothesis-drawn traces and machines, and hand-built
+adversarial traces exercising window-full stalls, memory-port
+conflicts at full issue width, back-to-back mispredicted branches,
+fetch-latency/dependence ties, length-1 traces and ``issue_width=1``
+machines.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_alu_chain, make_independent_alu
-from repro.isa import OpClass
-from repro.mica.ilp import producer_indices
+from repro.isa import INT_ZERO_REG, NO_REG, OpClass
 from repro.synth import generate_trace
 from repro.trace import TraceBuilder
 from repro.uarch import (
@@ -28,29 +28,23 @@ from repro.uarch import (
 )
 from repro.uarch.configs import LatencyModel
 from repro.uarch.events import simulate_events
-from repro.uarch.pipeline_batch import inorder_cycles, ooo_cycles
 from repro.workloads import all_benchmarks
 
 
 def assert_all_engines_agree(trace, inorder=EV56_CONFIG, ooo=EV67_CONFIG):
-    """Pin walk == reference == fixed-point, bit for bit, both models."""
-    producers = producer_indices(trace)
+    """Pin walk == reference, bit for bit, both models."""
     if inorder is not None:
         events = simulate_events(trace, inorder)
         model = InOrderModel(inorder)
         ipc_walk, _ = model.run(trace, events=events)
         ipc_ref, _ = model.run_reference(trace, events=events)
         assert ipc_walk == ipc_ref, "in-order walk != reference"
-        cycles = inorder_cycles(trace, inorder, events, producers)
-        assert len(trace) / cycles == ipc_ref, "in-order fixed-point"
     if ooo is not None:
         events = simulate_events(trace, ooo)
         model = OutOfOrderModel(ooo)
         ipc_walk, _ = model.run(trace, events=events)
         ipc_ref, _ = model.run_reference(trace, events=events)
         assert ipc_walk == ipc_ref, "out-of-order walk != reference"
-        cycles = ooo_cycles(trace, ooo, events, producers)
-        assert len(trace) / cycles == ipc_ref, "out-of-order fixed-point"
 
 
 def narrow_inorder(width: int, penalty: int = 5) -> MachineConfig:
@@ -97,6 +91,65 @@ class TestPopulationEquivalence:
         assert_all_engines_agree(trace)
 
 
+#: Per-instruction choices, one list per field.  Registers are mostly
+#: ``NO_REG``, a few live registers so dependences chain, and the
+#: hardwired zero register.  A few PCs make single-PC loops occur;
+#: 0x3000 evicts 0x1000 from the EV56's direct-mapped 8 KB L1I, and
+#: 0x1000/0x9000/0x11000 overflow one set of the EV67's 2-way 64 KB
+#: L1I, so I-misses recur.  8-byte memory blocks span L1 hits, L1
+#: conflicts, L2 hits, memory misses and TLB misses (mem_addr >= 8).
+_REGISTERS = [NO_REG, NO_REG, NO_REG, NO_REG, 1, 2, 3, 4, INT_ZERO_REG, 40]
+_FIELDS = (
+    list(OpClass),
+    [0x1000, 0x1004, 0x1040, 0x3000, 0x9000, 0x11000],
+    _REGISTERS,
+    _REGISTERS,
+    _REGISTERS,
+    [1, 2, 5, 300, 1025, 4097, 1 << 16, 1 << 20],
+    [False, True],
+)
+
+
+@st.composite
+def traces(draw):
+    """Traces of 1-300 instructions, every opclass, over a few PCs.
+
+    Each instruction is one byte per field, taken modulo the field's
+    choice count; one ``binary`` draw per trace is far cheaper than a
+    draw per field, and still shrinks toward a short all-zero trace.
+    """
+    length = draw(st.integers(1, 300))
+    size = length * len(_FIELDS)
+    raw = draw(st.binary(min_size=size, max_size=size))
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(length, -1)
+    builder = TraceBuilder(name="property")
+    for row in rows.tolist():
+        op, pc, src1, src2, dst, block, taken = (
+            field[byte % len(field)] for field, byte in zip(_FIELDS, row)
+        )
+        branch = op == OpClass.BRANCH
+        builder.append(
+            pc, op, src1=src1, src2=src2, dst=dst,
+            mem_addr=8 * block if op.is_memory else 0,
+            taken=taken and branch,
+            target=0x2000 if branch else 0,
+        )
+    return builder.build()
+
+
+_inorder_machines = st.one_of(
+    st.just(EV56_CONFIG),
+    st.builds(narrow_inorder, st.integers(1, 2), st.integers(0, 6)),
+)
+_ooo_machines = st.one_of(
+    st.just(EV67_CONFIG),
+    st.builds(
+        lambda window, width: tiny_window_ooo(window, width=width),
+        st.integers(1, 12), st.integers(1, 4),
+    ),
+)
+
+
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_traces(self, seed):
@@ -137,9 +190,15 @@ class TestRandomizedEquivalence:
             inorder=narrow_inorder(3),
             ooo=tiny_window_ooo(7, width=2),
         )
-        assert_all_engines_agree(
-            trace, inorder=None, ooo=tiny_window_ooo(8, width=1)
-        )
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(traces(), _inorder_machines, _ooo_machines)
+    def test_walk_matches_reference(self, trace, inorder, ooo):
+        assert_all_engines_agree(trace, inorder=inorder, ooo=ooo)
 
 
 class TestAdversarialEquivalence:
