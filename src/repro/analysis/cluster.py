@@ -62,7 +62,8 @@ def choose_k(
         restarts: k-means++ restarts per K.
 
     Raises:
-        AnalysisError: on an invalid range or threshold.
+        AnalysisError: on an invalid range or threshold, or when the
+            range starts above the row-capped largest K.
     """
     data = np.asarray(data, dtype=float)
     low, high = k_range
@@ -71,6 +72,11 @@ def choose_k(
     if not 0.0 < score_fraction <= 1.0:
         raise AnalysisError("score_fraction must be in (0, 1]")
     high = min(high, len(data) - 1 if len(data) > 1 else 1)
+    if low > high:
+        raise AnalysisError(
+            f"k_range {tuple(k_range)} starts above K = {high}, the "
+            f"largest K explored for {len(data)} rows"
+        )
 
     solutions: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}

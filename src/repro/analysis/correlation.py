@@ -20,12 +20,28 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
         raise AnalysisError("pearson needs two equal-length 1-D vectors")
     if len(x) < 2:
         raise AnalysisError("pearson needs at least two observations")
-    x_centered = x - x.mean()
-    y_centered = y - y.mean()
-    denominator = np.sqrt((x_centered**2).sum() * (y_centered**2).sum())
-    if denominator == 0.0:
-        return 0.0
-    return float((x_centered * y_centered).sum() / denominator)
+    return PearsonAgainst(x)(y)
+
+
+class PearsonAgainst:
+    """:func:`pearson` of many vectors against one fixed ``x``.
+
+    The half of the coefficient that depends on ``x`` alone (its
+    centered copy and that copy's sum of squares) is computed once;
+    each call returns exactly ``pearson(x, y)``.  Calls skip
+    :func:`pearson`'s shape validation.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self._centered = x - x.mean()
+        self._sum_sq = (self._centered**2).sum()
+
+    def __call__(self, y: np.ndarray) -> float:
+        y_centered = y - y.mean()
+        denominator = np.sqrt(self._sum_sq * (y_centered**2).sum())
+        if denominator == 0.0:
+            return 0.0
+        return float((self._centered * y_centered).sum() / denominator)
 
 
 def correlation_matrix(data: np.ndarray) -> np.ndarray:

@@ -15,6 +15,17 @@ Generations evolve by elitist tournament selection, uniform crossover
 and per-bit mutation; evolution stops after ``generations`` rounds or
 when the best fitness has not improved for ``patience`` rounds,
 following the paper ("until no more improvement is observed").
+
+Fitness evaluation never recomputes a benchmark difference.  SciPy's
+condensed Euclidean distance (behind
+:func:`~repro.analysis.distance.pairwise_distances`) is the square root
+of a sequential, feature-order sum of squared coordinate differences,
+so the squared difference of every benchmark pair in every feature is
+tabulated once (one row per feature, pairs in condensed order) and a
+subset's distances are the square root of its rows summed in feature
+order: bit-for-bit ``pairwise_distances(data[:, mask])``.  The
+full-space side of the correlation is likewise centered once
+(:class:`PearsonAgainst`).
 """
 
 from __future__ import annotations
@@ -25,8 +36,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from .correlation import pearson
-from .distance import pairwise_distances
+from .correlation import PearsonAgainst
 
 
 @dataclass(frozen=True)
@@ -103,7 +113,10 @@ class GeneticSelector:
             raise AnalysisError("GA needs a 2-D matrix with >= 3 rows")
         n_features = data.shape[1]
         rng = np.random.default_rng(self.seed)
-        full_distances = pairwise_distances(data)
+        squared = _squared_pair_differences(data)
+        correlate = PearsonAgainst(
+            _subset_distances(squared, np.ones(n_features, dtype=bool))
+        )
         mutation_rate = (
             self.mutation_rate
             if self.mutation_rate is not None
@@ -122,8 +135,7 @@ class GeneticSelector:
             if count == 0:
                 result = (-1.0, 0.0)
             else:
-                subset_distances = pairwise_distances(data[:, mask])
-                rho = pearson(full_distances, subset_distances)
+                rho = correlate(_subset_distances(squared, mask))
                 if self.size_penalty:
                     fitness = rho * (1.0 - count / n_features)
                 else:
@@ -202,3 +214,30 @@ class GeneticSelector:
         contenders = rng.integers(0, len(population), size=size)
         winner = contenders[int(np.argmax(scores[contenders]))]
         return population[winner]
+
+
+def _squared_pair_differences(data: np.ndarray) -> np.ndarray:
+    """``(N features x n(n-1)/2 pairs)`` table of ``(x[i,f] - x[j,f])**2``
+    over the pairs ``i < j`` in condensed-distance order.
+
+    Filled one feature at a time so the only transient is one row.
+    """
+    first, second = np.triu_indices(len(data), k=1)
+    squared = np.empty((data.shape[1], len(first)))
+    for feature, column in enumerate(data.T):
+        np.square(column[first] - column[second], out=squared[feature])
+    return squared
+
+
+def _subset_distances(squared: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``pairwise_distances(data[:, mask])`` from the table of
+    :func:`_squared_pair_differences` (row-order sum, then root).
+
+    Accumulating row by row in place beats gathering the rows and
+    summing them: no copy of the selected rows is made.
+    """
+    features = np.flatnonzero(mask)
+    total = squared[features[0]].copy()
+    for feature in features[1:]:
+        total += squared[feature]
+    return np.sqrt(total, out=total)

@@ -6,7 +6,22 @@ al. / Pelleg & Moore formulation): the smallest K whose score reaches
 90% of the maximum over K = 1..70.
 
 The implementation uses k-means++ seeding with multiple restarts and is
-fully deterministic given the seed.
+fully deterministic given the seed.  Two batched steps are bit-for-bit
+what a per-call formulation produces:
+
+* *Seeding draws.* Each k-means++ center is one ``choice_indices``
+  draw over ``choice_cdf`` of the normalized weights
+  ``closest_sq / total`` (the batched weighted-draw protocol of
+  :mod:`repro.synth.rng`): one ``rng.random()`` searched in the cdf
+  numpy builds from that same ``p``, so the index and the generator
+  state match ``Generator.choice(n, p=p)`` without its per-call
+  validation.
+* *Centroid update.* For ``d >= 2`` numpy reduces ``members.mean(axis=0)``
+  row by row, in row order, from ``+0.0``, so one ``np.add.at`` of every
+  row into its cluster's zero-initialized sum followed by one division
+  by the counts gives the same bits (signed zeros included).  A
+  single column is reduced pairwise instead, which no scatter-add
+  replays, so one-column data keeps the per-cluster ``mean``.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnalysisError
+from ..synth.rng import choice_cdf, choice_indices
 
 
 @dataclass(frozen=True)
@@ -54,8 +70,7 @@ def _kmeans_plus_plus(
             # All remaining points coincide with a center already.
             centers[index:] = data[int(rng.integers(n))]
             break
-        probabilities = closest_sq / total
-        choice = int(rng.choice(n, p=probabilities))
+        choice = int(choice_indices(rng, choice_cdf(closest_sq / total)))
         centers[index] = data[choice]
         distance_sq = ((data - centers[index]) ** 2).sum(axis=1)
         np.minimum(closest_sq, distance_sq, out=closest_sq)
@@ -68,7 +83,6 @@ def _lloyd(
     max_iterations: int,
 ) -> "tuple[np.ndarray, np.ndarray, float]":
     """Lloyd iterations; returns (assignments, centers, inertia)."""
-    k = len(centers)
     assignments = np.zeros(len(data), dtype=np.int64)
     for _ in range(max_iterations):
         # Squared distances to every center.
@@ -80,13 +94,29 @@ def _lloyd(
             assignments = new_assignments
             break
         assignments = new_assignments
-        for cluster in range(k):
-            members = data[assignments == cluster]
-            if len(members):
-                centers[cluster] = members.mean(axis=0)
+        _update_centers(data, assignments, centers)
     distances = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inertia = float(distances[np.arange(len(data)), assignments].sum())
     return assignments, centers, inertia
+
+
+def _update_centers(
+    data: np.ndarray, assignments: np.ndarray, centers: np.ndarray
+) -> None:
+    """Move every non-empty cluster's center to its members' mean."""
+    if data.shape[1] == 1:
+        # numpy sums one column pairwise; only the per-cluster mean
+        # itself reproduces those bits (see the module docstring).
+        for cluster in range(len(centers)):
+            members = data[assignments == cluster]
+            if len(members):
+                centers[cluster] = members.mean(axis=0)
+        return
+    sums = np.zeros(centers.shape)
+    np.add.at(sums, assignments, data)
+    counts = np.bincount(assignments, minlength=len(centers))
+    present = counts > 0
+    centers[present] = sums[present] / counts[present, None]
 
 
 def kmeans(

@@ -288,7 +288,7 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".mica_cache"
 
 
-def clear_dataset_cache(cache_dir: "Path | None" = None) -> int:
+def clear_dataset_cache(cache_dir: "Path | str | None" = None) -> int:
     """Delete cached datasets (in-memory and on disk).
 
     Clears all five cache levels: the dataset-level matrices, the
@@ -304,7 +304,7 @@ def clear_dataset_cache(cache_dir: "Path | None" = None) -> int:
     from ..perf.cache import _unlink_quietly
 
     _MEMORY_CACHE.clear()
-    directory = cache_dir or default_cache_dir()
+    directory = Path(cache_dir or default_cache_dir())
     removed = 0
     if directory.is_dir():
         # Tolerate concurrent workers clearing the same entries, and
@@ -625,7 +625,7 @@ def load_cached_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
     benchmark_names: "Optional[Sequence[str]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
 ) -> "Optional[WorkloadDataset]":
     """Warm-probe the dataset-level cache without ever building.
 
@@ -656,7 +656,7 @@ def load_cached_dataset(
     key = _cache_key(config, names)
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
-    directory = cache_dir or default_cache_dir()
+    directory = Path(cache_dir or default_cache_dir())
     arrays = integrity.load_entry(
         directory / f"dataset-{key}.npz",
         level="dataset",
@@ -682,7 +682,7 @@ def load_cached_dataset(
 def dataset_journal_path(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
 ) -> Path:
     """The default build-journal file for this config + population.
 
@@ -695,8 +695,8 @@ def dataset_journal_path(
         benchmarks if benchmarks is not None else all_benchmarks()
     )
     names = tuple(benchmark.full_name for benchmark in population)
-    directory = cache_dir or default_cache_dir()
-    return Path(directory) / (
+    directory = Path(cache_dir or default_cache_dir())
+    return directory / (
         f"journal-dataset-{_cache_key(config, names)}.jsonl"
     )
 
@@ -790,7 +790,7 @@ def _replay_build_journal(
 def build_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
     workers: "int | None" = None,
@@ -880,7 +880,7 @@ def build_dataset(
 def resume_dataset(
     config: ReproConfig = DEFAULT_CONFIG,
     benchmarks: "Optional[Sequence[Benchmark]]" = None,
-    cache_dir: "Path | None" = None,
+    cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
     workers: "int | None" = None,
@@ -929,7 +929,7 @@ def resume_dataset(
 def _build_or_resume(
     config: ReproConfig,
     benchmarks: "Optional[Sequence[Benchmark]]",
-    cache_dir: "Path | None",
+    cache_dir: "Path | str | None",
     use_cache: bool,
     jobs: "int | None",
     workers: "int | None",
@@ -951,7 +951,7 @@ def _build_or_resume(
     if use_cache and key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
 
-    directory = cache_dir or default_cache_dir()
+    directory = Path(cache_dir or default_cache_dir())
     cache_path = directory / f"dataset-{key}.npz"
     dataset_quarantines: Tuple[QuarantineEvent, ...] = ()
     if use_cache:

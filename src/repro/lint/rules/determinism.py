@@ -2,7 +2,8 @@
 unseeded randomness.
 
 Every production engine (``mica``, ``synth``, ``uarch``, ``phases``)
-promises bit-for-bit reproducible output for a given trace and seed.  A
+promises bit-for-bit reproducible output for a given trace and seed, and
+``analysis`` (GA selection, k-means + BIC) for a given matrix and seed.  A
 single ``time.time()`` or unseeded ``np.random`` draw silently breaks
 that promise, so this rule bans wall-clock reads and any randomness
 that does not flow through the seeded draw protocol in
@@ -71,19 +72,21 @@ class DeterminismRule(Rule):
     explanation = (
         "Production engines under src/repro/{mica,synth,uarch,phases} "
         "promise bit-for-bit deterministic output for a given trace and "
-        "seed.  This rule flags wall-clock reads (time.time, "
-        "datetime.now, ...), legacy global-state numpy draws "
+        "seed, and src/repro/analysis (GA selection, k-means + BIC) for "
+        "a given matrix and seed.  This rule flags wall-clock reads "
+        "(time.time, datetime.now, ...), legacy global-state numpy draws "
         "(np.random.rand, np.random.seed, ...), np.random.default_rng() "
         "called without a seed, and stdlib random.* usage in modules "
         "that import the random module.  All randomness must flow "
-        "through repro.synth.rng.make_rng / stable_seed, which derive "
-        "streams from explicit seeds."
+        "through repro.synth.rng.make_rng / stable_seed or a generator "
+        "built from an explicit seed."
     )
     scopes = (
         "src/repro/mica/",
         "src/repro/synth/",
         "src/repro/uarch/",
         "src/repro/phases/",
+        "src/repro/analysis/",
     )
 
     def check_module(

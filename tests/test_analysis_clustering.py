@@ -98,6 +98,14 @@ class TestChooseK:
                            seed=1)
         assert lenient.k <= strict.k
 
+    def test_range_above_row_cap_names_range_and_rows(self):
+        points = np.random.default_rng(13).normal(size=(3, 2))
+        with pytest.raises(AnalysisError) as excinfo:
+            choose_k(points, k_range=(5, 70))
+        message = str(excinfo.value)
+        assert "(5, 70)" in message and "3 rows" in message
+        assert "no finite BIC" not in message
+
     def test_result_contents(self):
         points, _ = make_blobs(k=3, seed=11)
         clustering = choose_k(points, k_range=(1, 8), seed=2)

@@ -4,7 +4,8 @@
 budget: benchmarks not built in time are recorded as failed with
 ``"build deadline exceeded"`` and the usual strict/salvage semantics
 apply.  ``load_cached_dataset`` is the service's warm path: it answers
-from the dataset-level cache or says ``None`` — it never builds.
+from the dataset-level cache or says ``None`` — it never builds.  Every
+entry point also accepts ``cache_dir`` as a plain string.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.errors import AnalysisError, DatasetBuildError
-from repro.experiments import build_dataset, load_cached_dataset
+from repro.experiments import (
+    build_dataset,
+    clear_dataset_cache,
+    dataset_journal_path,
+    load_cached_dataset,
+)
 from repro.experiments.dataset import _MEMORY_CACHE
 
 SMALL_CONFIG = ReproConfig(trace_length=2_000)
@@ -121,3 +127,24 @@ class TestLoadCachedDataset:
                 SMALL_CONFIG, benchmarks=population,
                 benchmark_names=NAMES,
             )
+
+
+class TestStringCacheDir:
+
+    def test_every_entry_point_accepts_a_string(self, population, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        built = build_dataset(
+            SMALL_CONFIG, population, cache_dir=cache_dir, jobs=1
+        )
+        _MEMORY_CACHE.clear()
+        loaded = load_cached_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=cache_dir
+        )
+        assert loaded is not None
+        assert np.array_equal(loaded.mica, built.mica)
+        journal = dataset_journal_path(
+            SMALL_CONFIG, population, cache_dir=cache_dir
+        )
+        assert journal.parent == tmp_path / "cache"
+        assert clear_dataset_cache(cache_dir) > 0
+        assert not list((tmp_path / "cache").glob("dataset-*.npz"))

@@ -68,6 +68,17 @@ class TestDeterminismRule:
         found = findings_for(DeterminismRule(), {ENGINE_PATH: source})
         assert len(found) == 1
 
+    def test_fires_on_unseeded_default_rng_in_analysis(self):
+        source = (
+            "import numpy as np\n\ndef restarts():\n"
+            "    return np.random.default_rng()\n"
+        )
+        found = findings_for(
+            DeterminismRule(), {"src/repro/analysis/snippet.py": source}
+        )
+        assert len(found) == 1
+        assert found[0].line == 4
+
     def test_quiet_on_seeded_default_rng(self):
         source = (
             "import numpy as np\n\ndef f(seed):\n"
