@@ -1,16 +1,18 @@
 #!/usr/bin/env python
 """CI perf gate: bench speedups must stay above the committed floors.
 
-Runs the MICA harness (or reads an existing ``BENCH_mica.json``),
-reduces the run to one history row (per-engine speedups vs the retained
-scalar references), compares it against the floors committed in
-``benchmarks/perf/floors.json``, and optionally appends the row to
-``BENCH_history.jsonl`` so the performance trajectory accumulates one
-line per run.  Exits non-zero when any engine regresses below its
-floor::
+Reads a ``BENCH_mica.json`` that ``repro bench`` wrote, checks that it
+is a ``BENCH_mica/v7`` file measured at the tier's trace length, and
+compares its per-group speedups (each engine vs its retained scalar
+reference) against the floors committed in
+``benchmarks/perf/floors.json``.  Exits 1 when any group is below its
+floor (or its value is not a finite number), 2 when the file is
+missing or malformed::
 
+    PYTHONPATH=src python -m repro --trace-length 20000 \
+        bench --repeats 1 --output bench_smoke.json
     PYTHONPATH=src python benchmarks/perf/bench_gate.py \
-        --tier smoke --history BENCH_history.jsonl
+        --tier smoke bench_smoke.json
 
 Floors are speedup *ratios* (both sides timed on the same machine), so
 the gate holds on slow CI runners; the ``smoke`` tier's floors carry
@@ -28,67 +30,67 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.config import DEFAULT_CONFIG  # noqa: E402
-from repro.perf import (  # noqa: E402
-    append_bench_history,
-    bench_history_row,
-    check_bench_floors,
-    run_mica_bench,
-)
+from repro.perf import check_bench_floors  # noqa: E402
+from repro.perf.timing import BENCH_SCHEMA  # noqa: E402
 
 DEFAULT_FLOORS = Path(__file__).resolve().parent / "floors.json"
+
+
+def load_bench(path: Path, trace_length: int) -> dict:
+    """The bench payload at ``path``; ValueError names what is wrong."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as error:
+        raise ValueError(f"cannot read {path}: {error}") from None
+    if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA:
+        raise ValueError(f"{path} is not a {BENCH_SCHEMA} file")
+    meta = payload.get("meta")
+    measured = meta.get("trace_length") if isinstance(meta, dict) else None
+    if measured != trace_length:
+        raise ValueError(
+            f"{path} was measured at trace_length {measured}, "
+            f"the tier needs {trace_length}"
+        )
+    if not isinstance(payload.get("speedups"), dict):
+        raise ValueError(f"{path} has no speedups map")
+    return payload
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "bench", nargs="?", default=str(REPO_ROOT / "BENCH_mica.json"),
+        help="BENCH_mica.json written by repro bench "
+             "(default: the committed one)",
+    )
+    parser.add_argument(
         "--tier", choices=("smoke", "full"), default="smoke",
-        help="floor tier to gate against (also sets the trace length)",
+        help="floor tier to gate against (also fixes the trace length)",
     )
     parser.add_argument(
         "--floors", default=str(DEFAULT_FLOORS),
         help="floors JSON file (default: the committed floors.json)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="timing repetitions per engine (best is kept)",
-    )
-    parser.add_argument(
-        "--history", default="", metavar="PATH",
-        help="append the history row to this JSONL file ('' skips)",
-    )
     args = parser.parse_args(argv)
 
-    spec = json.loads(Path(args.floors).read_text(encoding="utf-8"))
-    tier = spec[args.tier]
+    tier = json.loads(Path(args.floors).read_text(encoding="utf-8"))[args.tier]
     floors = tier["floors"]
-    trace_length = int(tier["trace_length"])
+    try:
+        payload = load_bench(Path(args.bench), int(tier["trace_length"]))
+    except ValueError as error:
+        print(f"perf gate error: {error}", file=sys.stderr)
+        return 2
 
-    result = run_mica_bench(
-        config=DEFAULT_CONFIG.with_overrides(trace_length=trace_length),
-        repeats=args.repeats,
-        include_generation=True,
-        include_hpc=True,
-        include_phases=True,
-        include_sharded=True,
-    )
-    row = bench_history_row(result)
-    print(result.format())
-    print()
-    print("history row:", json.dumps(row["speedups"], sort_keys=True))
-    if args.history:
-        path = append_bench_history(result, args.history)
-        print(f"appended history row to {path}")
-
-    violations = check_bench_floors(row, floors)
+    violations = check_bench_floors(payload, floors)
     if violations:
-        print(f"\nperf gate FAILED ({args.tier} floors):", file=sys.stderr)
+        print(f"perf gate FAILED ({args.tier} floors):", file=sys.stderr)
         for violation in violations:
             print(f"  {violation}", file=sys.stderr)
         return 1
-    print(f"\nperf gate passed ({args.tier} floors): " + ", ".join(
-        f"{engine} {row['speedups'][engine]:.1f}x>={floors[engine]:g}x"
-        for engine in sorted(floors)
+    speedups = payload["speedups"]
+    print(f"perf gate passed ({args.tier} floors): " + ", ".join(
+        f"{group} {speedups[group]:.1f}x>={floors[group]:g}x"
+        for group in sorted(floors)
     ))
     return 0
 

@@ -9,7 +9,7 @@ Subcommands::
     dataset                 build (and cache) the full workload data set
     cache verify|clear      scan-and-quarantine / wipe the cache levels
     serve                   run the characterization HTTP service
-    bench                   run the MICA perf harness (BENCH_mica.json)
+    bench                   time engines vs references (BENCH_mica.json)
     lint                    static-analysis gate (exit 0/1/2)
     fig1|table3|fig2-3|fig4|fig5|table4|fig6
                             reproduce one table/figure
@@ -274,19 +274,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf import run_mica_bench, write_bench_json
+    from .perf import run_bench, write_bench_json
 
-    config = _make_config(args)
-    result = run_mica_bench(
-        config=config,
-        trace_length=args.trace_length or None,
+    result = run_bench(
+        config=_make_config(args),
         profile_name=args.profile,
         repeats=args.repeats,
-        include_reference=not args.no_reference,
-        include_generation=not args.no_generation,
-        include_hpc=not args.no_hpc,
-        include_phases=not args.no_phases,
-        include_sharded=not args.no_sharded,
     )
     print(result.format())
     if args.output:
@@ -673,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench_parser = commands.add_parser(
-        "bench", help="time the MICA analyzers; write BENCH_mica.json"
+        "bench", help="time engines vs references; write BENCH_mica.json"
     )
     bench_parser.add_argument(
         "--output", default="BENCH_mica.json", metavar="PATH",
@@ -685,37 +678,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing repetitions per analyzer (best is kept)",
+        help="timing repetitions per engine and reference (best is kept)",
     )
     bench_parser.add_argument(
         "--history", default="", metavar="PATH",
-        help="append a one-line summary row (speedups per engine) to "
+        help="append a one-line summary row (speedups per floor group) to "
              "this JSONL history file, e.g. BENCH_history.jsonl "
              "('' skips)",
-    )
-    bench_parser.add_argument(
-        "--no-reference", action="store_true",
-        help="skip the slow scalar reference timings (PPM/ILP, generation "
-             "phases, HPC events and pipeline models)",
-    )
-    bench_parser.add_argument(
-        "--no-generation", action="store_true",
-        help="skip the trace-generation engine timings",
-    )
-    bench_parser.add_argument(
-        "--no-hpc", action="store_true",
-        help="skip the HPC engine timings (events, pipeline models, "
-             "components, cache)",
-    )
-    bench_parser.add_argument(
-        "--no-phases", action="store_true",
-        help="skip the phase engine timings (segmented timeline, "
-             "signatures, phase detection)",
-    )
-    bench_parser.add_argument(
-        "--no-sharded", action="store_true",
-        help="skip the shard-engine timings (merge overhead, "
-             "intra-trace multi-worker scaling)",
     )
     commands.add_parser("fig1", help="Figure 1: distance scatter")
     commands.add_parser("table3", help="Table III: quadrant fractions")

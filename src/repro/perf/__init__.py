@@ -26,22 +26,18 @@ semantics:
   (entry corruption modes, IO errors at store/load/rename time, worker
   crashes/errors/timeouts, SIGKILL at journal/writer seams, and the
   seeded chaos scheduler) that the robustness tests drive.
-* :mod:`repro.perf.history` — the performance-trajectory layer over
-  the harness: one-line JSONL history rows (per-engine speedups) for
-  ``BENCH_history.jsonl`` and the floor-gating used by the CI perf
-  gate (``benchmarks/perf/bench_gate.py`` + ``floors.json``).
-* :mod:`repro.perf.timing` — the MICA benchmark harness: it times every
-  analyzer (and the retained scalar reference implementations of PPM
-  and ILP) on a standard trace, times the generation engine against its
-  scalar references (plus cold/warm dataset builds), times the HPC
-  event engines (caches, TLB, predictors, ``simulate_events``) against
-  their scalar specifications, and emits the machine-readable
-  ``BENCH_mica.json`` that tracks the performance trajectory across
-  PRs.
+* :mod:`repro.perf.timing` — the engine bench: one registry of
+  engine/reference rows (every vectorized engine against its retained
+  scalar ``*_reference`` specification), timed on one shared trace by
+  one best-of-N loop, serialized to ``BENCH_mica.json``.
+* :mod:`repro.perf.history` — one-line JSONL history rows (the
+  per-group speedups of a bench run) for ``BENCH_history.jsonl`` and
+  the floor check behind the CI perf gate
+  (``benchmarks/perf/bench_gate.py`` + ``floors.json``).
 
-Both are consumed by :func:`repro.experiments.build_dataset` (per-trace
-cache under parallel workers) and the CLI (``--jobs``, ``--cache-dir``,
-``python -m repro bench``).
+The caches are consumed by :func:`repro.experiments.build_dataset`
+(per-trace cache under parallel workers) and the CLI (``--jobs``,
+``--cache-dir``); the bench by ``python -m repro bench``.
 """
 
 from . import faults, history, integrity, journal
@@ -81,20 +77,7 @@ from .journal import (
     replay_journal,
     rotate_journal,
 )
-from .timing import (
-    AnalyzerTiming,
-    GenerationBenchResult,
-    HpcBenchResult,
-    MicaBenchResult,
-    PhasesBenchResult,
-    ShardedBenchResult,
-    run_generation_bench,
-    run_hpc_bench,
-    run_mica_bench,
-    run_phases_bench,
-    run_sharded_bench,
-    write_bench_json,
-)
+from .timing import BenchResult, run_bench, write_bench_json
 
 __all__ = [
     "CacheVerifyReport",
@@ -129,16 +112,7 @@ __all__ = [
     "sweep_temporaries",
     "trace_fingerprint",
     "verify_cache",
-    "AnalyzerTiming",
-    "GenerationBenchResult",
-    "HpcBenchResult",
-    "MicaBenchResult",
-    "PhasesBenchResult",
-    "ShardedBenchResult",
-    "run_generation_bench",
-    "run_hpc_bench",
-    "run_mica_bench",
-    "run_phases_bench",
-    "run_sharded_bench",
+    "BenchResult",
+    "run_bench",
     "write_bench_json",
 ]

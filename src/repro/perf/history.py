@@ -1,65 +1,39 @@
 """Performance-trajectory history rows and floor gating.
 
-The MICA bench harness (:mod:`repro.perf.timing`) reports a full
+The engine bench (:mod:`repro.perf.timing`) writes a full
 ``BENCH_mica.json`` per run; this module boils one run down to a single
-JSONL *history row* — the per-engine speedups against the retained
-scalar references, plus enough metadata to compare rows across
-machines — so ``BENCH_history.jsonl`` accumulates one line per PR and
-the performance trajectory is a ``jq``-able time series rather than a
-pile of full reports.
+JSONL *history row* — the run's flat ``speedups`` map (one
+reference-over-engine ratio per floor group) plus enough metadata to
+compare rows across machines — so ``BENCH_history.jsonl`` accumulates
+one line per PR and the performance trajectory is a ``jq``-able time
+series rather than a pile of full reports.
 
-The same rows drive the CI perf gate (``benchmarks/perf/bench_gate.py``):
-:func:`check_bench_floors` compares a row's speedups against the
-committed per-engine floors in ``benchmarks/perf/floors.json`` and
-returns the violations.  Floors are *speedup ratios* (engine vs its
-scalar reference on the same machine), so the gate is
-machine-independent: a slow CI runner slows both sides of every ratio.
+The CI perf gate (``benchmarks/perf/bench_gate.py``) reads a written
+``BENCH_mica.json`` and calls :func:`check_bench_floors` on it, which
+compares the speedups against the committed per-group floors in
+``benchmarks/perf/floors.json`` and returns the violations.  Floors
+are *speedup ratios* (engine vs its scalar reference on the same
+machine), so the gate is machine-independent: a slow CI runner slows
+both sides of every ratio.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Schema tag stamped into every history row.
 HISTORY_SCHEMA = "BENCH_history/v1"
 
-#: Engines a floors file may gate, mapped to where the ratio lives in a
-#: :class:`~repro.perf.timing.MicaBenchResult`.
-FLOOR_ENGINES = (
-    "ppm", "ilp", "generation", "events", "pipelines", "phases",
-    "sharded",
-)
-
 
 def bench_history_row(result) -> dict:
-    """One flat history row for a harness run.
-
-    Collects every reference-over-engine speedup the run measured into
-    a single ``speedups`` dict keyed by engine: ``ppm``/``ilp`` (the
-    analyzer engines), ``generation`` (the combined interpret+expand
-    ratio), ``events``/``pipelines`` (the HPC event assemblies and
-    pipeline models), ``phases`` (the segmented timeline engine) and
-    ``sharded`` (the shard-mergeable engine's one-shot-over-sharded
-    merge-overhead ratio).  Sections the run skipped
-    (``--no-generation``, ``--no-reference``) are simply absent from
-    the dict.
-    """
-    speedups: "Dict[str, float]" = {}
-    for key in ("ppm", "ilp", "phases", "sharded"):
-        if key in result.speedups:
-            speedups[key] = float(result.speedups[key])
-    if result.generation is not None:
-        engine = result.generation.speedups.get("engine")
-        if engine is not None:
-            speedups["generation"] = float(engine)
-    if result.hpc is not None:
-        for key in ("events", "pipelines"):
-            if key in result.hpc.speedups:
-                speedups[key] = float(result.hpc.speedups[key])
+    """One flat history row for a :class:`~repro.perf.timing.BenchResult`:
+    its flat ``speedups`` map (floor group -> ratio) plus metadata."""
     return {
         "schema": HISTORY_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -68,7 +42,7 @@ def bench_history_row(result) -> dict:
         "repeats": int(result.repeats),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "speedups": speedups,
+        "speedups": dict(result.speedups),
     }
 
 
@@ -116,33 +90,43 @@ def check_bench_floors(
     floors: "Dict[str, float]",
     require_all: bool = True,
 ) -> "Tuple[str, ...]":
-    """Compare one history row against per-engine speedup floors.
+    """Compare one history row against per-group speedup floors.
 
     Args:
         row: a :func:`bench_history_row` dict (or anything with a
-            ``speedups`` mapping).
-        floors: engine -> minimum acceptable speedup ratio.
-        require_all: treat a floor whose engine the row did not measure
-            as a violation (CI must not silently skip an engine because
-            a flag disabled its section).
+            ``speedups`` mapping, such as a ``BENCH_mica.json`` payload).
+        floors: group -> minimum acceptable speedup ratio.
+        require_all: treat a floor whose group the row did not measure
+            as a violation (CI must not pass on a file that lacks one).
+            A measured value that is not a finite number is always a
+            violation.
 
     Returns:
         Human-readable violation strings; empty means the row passes.
     """
     speedups = row.get("speedups", {})
     violations: "List[str]" = []
-    for engine in sorted(floors):
-        floor = float(floors[engine])
-        measured: "Optional[float]" = speedups.get(engine)
+    for group in sorted(floors):
+        floor = float(floors[group])
+        measured = speedups.get(group)
         if measured is None:
             if require_all:
                 violations.append(
-                    f"{engine}: no speedup measured (floor {floor:g}x)"
+                    f"{group}: no speedup measured (floor {floor:g}x)"
                 )
             continue
-        if float(measured) < floor:
+        if (
+            isinstance(measured, bool)
+            or not isinstance(measured, numbers.Real)
+            or not math.isfinite(measured)
+        ):
             violations.append(
-                f"{engine}: {float(measured):.2f}x is below the "
+                f"{group}: {measured!r} is not a finite speedup "
+                f"(floor {floor:g}x)"
+            )
+        elif measured < floor:
+            violations.append(
+                f"{group}: {float(measured):.2f}x is below the "
                 f"{floor:g}x floor"
             )
     return tuple(violations)

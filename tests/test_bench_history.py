@@ -1,16 +1,21 @@
 """Perf-trajectory history rows and the floor gate.
 
 No engines are actually timed here: the tests build a synthetic
-:class:`MicaBenchResult` and pin the row schema, the append-only JSONL
-behaviour, and the gate's floor arithmetic — including the rule that a
-floor whose engine went unmeasured is itself a violation (CI must not
-pass because a flag silently disabled a section).
+:class:`BenchResult` and pin the row schema, the append-only JSONL
+behaviour, the gate's floor arithmetic — including the rules that a
+floor whose group went unmeasured, or whose value is not a finite
+number, is itself a violation — and the CI gate script's handling of
+the ``BENCH_mica.json`` it reads.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 from repro.perf import (
     append_bench_history,
@@ -19,42 +24,29 @@ from repro.perf import (
     load_bench_history,
 )
 from repro.perf.history import HISTORY_SCHEMA
-from repro.perf.timing import (
-    GenerationBenchResult,
-    HpcBenchResult,
-    MicaBenchResult,
-    PhasesBenchResult,
-)
+from repro.perf.timing import FLOOR_GROUPS, ROWS, BenchResult
 
 REPO_FLOORS = Path(__file__).parent.parent / "benchmarks/perf/floors.json"
+GATE_SCRIPT = Path(__file__).parent.parent / "benchmarks/perf/bench_gate.py"
 
 
 def _result(
     ppm=12.0, ilp=6.0, phases=7.0, generation=11.0, events=9.0,
     pipelines=1.5, include_generation=True, include_hpc=True,
-    include_phases=True,
+    include_phases=True, trace_length=100_000,
 ):
-    speedups = {"ppm": ppm, "ilp": ilp}
+    """A result whose group ratios are exactly the given speedups: one
+    row per group, engine 1 s and reference ``speedup`` seconds."""
+    seconds = {"ppm": (1.0, ppm), "ilp": (1.0, ilp)}
+    if include_generation:
+        seconds["interpret"] = (1.0, generation)
+    if include_hpc:
+        seconds["events_ev56"] = (1.0, events)
+        seconds["pipeline_ev67"] = (1.0, pipelines)
     if include_phases:
-        speedups["phases"] = phases
-    return MicaBenchResult(
-        trace_length=100_000,
-        profile="mcf",
-        repeats=3,
-        timings=(),
-        speedups=speedups,
-        generation=GenerationBenchResult(
-            trace_length=100_000, profile="mcf", repeats=3, timings=(),
-            speedups={"interpret": 9.0, "engine": generation},
-        ) if include_generation else None,
-        hpc=HpcBenchResult(
-            trace_length=100_000, profile="mcf", repeats=3, timings=(),
-            speedups={"events": events, "pipelines": pipelines},
-        ) if include_hpc else None,
-        phases=PhasesBenchResult(
-            trace_length=100_000, profile="mcf", repeats=3,
-            interval=5_000, timings=(), speedups={"timeline": phases},
-        ) if include_phases else None,
+        seconds["mica_timeline"] = (1.0, phases)
+    return BenchResult(
+        profile="mcf", trace_length=trace_length, repeats=3, seconds=seconds,
     )
 
 
@@ -94,6 +86,34 @@ class TestHistoryRow:
         assert load_bench_history(tmp_path / "absent.jsonl") == []
 
 
+class TestBenchResult:
+    def test_registry_names_are_unique(self):
+        names = [row.name for row in ROWS]
+        assert len(names) == len(set(names))
+
+    def test_group_ratio_sums_both_sides(self):
+        result = BenchResult(
+            profile="mcf", trace_length=1_000, repeats=1, seconds={
+                "events_ev56": (1.0, 30.0), "events_ev67": (3.0, 10.0),
+                "tlb": (1.0, 99.0),
+            },
+        )
+        # Σ reference / Σ engine, not a mean of the per-row ratios;
+        # ungated rows (tlb) feed no group.
+        assert result.speedups == {"events": 40.0 / 4.0}
+
+    def test_payload_layout(self):
+        payload = _result().as_dict()
+        assert payload["schema"] == "BENCH_mica/v7"
+        assert payload["meta"]["interval"] == 5_000
+        assert payload["meta"]["shards"] == 4
+        assert payload["engines"]["ppm"] == {
+            "group": "ppm", "seconds": 1.0, "reference_seconds": 12.0,
+            "speedup": 12.0,
+        }
+        assert payload["speedups"]["ppm"] == 12.0
+
+
 class TestFloorGate:
     FLOORS = {"ppm": 10.0, "ilp": 5.0, "generation": 10.0,
               "events": 5.0, "pipelines": 1.0, "phases": 5.0}
@@ -123,15 +143,31 @@ class TestFloorGate:
             row, self.FLOORS, require_all=False
         ) == ()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_speedup_is_named(self, bad):
+        row = bench_history_row(_result(ppm=bad))
+        violations = check_bench_floors(row, self.FLOORS)
+        assert violations == (
+            f"ppm: {bad!r} is not a finite speedup (floor 10x)",
+        )
+
+    @pytest.mark.parametrize("bad", ["12.0", True, [12.0]])
+    def test_non_numeric_speedup_is_named(self, bad):
+        row = {"speedups": dict(bench_history_row(_result())["speedups"])}
+        row["speedups"]["ilp"] = bad
+        violations = check_bench_floors(row, self.FLOORS)
+        assert violations == (
+            f"ilp: {bad!r} is not a finite speedup (floor 5x)",
+        )
+
     def test_committed_floors_file_is_well_formed(self):
         payload = json.loads(REPO_FLOORS.read_text())
         assert payload["schema"] == "bench-floors/v1"
         for tier in ("full", "smoke"):
             floors = payload[tier]["floors"]
-            assert set(floors) == {
-                "ppm", "ilp", "generation", "events", "pipelines",
-                "phases", "sharded",
-            }
+            # Every floor group the registry defines is gated, and only
+            # those: a floor no row feeds could never be measured.
+            assert set(floors) == set(FLOOR_GROUPS)
             # "sharded" gates a merge-overhead ratio (< 1 by
             # construction); every other floor is a speedup (>= 1).
             assert all(
@@ -145,3 +181,53 @@ class TestFloorGate:
         assert full["ilp"] >= 5 and full["events"] >= 5
         assert full["phases"] >= 5 and full["pipelines"] >= 1
         assert full["sharded"] >= 0.4
+
+
+def _gate():
+    spec = importlib.util.spec_from_file_location("bench_gate", GATE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+class TestGateScript:
+    """``bench_gate.py`` gates a file ``repro bench`` wrote."""
+
+    FLOORS = {"smoke": {"trace_length": 20_000, "floors": {"ppm": 10.0}}}
+
+    def _run(self, tmp_path, payload):
+        floors = tmp_path / "floors.json"
+        floors.write_text(json.dumps(self.FLOORS))
+        bench = tmp_path / "bench.json"
+        if payload is not None:
+            bench.write_text(
+                payload if isinstance(payload, str) else json.dumps(payload)
+            )
+        return _gate()(["--tier", "smoke", "--floors", str(floors),
+                        str(bench)])
+
+    def test_passing_file_exits_zero(self, tmp_path, capsys):
+        payload = _result(trace_length=20_000).as_dict()
+        assert self._run(tmp_path, payload) == 0
+        assert "perf gate passed" in capsys.readouterr().out
+
+    def test_below_floor_exits_one(self, tmp_path, capsys):
+        payload = _result(ppm=9.0, trace_length=20_000).as_dict()
+        assert self._run(tmp_path, payload) == 1
+        assert "ppm: 9.00x is below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, message", [
+        (None, "cannot read"),
+        ("{", "cannot read"),
+        ({"schema": "BENCH_mica/v6"}, "is not a BENCH_mica/v7 file"),
+        ({"schema": "BENCH_mica/v7", "meta": {"trace_length": 100_000},
+          "speedups": {}}, "measured at trace_length 100000"),
+        ({"schema": "BENCH_mica/v7", "meta": {"trace_length": 20_000}},
+         "has no speedups map"),
+    ])
+    def test_unusable_file_is_a_one_line_error(
+        self, tmp_path, capsys, payload, message
+    ):
+        assert self._run(tmp_path, payload) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1

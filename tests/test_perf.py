@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -9,17 +10,18 @@ import pytest
 
 import repro.perf.cache as perf_cache
 from repro.config import DEFAULT_CONFIG, ReproConfig
+from repro.errors import ConfigurationError
 from repro.experiments import build_dataset
 from repro.experiments.dataset import _MEMORY_CACHE
 from repro.mica import NUM_CHARACTERISTICS, characterize
 from repro.perf import (
     CharacterizationCache,
-    MicaBenchResult,
     cached_characterize,
-    run_mica_bench,
+    run_bench,
     trace_fingerprint,
     write_bench_json,
 )
+from repro.perf.timing import FLOOR_GROUPS, ROWS
 from repro.synth import WorkloadProfile, generate_trace
 from repro.trace import TraceBuilder
 
@@ -164,245 +166,176 @@ class TestParallelDatasetBuilds:
         assert np.array_equal(via_workers.mica, via_jobs.mica)
 
 
-class TestMicaBenchHarness:
-    def test_smoke_run_structure(self, tiny_trace):
-        result = run_mica_bench(trace=tiny_trace, repeats=1)
-        names = {timing.name for timing in result.timings}
-        assert {"ppm_predictabilities", "ilp_ipc", "characterize",
-                "ppm_reference", "ilp_ipc_reference"} <= names
-        assert set(result.speedups) == {"ppm", "ilp"}
-        assert all(timing.seconds >= 0.0 for timing in result.timings)
-        assert result.trace_length == len(tiny_trace)
-        assert "Minstr/s" in result.format()
+@pytest.fixture(scope="module")
+def tiny_bench():
+    """One bench run over a tiny trace, shared by the structure tests."""
+    return run_bench(config=ReproConfig(trace_length=2_000), repeats=1)
 
-    def test_bench_json_round_trip(self, tiny_trace, tmp_path):
-        result = run_mica_bench(
-            trace=tiny_trace, repeats=1, include_reference=False
-        )
-        assert result.speedups == {}
-        path = write_bench_json(result, tmp_path / "BENCH_mica.json")
+
+def _group_ratio(result, names):
+    engine = sum(result.seconds[name][0] for name in names)
+    reference = sum(result.seconds[name][1] for name in names)
+    return reference / engine
+
+
+class TestMicaBenchHarness:
+    def test_smoke_run_structure(self, tiny_bench):
+        assert list(tiny_bench.seconds) == [row.name for row in ROWS]
+        for engine_s, reference_s in tiny_bench.seconds.values():
+            assert engine_s > 0.0 and reference_s > 0.0
+        assert tuple(tiny_bench.speedups) == FLOOR_GROUPS
+        assert tiny_bench.trace_length == 2_000
+        assert tiny_bench.repeats == 1
+        report = tiny_bench.format()
+        assert "MICA perf harness" in report
+        assert all(row.name in report for row in ROWS)
+
+    def test_bench_json_round_trip(self, tiny_bench, tmp_path):
+        path = write_bench_json(tiny_bench, tmp_path / "BENCH_mica.json")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "BENCH_mica/v6"
-        assert payload["meta"]["trace_length"] == len(tiny_trace)
-        for entry in payload["analyzers"].values():
-            assert entry["seconds"] >= 0.0
-            assert entry["instructions_per_second"] >= 0.0
+        assert payload["schema"] == "BENCH_mica/v7"
+        assert payload["meta"]["trace_length"] == 2_000
+        assert payload["meta"]["profile"] == "spec2000/vpr/place"
+        assert list(payload["engines"]) == [row.name for row in ROWS]
+        for row in ROWS:
+            entry = payload["engines"][row.name]
+            assert entry["group"] == row.group
+            assert entry["speedup"] == (
+                entry["reference_seconds"] / entry["seconds"]
+            )
+        assert payload["speedups"] == tiny_bench.speedups
 
     def test_cli_bench_writes_json(self, tmp_path, capsys):
         from repro.cli import main
 
         output = tmp_path / "BENCH_mica.json"
+        history = tmp_path / "BENCH_history.jsonl"
         code = main([
             "--trace-length", "2000",
             "bench", "--repeats", "1", "--output", str(output),
-            "--no-generation",
+            "--history", str(history),
         ])
         assert code == 0
-        assert output.is_file()
         payload = json.loads(output.read_text())
-        assert "speedups" in payload
-        assert "generation" not in payload
+        assert set(payload) == {"schema", "meta", "engines", "speedups"}
+        (row,) = map(json.loads, history.read_text().splitlines())
+        assert row["speedups"] == payload["speedups"]
         assert "MICA perf harness" in capsys.readouterr().out
 
-    def test_generation_section(self, tmp_path):
-        result = run_mica_bench(
-            trace=generate_trace(WorkloadProfile(name="perf/gen/1"), 2_000),
-            config=ReproConfig(trace_length=3_000),
-            repeats=1,
-            include_reference=True,
-            include_generation=True,
+    def test_cli_bench_has_four_flags(self):
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            flag for action in commands.choices["bench"]._actions
+            for flag in action.option_strings
+        } - {"-h", "--help"}
+        assert flags == {"--output", "--profile", "--repeats", "--history"}
+
+    def test_repeats_below_one_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            run_bench(config=ReproConfig(trace_length=2_000), repeats=0)
+
+    def test_generation_section(self, tiny_bench):
+        assert tiny_bench.speedups["generation"] == _group_ratio(
+            tiny_bench, ("interpret", "expand")
         )
-        assert result.generation is not None
-        payload = json.loads(
-            write_bench_json(
-                result, tmp_path / "BENCH_mica.json"
-            ).read_text()
-        )
-        section = payload["generation"]
-        assert set(section["speedups"]) == {"interpret", "expand", "engine"}
-        for phase in (
-            "generate_trace",
-            "interpret",
-            "interpret_reference",
-            "expand",
-            "expand_reference",
-        ):
-            assert section["phases"][phase]["seconds"] >= 0.0
-        assert section["dataset"]["cold_seconds"] > 0.0
-        assert section["dataset"]["warm_seconds"] > 0.0
-        assert "generation engine" in result.format()
 
 
 class TestHpcBenchSection:
-    def test_hpc_section(self, tmp_path):
-        result = run_mica_bench(
-            trace=generate_trace(WorkloadProfile(name="perf/hpc/1"), 2_000),
-            config=ReproConfig(trace_length=3_000),
-            repeats=1,
-            include_reference=True,
-            include_hpc=True,
+    def test_hpc_section(self, tiny_bench):
+        assert tiny_bench.speedups["events"] == _group_ratio(
+            tiny_bench, ("events_ev56", "events_ev67")
         )
-        assert result.hpc is not None
-        payload = json.loads(
-            write_bench_json(
-                result, tmp_path / "BENCH_mica.json"
-            ).read_text()
+        assert tiny_bench.speedups["pipelines"] == _group_ratio(
+            tiny_bench, ("pipeline_ev56", "pipeline_ev67")
         )
-        section = payload["hpc"]
-        assert set(section["speedups"]) == {
-            "events", "events_ev56", "events_ev67",
-            "pipelines", "pipeline_ev56", "pipeline_ev67",
-            "cache_l1d", "tlb",
-            "predictor_bimodal", "predictor_tournament",
-            "producer_indices",
-        }
-        for engine in (
-            "events_ev56", "events_ev56_reference",
-            "events_ev67", "events_ev67_reference",
-            "pipeline_ev56", "pipeline_ev56_reference",
-            "pipeline_ev67", "pipeline_ev67_reference",
-            "collect_hpc", "cache_l1d", "tlb",
-            "predictor_bimodal", "predictor_tournament",
-            "producer_indices", "producer_indices_reference",
-        ):
-            assert section["engines"][engine]["seconds"] >= 0.0
-        assert section["cache"]["cold_seconds"] > 0.0
-        assert section["cache"]["warm_seconds"] > 0.0
-        assert "HPC engine" in result.format()
-
-    def test_no_reference_skips_speedups(self):
-        from repro.perf import run_hpc_bench
-
-        result = run_hpc_bench(
-            config=ReproConfig(trace_length=2_000),
-            repeats=1,
-            include_reference=False,
-        )
-        assert result.speedups == {}
-        names = {timing.name for timing in result.timings}
-        assert "events_ev56" in names
-        assert "events_ev56_reference" not in names
-        assert "HPC engine" in result.format()
+        # Component engines are timed and reported but gate nothing.
+        groups = {row.name: row.group for row in ROWS}
+        for name in ("cache_l1d", "tlb", "predictor_bimodal",
+                     "predictor_tournament", "producer_indices"):
+            assert name in tiny_bench.seconds
+            assert groups[name] is None
 
 
 class TestPhasesBenchSection:
-    def test_phases_section(self, tmp_path):
-        result = run_mica_bench(
-            trace=generate_trace(WorkloadProfile(name="perf/ph/1"), 2_000),
-            config=ReproConfig(trace_length=4_000),
-            repeats=1,
-            include_reference=True,
-            include_phases=True,
+    def test_phases_section(self, tiny_bench):
+        assert tiny_bench.speedups["phases"] == _group_ratio(
+            tiny_bench, ("mica_timeline",)
         )
-        assert result.phases is not None
-        payload = json.loads(
-            write_bench_json(
-                result, tmp_path / "BENCH_mica.json"
-            ).read_text()
+        assert tiny_bench.speedups["sharded"] == _group_ratio(
+            tiny_bench, ("sharded_stream",)
         )
-        section = payload["phases"]
-        assert section["interval"] > 0
-        assert set(section["speedups"]) == {"timeline"}
-        for engine in (
-            "mica_timeline", "mica_timeline_reference", "interval_mica",
-            "basic_block_vectors", "interval_mix", "detect_phases",
-        ):
-            assert section["engines"][engine]["seconds"] >= 0.0
-        # The acceptance ratio is surfaced at the top level too.
-        assert payload["speedups"]["phases"] == (
-            section["speedups"]["timeline"]
-        )
-        assert "phase engine" in result.format()
+        assert tiny_bench.as_dict()["meta"]["shards"] == 4
 
-    def test_small_trace_shrinks_interval(self):
-        from repro.perf import run_phases_bench
+    def test_small_trace_shrinks_interval(self, tiny_bench):
+        assert tiny_bench.as_dict()["meta"]["interval"] == 500  # 2000 // 4
 
-        result = run_phases_bench(
-            config=ReproConfig(trace_length=2_000),
-            repeats=1,
-            interval=5_000,
-        )
-        assert result.interval == 500  # 2000 // 4
 
-    def test_no_reference_skips_speedups(self):
-        from repro.perf import run_phases_bench
+@pytest.fixture(scope="module")
+def default_bench():
+    """One bench run at the default (100k) trace length.  Seven repeats:
+    the short engine runs (the timeline engine above all) are much more
+    exposed to scheduler steal than the long reference runs."""
+    result = run_bench(repeats=7)
+    assert result.trace_length == DEFAULT_CONFIG.trace_length
+    return result
 
-        result = run_phases_bench(
-            config=ReproConfig(trace_length=4_000),
-            repeats=1,
-            include_reference=False,
-        )
-        assert result.speedups == {}
-        names = {timing.name for timing in result.timings}
-        assert "mica_timeline" in names
-        assert "mica_timeline_reference" not in names
+
+def _row_speedup(result, name):
+    engine_s, reference_s = result.seconds[name]
+    return reference_s / engine_s
 
 
 @pytest.mark.slow
-def test_hpc_events_speedup_floor_at_default_trace_length():
+def test_hpc_events_speedup_floor_at_default_trace_length(default_bench):
     """Acceptance floor for the HPC event engines: >=5x combined
     simulate_events over the scalar references at the default (100k)
     trace length."""
-    from repro.perf import run_hpc_bench
-
-    result = run_hpc_bench(repeats=3)
-    assert result.trace_length == DEFAULT_CONFIG.trace_length
-    assert result.speedups["events"] >= 5.0
+    assert default_bench.speedups["events"] >= 5.0
 
 
 @pytest.mark.slow
-def test_pipeline_walk_never_slower_than_reference():
+def test_pipeline_walk_never_slower_than_reference(default_bench):
     """The batch pipeline walks must at least match the retained scalar
     loops at the default trace length (see ROADMAP: the serialized
     pipeline recurrence bounds how far ahead of the reference any exact
     engine can get).  The EV67 margin is only ~1.1x, so allow a little
     wall-clock noise without letting a real regression through."""
-    from repro.perf import run_hpc_bench
-
-    result = run_hpc_bench(repeats=3)
-    assert result.speedups["pipelines"] >= 1.0
-    assert result.speedups["pipeline_ev56"] >= 1.0
-    assert result.speedups["pipeline_ev67"] >= 0.95
+    assert default_bench.speedups["pipelines"] >= 1.0
+    assert _row_speedup(default_bench, "pipeline_ev56") >= 1.0
+    assert _row_speedup(default_bench, "pipeline_ev67") >= 0.95
 
 
 @pytest.mark.slow
-def test_phases_speedup_floor_at_default_trace_length():
+def test_phases_speedup_floor_at_default_trace_length(default_bench):
     """Acceptance floor for the segmented phase engine: >=5x over the
     chunked per-chunk reference for the default six-key timeline at the
     default (100k) trace length and 5k-instruction intervals (the
     committed ``BENCH_mica.json`` records the floor-qualifying run).
-    Steady-state measures ~6x; the short engine runs are much more
-    exposed to scheduler steal than the long reference runs, so — as
-    with the pipeline-walk floor — leave headroom for wall-clock noise
-    without letting a real regression through."""
-    from repro.perf import run_phases_bench
-
-    result = run_phases_bench(repeats=7)
-    assert result.trace_length == DEFAULT_CONFIG.trace_length
-    assert result.interval == 5_000
-    assert result.speedups["timeline"] >= 4.0
+    Leave headroom for wall-clock noise, as with the pipeline-walk
+    floor, without letting a real regression through."""
+    assert default_bench.as_dict()["meta"]["interval"] == 5_000
+    assert default_bench.speedups["phases"] >= 4.0
 
 
 @pytest.mark.slow
-def test_speedup_floors_at_default_trace_length():
+def test_speedup_floors_at_default_trace_length(default_bench):
     """Acceptance floors for the vectorized engine: >=10x PPM, >=5x ILP
     over the scalar references at the default trace length."""
-    result = run_mica_bench(repeats=3)
-    assert result.trace_length == DEFAULT_CONFIG.trace_length
-    assert result.speedups["ppm"] >= 10.0
-    assert result.speedups["ilp"] >= 5.0
+    assert default_bench.speedups["ppm"] >= 10.0
+    assert default_bench.speedups["ilp"] >= 5.0
 
 
 @pytest.mark.slow
-def test_generation_speedup_floor_at_default_trace_length():
+def test_generation_speedup_floor_at_default_trace_length(default_bench):
     """Acceptance floor for the generation engine: >=10x combined over
     the scalar interpret/expand references at the default (100k) trace
     length."""
-    from repro.perf import run_generation_bench
-
-    result = run_generation_bench(repeats=5)
-    assert result.trace_length == DEFAULT_CONFIG.trace_length
-    assert result.speedups["engine"] >= 10.0
+    assert default_bench.speedups["generation"] >= 10.0
 
 
 def test_characteristic_vector_dimensions(tiny_trace, tmp_path):
