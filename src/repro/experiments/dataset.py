@@ -29,14 +29,23 @@ from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import AnalysisError, DatasetBuildError
 from ..analysis import pairwise_distances, zscore
 from ..mica import characteristic_names
-from ..perf import integrity
+from ..perf import faults, integrity
+from ..perf.cache import (
+    CACHE_LEVELS,
+    CHAR_CACHE_VERSION,
+    DATASET_CACHE_VERSION,
+    CharacterizationCache,
+    DatasetCache,
+    HpcCache,
+    TraceCache,
+    cached_characterize,
+    cached_collect_hpc,
+    cached_generate_trace,
+)
 from ..perf.integrity import QuarantineEvent
-from ..uarch import HPC_METRIC_NAMES
-from ..workloads import Benchmark, all_benchmarks
-
-#: Cache format version — bump when characterization or trace-generation
-#: semantics change.
-CACHE_VERSION = 5
+from ..synth import TRACE_GEN_VERSION
+from ..uarch import HPC_METRIC_NAMES, HPC_SIM_VERSION
+from ..workloads import Benchmark, all_benchmarks, get_benchmark
 
 _MEMORY_CACHE: "Dict[str, WorkloadDataset]" = {}
 
@@ -185,7 +194,7 @@ class WorkloadDataset:
 
 
 def _characterize_one(
-    args: "Tuple[str, int, int, dict, str | None, int | None]"
+    args: "Tuple[str, ReproConfig, str | None, int | None]"
 ):
     """Worker: build one benchmark's MICA and HPC vectors.
 
@@ -201,22 +210,12 @@ def _characterize_one(
     through the shard-mergeable engine (bit-for-bit identical), so the
     per-shard cache level fills alongside the per-trace one.
     """
-    name, trace_length, seed, config_kwargs, cache_dir, shards = args
-    # Local imports keep worker startup lean.
-    from ..perf import (
-        cached_characterize,
-        cached_collect_hpc,
-        cached_generate_trace,
-        faults,
-    )
-    from ..workloads import get_benchmark
-
+    name, config, cache_dir, shards = args
     faults.maybe_fail_worker(name)
     integrity.drain_quarantine_log()  # discard events of earlier jobs
-    config = ReproConfig(**config_kwargs)
-    benchmark = get_benchmark(name)
+    profile = get_benchmark(name).profile
     trace = cached_generate_trace(
-        benchmark.profile, trace_length, seed=seed, cache_dir=cache_dir
+        profile, config.trace_length, cache_dir=cache_dir
     )
     mica_vector = cached_characterize(
         trace, config, cache_dir, shards=shards
@@ -227,32 +226,21 @@ def _characterize_one(
         # Name the cache entries this benchmark now rests on (the
         # char/hpc keys need the trace's content hash, known only
         # here), so a journaled build can re-verify them on resume.
-        from ..perf.cache import (
-            CharacterizationCache,
-            HpcCache,
-            TraceCache,
-            _entry_key,
-            _hpc_key,
-            _trace_key,
-        )
-        from ..uarch import EV56_CONFIG, EV67_CONFIG
-
         entries = {
-            "trace": str(TraceCache(cache_dir)._path(
-                _trace_key(benchmark.profile, trace_length, seed)
+            "trace": str(TraceCache(cache_dir).entry_path(
+                profile, config.trace_length
             )),
-            "char": str(CharacterizationCache(cache_dir)._path(
-                _entry_key(trace, config)
+            "char": str(CharacterizationCache(cache_dir).entry_path(
+                trace, config
             )),
-            "hpc": str(HpcCache(cache_dir)._path(
-                _hpc_key(trace, EV56_CONFIG, EV67_CONFIG)
-            )),
+            "hpc": str(HpcCache(cache_dir).entry_path(trace)),
         }
     return (name, mica_vector, hpc_vector,
             integrity.drain_quarantine_log(), entries)
 
 
 def _config_kwargs(config: ReproConfig) -> dict:
+    """The configuration fields the dataset key covers."""
     return {
         "trace_length": config.trace_length,
         "seed": config.seed,
@@ -269,15 +257,27 @@ def _cache_key(config: ReproConfig, names: Sequence[str]) -> str:
     # The upstream semantic versions are part of the key, so a
     # generation-protocol, analyzer or simulation bump invalidates
     # dataset matrices mechanically instead of relying on a manual
-    # CACHE_VERSION bump.
-    from ..perf.cache import CHAR_CACHE_VERSION
-    from ..synth import TRACE_GEN_VERSION
-    from ..uarch import HPC_SIM_VERSION
-
-    payload = repr((CACHE_VERSION, TRACE_GEN_VERSION, CHAR_CACHE_VERSION,
-                    HPC_SIM_VERSION,
+    # DATASET_CACHE_VERSION bump.
+    payload = repr((DATASET_CACHE_VERSION, TRACE_GEN_VERSION,
+                    CHAR_CACHE_VERSION, HPC_SIM_VERSION,
                     sorted(_config_kwargs(config).items()), tuple(names)))
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
+
+
+def _population(
+    config: ReproConfig, benchmarks: "Optional[Sequence[Benchmark]]"
+) -> "Tuple[Tuple[str, ...], Tuple[str, ...], str]":
+    """``(names, suites, dataset key)`` of a population (default: all)."""
+    population = tuple(
+        benchmarks if benchmarks is not None else all_benchmarks()
+    )
+    names = tuple(benchmark.full_name for benchmark in population)
+    suites = tuple(benchmark.suite for benchmark in population)
+    return names, suites, _cache_key(config, names)
+
+
+def _journal_path(directory: Path, key: str) -> Path:
+    return directory / f"journal-dataset-{key}.jsonl"
 
 
 def default_cache_dir() -> Path:
@@ -291,37 +291,15 @@ def default_cache_dir() -> Path:
 def clear_dataset_cache(cache_dir: "Path | str | None" = None) -> int:
     """Delete cached datasets (in-memory and on disk).
 
-    Clears all five cache levels: the dataset-level matrices, the
-    per-trace characterization entries, the per-trace HPC vectors, the
-    generated-trace entries and the per-shard state entries.
+    Clears every one of the :data:`~repro.perf.cache.CACHE_LEVELS`
+    (entries, quarantined entries and stale writer temporaries).
 
     Returns:
         Number of disk cache files removed.
     """
-    from ..perf import (
-        CharacterizationCache, HpcCache, ShardCache, TraceCache,
-    )
-    from ..perf.cache import _unlink_quietly
-
     _MEMORY_CACHE.clear()
     directory = Path(cache_dir or default_cache_dir())
-    removed = 0
-    if directory.is_dir():
-        # Tolerate concurrent workers clearing the same entries, and
-        # sweep dataset-level quarantine + stale writer temp files too
-        # (the per-trace levels sweep their own in clear()).
-        for pattern in (
-            "dataset-*.npz",
-            f"dataset-*.npz{integrity.QUARANTINE_SUFFIX}",
-            "tmp-dataset-*.npz",
-        ):
-            for path in directory.glob(pattern):
-                removed += _unlink_quietly(path)
-        removed += CharacterizationCache(directory).clear()
-        removed += HpcCache(directory).clear()
-        removed += TraceCache(directory).clear()
-        removed += ShardCache(directory).clear()
-    return removed
+    return sum(level(directory).clear() for level in CACHE_LEVELS)
 
 
 #: Ceiling on the exponential retry backoff (seconds).
@@ -645,37 +623,30 @@ def load_cached_dataset(
             raise AnalysisError(
                 "pass benchmarks or benchmark_names, not both"
             )
-        from ..workloads import get_benchmark
-
         benchmarks = [get_benchmark(name) for name in benchmark_names]
-    population = tuple(
-        benchmarks if benchmarks is not None else all_benchmarks()
+    names, suites, key = _population(config, benchmarks)
+    return _load_dataset(
+        config, names, suites, key, Path(cache_dir or default_cache_dir())
     )
-    names = tuple(benchmark.full_name for benchmark in population)
-    suites = tuple(benchmark.suite for benchmark in population)
-    key = _cache_key(config, names)
+
+
+def _load_dataset(
+    config: ReproConfig,
+    names: "Tuple[str, ...]",
+    suites: "Tuple[str, ...]",
+    key: str,
+    directory: Path,
+) -> "Optional[WorkloadDataset]":
+    """The in-memory or verified on-disk dataset entry, or None."""
     if key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
-    directory = Path(cache_dir or default_cache_dir())
-    arrays = integrity.load_entry(
-        directory / f"dataset-{key}.npz",
-        level="dataset",
-        version=CACHE_VERSION,
-        expected={
-            "mica": ((len(names), len(characteristic_names())), np.float64),
-            "hpc": ((len(names), len(HPC_METRIC_NAMES)), np.float64),
-        },
-    )
-    if arrays is None:
+    matrices = DatasetCache(directory).load(key, len(names))
+    if matrices is None:
         return None
-    dataset = WorkloadDataset(
-        names=names,
-        suites=suites,
-        mica=arrays["mica"],
-        hpc=arrays["hpc"],
+    dataset = _MEMORY_CACHE[key] = WorkloadDataset(
+        names=names, suites=suites, mica=matrices[0], hpc=matrices[1],
         config=config,
     )
-    _MEMORY_CACHE[key] = dataset
     return dataset
 
 
@@ -691,35 +662,17 @@ def dataset_journal_path(
     dataset-level cache, so a resume can only ever replay a journal
     written for the same build.
     """
-    population = tuple(
-        benchmarks if benchmarks is not None else all_benchmarks()
-    )
-    names = tuple(benchmark.full_name for benchmark in population)
-    directory = Path(cache_dir or default_cache_dir())
-    return directory / (
-        f"journal-dataset-{_cache_key(config, names)}.jsonl"
-    )
+    _, _, key = _population(config, benchmarks)
+    return _journal_path(Path(cache_dir or default_cache_dir()), key)
 
 
 def _verify_recorded_entry(level: str, path: str) -> bool:
     """Re-verify one journaled cache entry; quarantines on failure."""
-    from ..perf.cache import CharacterizationCache, HpcCache, TraceCache
-
-    classes = {
-        "trace": TraceCache, "char": CharacterizationCache,
-        "hpc": HpcCache,
-    }
-    cache_class = classes.get(level)
-    if cache_class is None:
-        return False
     entry = Path(path)
-    probe = cache_class(entry.parent)
-    return integrity.load_entry(
-        entry,
-        level=level,
-        version=probe._schema_version(),
-        expected=probe._static_expected,
-    ) is not None
+    for cache in CACHE_LEVELS:
+        if cache.level == level:
+            return cache(entry.parent).is_valid_entry(entry)
+    return False
 
 
 def _replay_build_journal(
@@ -793,7 +746,6 @@ def build_dataset(
     cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
-    workers: "int | None" = None,
     progress: bool = False,
     strict: bool = True,
     max_attempts: int = 3,
@@ -815,7 +767,6 @@ def build_dataset(
         use_cache: consult/populate the caches.
         jobs: worker-process count (default: ``os.cpu_count()``, capped
             at the benchmark count; 1 runs serially in-process).
-        workers: deprecated alias for ``jobs``.
         progress: print one line per completed benchmark.
         strict: when True (default), raise
             :class:`~repro.errors.DatasetBuildError` — carrying the
@@ -870,10 +821,9 @@ def build_dataset(
             attempts, or (any mode) when *no* benchmark could be built.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, workers,
-        progress, strict, max_attempts, retry_backoff,
-        retry_jitter_seed, deadline, journal, resume=False,
-        shards=shards,
+        config, benchmarks, cache_dir, use_cache, jobs, progress, strict,
+        max_attempts, retry_backoff, retry_jitter_seed, deadline, journal,
+        resume=False, shards=shards,
     )
 
 
@@ -883,7 +833,6 @@ def resume_dataset(
     cache_dir: "Path | str | None" = None,
     use_cache: bool = True,
     jobs: "int | None" = None,
-    workers: "int | None" = None,
     progress: bool = False,
     strict: bool = True,
     max_attempts: int = 3,
@@ -919,10 +868,9 @@ def resume_dataset(
         DatasetBuildError: as for :func:`build_dataset`.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, workers,
-        progress, strict, max_attempts, retry_backoff,
-        retry_jitter_seed, deadline, journal, resume=True,
-        shards=shards,
+        config, benchmarks, cache_dir, use_cache, jobs, progress, strict,
+        max_attempts, retry_backoff, retry_jitter_seed, deadline, journal,
+        resume=True, shards=shards,
     )
 
 
@@ -932,7 +880,6 @@ def _build_or_resume(
     cache_dir: "Path | str | None",
     use_cache: bool,
     jobs: "int | None",
-    workers: "int | None",
     progress: bool,
     strict: bool,
     max_attempts: int,
@@ -943,52 +890,22 @@ def _build_or_resume(
     resume: bool,
     shards: "int | None" = None,
 ) -> WorkloadDataset:
-    population = tuple(benchmarks if benchmarks is not None else all_benchmarks())
-    names = tuple(benchmark.full_name for benchmark in population)
-    suites = tuple(benchmark.suite for benchmark in population)
-    key = _cache_key(config, names)
-
-    if use_cache and key in _MEMORY_CACHE:
-        return _MEMORY_CACHE[key]
-
+    names, suites, key = _population(config, benchmarks)
     directory = Path(cache_dir or default_cache_dir())
-    cache_path = directory / f"dataset-{key}.npz"
     dataset_quarantines: Tuple[QuarantineEvent, ...] = ()
     if use_cache:
         integrity.drain_quarantine_log()
-        arrays = integrity.load_entry(
-            cache_path,
-            level="dataset",
-            version=CACHE_VERSION,
-            expected={
-                "mica": (
-                    (len(names), len(characteristic_names())), np.float64
-                ),
-                "hpc": ((len(names), len(HPC_METRIC_NAMES)), np.float64),
-            },
-        )
+        dataset = _load_dataset(config, names, suites, key, directory)
         # A corrupted dataset-level entry is a verified miss: it was
         # quarantined and the matrices are rebuilt below.
         dataset_quarantines = integrity.drain_quarantine_log()
-        if arrays is not None:
-            dataset = WorkloadDataset(
-                names=names,
-                suites=suites,
-                mica=arrays["mica"],
-                hpc=arrays["hpc"],
-                config=config,
-            )
-            _MEMORY_CACHE[key] = dataset
+        if dataset is not None:
             return dataset
 
     trace_cache_dir = str(directory) if use_cache else None
     jobs_by_name = {
-        name: (name, config.trace_length, 0, _config_kwargs(config),
-               trace_cache_dir, shards)
-        for name in names
+        name: (name, config, trace_cache_dir, shards) for name in names
     }
-    if jobs is None:
-        jobs = workers
 
     wal = None
     preloaded: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}
@@ -998,7 +915,7 @@ def _build_or_resume(
         from ..perf.journal import WriteAheadJournal
 
         journal_path = Path(journal) if journal is not None else (
-            directory / f"journal-dataset-{key}.jsonl"
+            _journal_path(directory, key)
         )
         wal = WriteAheadJournal(journal_path)
         wal.open()
@@ -1111,16 +1028,6 @@ def _build_or_resume(
         config=config, report=report,
     )
     if use_cache and not failed:
-        try:
-            integrity.write_entry(
-                cache_path,
-                level="dataset",
-                version=CACHE_VERSION,
-                fields={"mica": mica, "hpc": hpc},
-            )
-        except OSError as error:
-            from ..perf.cache import _degrade
-
-            _degrade(directory, error)
+        DatasetCache(directory).store_or_degrade(key, mica, hpc)
         _MEMORY_CACHE[key] = dataset
     return dataset

@@ -4,16 +4,16 @@ The ROADMAP north star is "as fast as the hardware allows".  This
 package holds the two pieces that are about *speed* rather than paper
 semantics:
 
-* :mod:`repro.perf.cache` — the on-disk cache hierarchy: a
-  characterization cache keyed by trace **content** hash plus the
-  configuration fingerprint (a benchmark whose trace has not changed is
-  never re-analyzed), an HPC cache keyed by the same content hash plus
-  the **machine fingerprints + HPC_SIM_VERSION** (a benchmark whose
-  trace has not changed is never re-simulated), and below them a trace
-  cache keyed by **profile fingerprint + length + seed +
-  TRACE_GEN_VERSION** (a benchmark whose profile has not changed is
-  never re-generated — the gap a content-addressed cache cannot close,
-  since hashing content requires the bytes).
+* :mod:`repro.perf.cache` — the on-disk cache hierarchy, five levels
+  (``CACHE_LEVELS``): a characterization cache keyed by trace
+  **content** hash plus the configuration fingerprint (a benchmark
+  whose trace has not changed is never re-analyzed), an HPC cache keyed
+  by the same content hash plus the **machine fingerprints +
+  HPC_SIM_VERSION** (never re-simulated), a trace cache keyed by
+  **profile fingerprint + length + seed + TRACE_GEN_VERSION** (never
+  re-generated — the gap a content-addressed cache cannot close, since
+  hashing content requires the bytes), a per-shard cold-state cache,
+  and on top the dataset-level population matrices.
 * :mod:`repro.perf.integrity` — the trust layer under every cache
   level: checksum + schema metadata embedded in each ``.npz``, verified
   loads that quarantine (never re-serve) corrupt entries, and atomic

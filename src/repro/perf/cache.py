@@ -1,18 +1,19 @@
-"""On-disk caches: characterization results, HPC vectors, traces, shards.
+"""On-disk caches: the five levels of the characterization hierarchy.
 
-Four cache levels live here, forming a hierarchy under the
-dataset-level matrix cache of :mod:`repro.experiments.dataset`:
+Five cache levels live here, one class each, listed (in scan order) by
+:data:`CACHE_LEVELS`.  Each names its entries with a public
+``entry_path(...)`` taking the same key arguments as its ``load``:
 
-* **Characterization cache** (top).  Characterizing one trace is pure:
-  the 47-dimensional MICA vector depends only on the trace contents and
-  the characterization fields of :class:`~repro.config.ReproConfig`.
-  Entries key by::
+* **Characterization cache** (``char``).  Characterizing one trace is
+  pure: the 47-dimensional MICA vector depends only on the trace
+  contents and the characterization fields of
+  :class:`~repro.config.ReproConfig`.  Entries key by::
 
       sha256(trace bytes) + config.characterization_fingerprint() + version
 
   and store one small ``.npz`` per trace.
 
-* **HPC cache** (beside it).  The seven-metric
+* **HPC cache** (``hpc``, beside it).  The seven-metric
   hardware-performance-counter vector is equally pure — a function of
   the trace contents and the two simulated machines — so entries key
   by::
@@ -23,10 +24,10 @@ dataset-level matrix cache of :mod:`repro.experiments.dataset`:
   and a warm :func:`cached_collect_hpc` performs zero pipeline-model
   runs (asserted via :func:`repro.uarch.hpc_call_count`).
 
-* **Trace cache** (bottom).  Generating a trace is also pure — a
-  function of the profile knobs, the length and the per-trace seed —
-  but the content-keyed caches cannot skip *generation* (hashing the
-  content requires the bytes).  The trace cache closes that gap: it
+* **Trace cache** (``trace``, below them).  Generating a trace is also
+  pure — a function of the profile knobs, the length and the per-trace
+  seed — but the content-keyed caches cannot skip *generation* (hashing
+  the content requires the bytes).  The trace cache closes that gap: it
   keys by::
 
       profile.fingerprint() + length + seed + TRACE_GEN_VERSION
@@ -41,9 +42,9 @@ dataset-level matrix cache of :mod:`repro.experiments.dataset`:
   bytes a (profile, length, seed) triple produces may legitimately
   change when the generation engine's draw protocol changes.
 
-* **Shard cache** (finest grain).  The shard-mergeable engine
-  (:mod:`repro.mica.shard`) characterizes contiguous chunks into cold
-  mergeable states; each state is pure in the chunk's bytes and the
+* **Shard cache** (``shard``, finest grain).  The shard-mergeable
+  engine (:mod:`repro.mica.shard`) characterizes contiguous chunks into
+  cold mergeable states; each state is pure in the chunk's bytes and the
   characterization config, so entries key by::
 
       sha256(shard bytes) + config.characterization_fingerprint()
@@ -52,9 +53,11 @@ dataset-level matrix cache of :mod:`repro.experiments.dataset`:
   and re-characterizing an extended or overlapping trace reuses every
   warm shard whose byte range lines up.
 
-Entries survive process restarts, are shared by parallel dataset
-workers, and stay valid under population changes (unlike the
-dataset-level cache, which is keyed by the full benchmark name list).
+* **Dataset cache** (``dataset``, top).  The ``mica``/``hpc`` matrices
+  of a whole benchmark population, keyed by
+  :func:`repro.experiments.build_dataset` on the configuration and the
+  full benchmark name list.  Unlike the levels below it, an entry does
+  not survive a population change.
 
 Bump :data:`CHAR_CACHE_VERSION` whenever analyzer semantics change and
 :data:`repro.uarch.HPC_SIM_VERSION` whenever simulation semantics do.
@@ -64,8 +67,9 @@ Every entry is integrity-stamped via :mod:`repro.perf.integrity`
 loads verify and quarantine rather than serve corrupt bytes, stores
 stay atomic and degrade to compute-without-cache — with one
 :class:`~repro.errors.CacheDegradedWarning` per directory — when the
-directory is unwritable.  ``verify_cache`` is the scan-and-quarantine
-entry point behind ``repro cache verify``.
+directory is unwritable (:meth:`~_NpzCacheDirectory.store_or_degrade`).
+``verify_cache`` is the scan-and-quarantine entry point behind
+``repro cache verify``.
 """
 
 from __future__ import annotations
@@ -105,12 +109,16 @@ CHAR_CACHE_VERSION = 1
 #: (:mod:`repro.mica.shard`), independently of the final-vector cache.
 SHARD_CACHE_VERSION = 1
 
+#: Bump when the dataset-level matrices change for the same key (the
+#: upstream versions above are already part of that key).
+DATASET_CACHE_VERSION = 5
+
 # -- graceful degradation ---------------------------------------------------
 #
 # A cache directory that cannot be written (read-only filesystem, disk
-# full) must never turn a build into an exception: every ``cached_*``
-# function computes without the cache instead, warning once per
-# directory per process.
+# full) must never turn a build into an exception: every store goes
+# through ``store_or_degrade``, which computes on without the cache
+# instead, warning once per directory per process.
 
 _DEGRADED_DIRECTORIES: Set[str] = set()
 
@@ -123,25 +131,12 @@ def reset_cache_degradation() -> None:
 def is_cache_degraded(directory: "Path | str") -> bool:
     """Whether this process has degraded the directory's caches.
 
-    True once any ``cached_*`` store against ``directory`` failed with
-    an OSError (read-only filesystem, disk full) and the directory
-    dropped to compute-without-cache mode.  The service layer polls
-    this after each job to switch itself into degraded mode.
+    True once any store against ``directory`` failed with an OSError
+    (read-only filesystem, disk full) and the directory dropped to
+    compute-without-cache mode.  The service layer polls this after
+    each job to switch itself into degraded mode.
     """
     return os.path.abspath(str(directory)) in _DEGRADED_DIRECTORIES
-
-
-def _degrade(directory: "Path | str", error: BaseException) -> None:
-    key = os.path.abspath(str(directory))
-    if key in _DEGRADED_DIRECTORIES:
-        return
-    _DEGRADED_DIRECTORIES.add(key)
-    warnings.warn(
-        f"cache directory {directory} is not writable ({error}); "
-        "continuing without the cache",
-        CacheDegradedWarning,
-        stacklevel=3,
-    )
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -154,11 +149,9 @@ def trace_fingerprint(trace: Trace) -> str:
     return trace.fingerprint()
 
 
-def _entry_key(trace: Trace, config: ReproConfig) -> str:
-    payload = (
-        f"{CHAR_CACHE_VERSION}:{trace_fingerprint(trace)}:"
-        f"{config.characterization_fingerprint()}"
-    )
+def _digest(*parts: object) -> str:
+    """32-hex-digit entry key of ``':'``-joined key parts."""
+    payload = ":".join(str(part) for part in parts)
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
@@ -177,18 +170,19 @@ class _NpzCacheDirectory:
     """Shared machinery of the on-disk cache levels.
 
     One ``.npz`` file per entry under a common directory (created
-    lazily on first store), distinguished per level by ``_prefix``.
-    Entries are written atomically (temp file + rename) so concurrent
-    workers producing the same entry cannot corrupt each other, and
-    every entry embeds the :mod:`repro.perf.integrity` metadata: level,
-    semantic version, per-field shape/dtype and payload checksums.  A
-    file that fails verification — truncated, bit-flipped,
-    wrong-shape, stale-version or foreign — is a *verified miss*: it is
-    quarantined (renamed aside, never re-served), not raised and not
-    silently returned.
+    lazily on first store), named ``{level}-{key}.npz``.  Entries are
+    written atomically (temp file + rename) so concurrent workers
+    producing the same entry cannot corrupt each other, and every entry
+    embeds the :mod:`repro.perf.integrity` metadata: level, semantic
+    version, per-field shape/dtype and payload checksums.  A file that
+    fails verification — truncated, bit-flipped, wrong-shape,
+    stale-version or foreign — is a *verified miss*: it is quarantined
+    (renamed aside, never re-served), not raised and not silently
+    returned.
     """
 
-    _prefix = ""
+    #: File-name prefix and integrity level string of the entries.
+    level = ""
     #: ``{field: (expected shape | None, expected dtype | None)}`` for
     #: verification scans, where the expectation is key-independent.
     _static_expected: "integrity.ExpectedFields" = {}
@@ -201,30 +195,60 @@ class _NpzCacheDirectory:
         raise NotImplementedError
 
     def _path(self, key: str) -> Path:
-        return self.directory / f"{self._prefix}-{key}.npz"
+        return self.directory / f"{self.level}-{key}.npz"
 
-    def _load_entry(
-        self,
-        key: str,
-        field: str,
-        expected_shape: "tuple | None" = None,
-        expected_dtype: "object | None" = None,
-    ) -> "Optional[np.ndarray]":
+    def _load(
+        self, path: Path, expected: "integrity.ExpectedFields | None" = None
+    ) -> "Optional[Dict[str, np.ndarray]]":
+        """Verified arrays of one entry, or None on a (verified) miss.
+
+        ``expected`` defaults to the static expectations; an entry
+        lacking an expected field is a miss too.
+        """
+        if expected is None:
+            expected = self._static_expected
         arrays = integrity.load_entry(
-            self._path(key),
-            level=self._prefix,
-            version=self._schema_version(),
-            expected={field: (expected_shape, expected_dtype)},
+            path, level=self.level, version=self._schema_version(),
+            expected=expected,
         )
-        return None if arrays is None else arrays.get(field)
+        if arrays is None or not set(expected) <= set(arrays):
+            return None
+        return arrays
 
-    def _store_entry(self, key: str, **fields: np.ndarray) -> Path:
+    def _store(self, path: Path, **fields: np.ndarray) -> Path:
         return integrity.write_entry(
-            self._path(key),
-            level=self._prefix,
-            version=self._schema_version(),
+            path, level=self.level, version=self._schema_version(),
             fields=fields,
         )
+
+    def store_or_degrade(self, *args) -> "Optional[Path]":
+        """``self.store(*args)``, degrading instead of raising OSError.
+
+        An unwritable directory (read-only filesystem, disk full) drops
+        to compute-without-cache mode, warning once per directory per
+        process; returns the entry path, or None when degraded.
+        """
+        try:
+            return self.store(*args)
+        except OSError as error:
+            key = os.path.abspath(str(self.directory))
+            if key not in _DEGRADED_DIRECTORIES:
+                _DEGRADED_DIRECTORIES.add(key)
+                warnings.warn(
+                    f"cache directory {self.directory} is not writable "
+                    f"({error}); continuing without the cache",
+                    CacheDegradedWarning,
+                    stacklevel=3,
+                )
+            return None
+
+    def is_valid_entry(self, path: "Path | str") -> bool:
+        """Whether ``path`` is a healthy entry of this level.
+
+        A verified load against the static expectations: a failing file
+        is quarantined (and the event logged) like on any load.
+        """
+        return self._load(Path(path)) is not None
 
     def verify(self) -> "List[QuarantineEvent]":
         """Scan every entry of this level; quarantine the bad ones.
@@ -235,11 +259,11 @@ class _NpzCacheDirectory:
         if not self.directory.is_dir():
             return []
         events: "List[QuarantineEvent]" = []
-        for path in sorted(self.directory.glob(f"{self._prefix}-*.npz")):
+        for path in sorted(self.directory.glob(f"{self.level}-*.npz")):
             try:
                 integrity.verify_entry(
                     path,
-                    level=self._prefix,
+                    level=self.level,
                     version=self._schema_version(),
                     expected=self._static_expected,
                 )
@@ -268,9 +292,9 @@ class _NpzCacheDirectory:
             return 0
         removed = 0
         for pattern in (
-            f"{self._prefix}-*.npz",
-            f"{self._prefix}-*.npz{integrity.QUARANTINE_SUFFIX}",
-            f"tmp-{self._prefix}-*.npz",
+            f"{self.level}-*.npz",
+            f"{self.level}-*.npz{integrity.QUARANTINE_SUFFIX}",
+            f"tmp-{self.level}-*.npz",
         ):
             for path in self.directory.glob(pattern):
                 removed += _unlink_quietly(path)
@@ -279,9 +303,7 @@ class _NpzCacheDirectory:
     def __len__(self) -> int:
         if not self.directory.is_dir():
             return 0
-        return sum(
-            1 for _ in self.directory.glob(f"{self._prefix}-*.npz")
-        )
+        return sum(1 for _ in self.directory.glob(f"{self.level}-*.npz"))
 
 
 class CharacterizationCache(_NpzCacheDirectory):
@@ -291,11 +313,20 @@ class CharacterizationCache(_NpzCacheDirectory):
         directory: cache root; created lazily on first store.
     """
 
-    _prefix = "char"
+    level = "char"
     _static_expected = {"values": ((NUM_CHARACTERISTICS,), np.float64)}
 
     def _schema_version(self) -> object:
         return CHAR_CACHE_VERSION
+
+    def entry_path(
+        self, trace: Trace, config: ReproConfig = DEFAULT_CONFIG
+    ) -> Path:
+        """Where the entry for this trace content + config lives."""
+        return self._path(_digest(
+            CHAR_CACHE_VERSION, trace_fingerprint(trace),
+            config.characterization_fingerprint(),
+        ))
 
     def load(
         self, trace: Trace, config: ReproConfig = DEFAULT_CONFIG
@@ -305,11 +336,8 @@ class CharacterizationCache(_NpzCacheDirectory):
         Wrong-shape or wrong-dtype entries are verified misses — they
         are quarantined and never flow into ``np.vstack``.
         """
-        return self._load_entry(
-            _entry_key(trace, config), "values",
-            expected_shape=(NUM_CHARACTERISTICS,),
-            expected_dtype=np.float64,
-        )
+        arrays = self._load(self.entry_path(trace, config))
+        return None if arrays is None else arrays["values"]
 
     def store(
         self,
@@ -318,7 +346,7 @@ class CharacterizationCache(_NpzCacheDirectory):
         values: np.ndarray,
     ) -> Path:
         """Persist one characterization result; returns the entry path."""
-        return self._store_entry(_entry_key(trace, config), values=values)
+        return self._store(self.entry_path(trace, config), values=values)
 
 
 def cached_characterize(
@@ -326,61 +354,34 @@ def cached_characterize(
     config: ReproConfig = DEFAULT_CONFIG,
     cache_dir: "Path | str | None" = None,
     shards: "int | None" = None,
-    shard_size: "int | None" = None,
-    jobs: "int | None" = None,
 ) -> CharacteristicVector:
     """:func:`repro.mica.characterize` behind the on-disk cache.
 
     With ``cache_dir=None`` this is exactly ``characterize``; otherwise
-    hits skip every analyzer and misses populate the cache.  When a
-    shard geometry is given, misses compute through the shard-mergeable
-    engine (bit-for-bit identical, so the final-vector cache entry is
-    the same either way) and each shard's cold state additionally goes
-    through the per-shard :class:`ShardCache` level.
+    hits skip every analyzer and misses populate the cache.  With
+    ``shards``, misses compute through the shard-mergeable engine
+    (bit-for-bit identical, so the final-vector cache entry is the same
+    either way) and each shard's cold state additionally goes through
+    the per-shard :class:`ShardCache` level.
 
     Returns:
         The trace's :class:`~repro.mica.CharacteristicVector` (cached
         values are re-wrapped with the trace's current name).
     """
-    sharded = shards is not None or shard_size is not None
-    if cache_dir is None:
-        if sharded:
-            return characterize(
-                trace, config, shards=shards, shard_size=shard_size,
-                jobs=jobs,
-            )
-        return characterize(trace, config)
-    cache = CharacterizationCache(cache_dir)
-    values = cache.load(trace, config)
-    if values is None:
-        if sharded:
-            vector = characterize(
-                trace, config, shards=shards, shard_size=shard_size,
-                jobs=jobs, cache_dir=cache_dir,
-            )
-        else:
-            vector = characterize(trace, config)
-        try:
-            cache.store(trace, config, vector.values)
-        except OSError as error:
-            _degrade(cache.directory, error)
-        return vector
-    return CharacteristicVector(name=trace.name, values=values)
+    cache = None if cache_dir is None else CharacterizationCache(cache_dir)
+    if cache is not None:
+        values = cache.load(trace, config)
+        if values is not None:
+            return CharacteristicVector(name=trace.name, values=values)
+    vector = characterize(trace, config, shards=shards, cache_dir=cache_dir)
+    if cache is not None:
+        cache.store_or_degrade(trace, config, vector.values)
+    return vector
 
 
 # ---------------------------------------------------------------------------
 # HPC cache (beside the characterization cache)
 # ---------------------------------------------------------------------------
-
-
-def _hpc_key(
-    trace: Trace, inorder: MachineConfig, ooo: MachineConfig
-) -> str:
-    payload = (
-        f"{HPC_SIM_VERSION}:{trace_fingerprint(trace)}:"
-        f"{inorder.fingerprint()}:{ooo.fingerprint()}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 class HpcCache(_NpzCacheDirectory):
@@ -396,11 +397,23 @@ class HpcCache(_NpzCacheDirectory):
     vector.
     """
 
-    _prefix = "hpc"
+    level = "hpc"
     _static_expected = {"values": ((len(HPC_METRIC_NAMES),), np.float64)}
 
     def _schema_version(self) -> object:
         return HPC_SIM_VERSION
+
+    def entry_path(
+        self,
+        trace: Trace,
+        inorder: MachineConfig = EV56_CONFIG,
+        ooo: MachineConfig = EV67_CONFIG,
+    ) -> Path:
+        """Where the entry for this trace content + machine pair lives."""
+        return self._path(_digest(
+            HPC_SIM_VERSION, trace_fingerprint(trace),
+            inorder.fingerprint(), ooo.fingerprint(),
+        ))
 
     def load(
         self,
@@ -413,11 +426,8 @@ class HpcCache(_NpzCacheDirectory):
         Wrong-shape or wrong-dtype entries are verified misses — they
         are quarantined and never flow into ``np.vstack``.
         """
-        return self._load_entry(
-            _hpc_key(trace, inorder, ooo), "values",
-            expected_shape=(len(HPC_METRIC_NAMES),),
-            expected_dtype=np.float64,
-        )
+        arrays = self._load(self.entry_path(trace, inorder, ooo))
+        return None if arrays is None else arrays["values"]
 
     def store(
         self,
@@ -427,8 +437,8 @@ class HpcCache(_NpzCacheDirectory):
         values: np.ndarray,
     ) -> Path:
         """Persist one HPC vector; returns the entry path."""
-        return self._store_entry(
-            _hpc_key(trace, inorder, ooo), values=values
+        return self._store(
+            self.entry_path(trace, inorder, ooo), values=values
         )
 
 
@@ -452,26 +462,16 @@ def cached_collect_hpc(
         return collect_hpc(trace, inorder, ooo)
     cache = HpcCache(cache_dir)
     values = cache.load(trace, inorder, ooo)
-    if values is None:
-        vector = collect_hpc(trace, inorder, ooo)
-        try:
-            cache.store(trace, inorder, ooo, vector.values)
-        except OSError as error:
-            _degrade(cache.directory, error)
-        return vector
-    return HpcVector(name=trace.name, values=values)
+    if values is not None:
+        return HpcVector(name=trace.name, values=values)
+    vector = collect_hpc(trace, inorder, ooo)
+    cache.store_or_degrade(trace, inorder, ooo, vector.values)
+    return vector
 
 
 # ---------------------------------------------------------------------------
 # Trace cache (below the characterization cache)
 # ---------------------------------------------------------------------------
-
-
-def _trace_key(profile: WorkloadProfile, length: int, seed: int) -> str:
-    payload = (
-        f"{TRACE_GEN_VERSION}:{profile.fingerprint()}:{length}:{seed}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 class TraceCache(_NpzCacheDirectory):
@@ -483,11 +483,19 @@ class TraceCache(_NpzCacheDirectory):
             file prefix).
     """
 
-    _prefix = "trace"
+    level = "trace"
     _static_expected = {"data": (None, TRACE_DTYPE)}
 
     def _schema_version(self) -> object:
         return TRACE_GEN_VERSION
+
+    def entry_path(
+        self, profile: WorkloadProfile, length: int, seed: int = 0
+    ) -> Path:
+        """Where the entry for this (profile, length, seed) lives."""
+        return self._path(_digest(
+            TRACE_GEN_VERSION, profile.fingerprint(), length, seed
+        ))
 
     def load(
         self, profile: WorkloadProfile, length: int, seed: int = 0
@@ -497,13 +505,13 @@ class TraceCache(_NpzCacheDirectory):
         Wrong-dtype or wrong-length entries are verified misses (the
         file is quarantined, not re-served).
         """
-        data = self._load_entry(
-            _trace_key(profile, length, seed), "data",
-            expected_shape=(length,), expected_dtype=TRACE_DTYPE,
+        arrays = self._load(
+            self.entry_path(profile, length, seed),
+            {"data": ((length,), TRACE_DTYPE)},
         )
-        if data is None:
-            return None
-        return Trace(data, name=profile.name)
+        return None if arrays is None else Trace(
+            arrays["data"], name=profile.name
+        )
 
     def store(
         self,
@@ -513,8 +521,8 @@ class TraceCache(_NpzCacheDirectory):
         trace: Trace,
     ) -> Path:
         """Persist one generated trace; returns the entry path."""
-        return self._store_entry(
-            _trace_key(profile, length, seed), data=trace.data
+        return self._store(
+            self.entry_path(profile, length, seed), data=trace.data
         )
 
 
@@ -536,10 +544,7 @@ def cached_generate_trace(
     trace = cache.load(profile, length, seed)
     if trace is None:
         trace = generate_trace(profile, length, seed=seed)
-        try:
-            cache.store(profile, length, seed, trace)
-        except OSError as error:
-            _degrade(cache.directory, error)
+        cache.store_or_degrade(profile, length, seed, trace)
     return trace
 
 
@@ -564,11 +569,10 @@ def shard_entry_key(
     yield a different state), the characterization fingerprint, the
     wanted-sections mask, and :data:`SHARD_CACHE_VERSION`.
     """
-    payload = (
-        f"{SHARD_CACHE_VERSION}:{shard_fingerprint}:{start}:"
-        f"{config.characterization_fingerprint()}:{sections_mask}"
+    return _digest(
+        SHARD_CACHE_VERSION, shard_fingerprint, start,
+        config.characterization_fingerprint(), sections_mask,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
 
 class ShardCache(_NpzCacheDirectory):
@@ -588,22 +592,74 @@ class ShardCache(_NpzCacheDirectory):
             file prefix).
     """
 
-    _prefix = "shard"
+    level = "shard"
 
     def _schema_version(self) -> object:
         return SHARD_CACHE_VERSION
 
+    def entry_path(self, key: str) -> Path:
+        """Where the entry for this :func:`shard_entry_key` lives."""
+        return self._path(key)
+
     def load(self, key: str) -> "Optional[Dict[str, np.ndarray]]":
         """The entry's serialized state arrays, or None on a miss."""
-        return integrity.load_entry(
-            self._path(key),
-            level=self._prefix,
-            version=self._schema_version(),
-        )
+        return self._load(self.entry_path(key))
 
     def store(self, key: str, arrays: "Dict[str, np.ndarray]") -> Path:
         """Persist one serialized shard state; returns the entry path."""
-        return self._store_entry(key, **arrays)
+        return self._store(self.entry_path(key), **arrays)
+
+
+# ---------------------------------------------------------------------------
+# Dataset cache (whole-population matrices, the top of the hierarchy)
+# ---------------------------------------------------------------------------
+
+
+class DatasetCache(_NpzCacheDirectory):
+    """Directory of dataset-level ``mica``/``hpc`` population matrices.
+
+    Keys are opaque (built by :mod:`repro.experiments.dataset` from the
+    configuration and the benchmark name list).  Shapes depend on the
+    population, so scans check dtypes only and loads check both
+    matrices against the expected row count.
+
+    Args:
+        directory: cache root; created lazily on first store.  Shares a
+            directory with the other cache levels (distinct
+            ``dataset-`` file prefix).
+    """
+
+    level = "dataset"
+    _static_expected = {
+        "mica": (None, np.float64), "hpc": (None, np.float64),
+    }
+
+    def _schema_version(self) -> object:
+        return DATASET_CACHE_VERSION
+
+    def entry_path(self, key: str) -> Path:
+        """Where the entry for this dataset key lives."""
+        return self._path(key)
+
+    def load(
+        self, key: str, rows: int
+    ) -> "Optional[Tuple[np.ndarray, np.ndarray]]":
+        """The ``(mica, hpc)`` matrices of ``rows`` benchmarks, or None."""
+        arrays = self._load(self.entry_path(key), {
+            "mica": ((rows, NUM_CHARACTERISTICS), np.float64),
+            "hpc": ((rows, len(HPC_METRIC_NAMES)), np.float64),
+        })
+        return None if arrays is None else (arrays["mica"], arrays["hpc"])
+
+    def store(self, key: str, mica: np.ndarray, hpc: np.ndarray) -> Path:
+        """Persist one population's matrices; returns the entry path."""
+        return self._store(self.entry_path(key), mica=mica, hpc=hpc)
+
+
+#: Every cache level, in ``verify_cache`` scan order.
+CACHE_LEVELS = (
+    CharacterizationCache, HpcCache, TraceCache, ShardCache, DatasetCache,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +673,8 @@ class CacheVerifyReport:
 
     Attributes:
         directory: the scanned cache root.
-        scanned: entries examined per level (including ``dataset`` and
-            ``journal``).
+        scanned: entries examined per level, in :data:`CACHE_LEVELS`
+            order, then ``journal``.
         quarantined: one event per entry that failed verification.
         swept_temporaries: stale ``tmp-*.npz`` writer leftovers and
             ``tmp-journal-*.jsonl`` rotation leftovers removed.
@@ -704,50 +760,19 @@ def verify_cache(
 ) -> CacheVerifyReport:
     """Scan all five cache levels; quarantine entries that fail.
 
-    Covers the per-trace levels (``char``/``hpc``/``trace``) and the
-    per-shard ``shard`` level via each
-    level's :meth:`~_NpzCacheDirectory.verify` and the dataset-level
-    ``dataset-*.npz`` matrices, replays every ``journal-*.jsonl``
-    write-ahead journal (repairing torn tails in place and reporting
-    each repair), then sweeps stale writer and rotation temporaries.
+    Runs :meth:`~_NpzCacheDirectory.verify` for each of the
+    :data:`CACHE_LEVELS`, replays every ``journal-*.jsonl`` write-ahead journal (repairing
+    torn tails in place and reporting each repair), then sweeps stale
+    writer and rotation temporaries.
     Healthy entries are untouched; the scan never raises on bad bytes.
     """
     root = Path(directory)
     scanned: "Dict[str, int]" = {}
     events: "List[QuarantineEvent]" = []
-    for level in (CharacterizationCache, HpcCache, TraceCache, ShardCache):
+    for level in CACHE_LEVELS:
         cache = level(root)
-        scanned[cache._prefix] = len(cache)
+        scanned[cache.level] = len(cache)
         events.extend(cache.verify())
-
-    # Dataset-level matrices (population-dependent shapes: verified
-    # against their own recorded metadata + checksums).
-    from ..experiments.dataset import CACHE_VERSION
-
-    dataset_paths = (
-        sorted(root.glob("dataset-*.npz")) if root.is_dir() else []
-    )
-    scanned["dataset"] = len(dataset_paths)
-    for path in dataset_paths:
-        try:
-            integrity.verify_entry(
-                path, level="dataset", version=CACHE_VERSION,
-                expected={
-                    "mica": (None, np.float64),
-                    "hpc": (None, np.float64),
-                },
-            )
-        except CacheIntegrityError as error:
-            quarantined = integrity.quarantine_entry(path)
-            events.append(QuarantineEvent(
-                path=str(path),
-                quarantined_to=(
-                    str(quarantined) if quarantined is not None else None
-                ),
-                reason=str(error),
-            ))
-        except OSError:
-            continue
 
     # Write-ahead journals (dataset builds, service jobs): replay with
     # repair, so a torn tail left by a crash is truncated back to the

@@ -61,7 +61,7 @@ from ..trace import (
     shard_bounds,
 )
 from . import integrity
-from .cache import ShardCache, _degrade, shard_entry_key, trace_fingerprint
+from .cache import ShardCache, shard_entry_key, trace_fingerprint
 
 # -- instrumentation seam ---------------------------------------------------
 #
@@ -91,21 +91,6 @@ def _sections_mask(sections: "Sequence[str]") -> int:
     )
 
 
-def _characterization_kwargs(config: ReproConfig) -> dict:
-    # The same picklable subset the dataset workers ship (the two
-    # non-characterization fields are harmless constructor defaults).
-    return {
-        "trace_length": config.trace_length,
-        "seed": config.seed,
-        "block_bytes": config.block_bytes,
-        "page_bytes": config.page_bytes,
-        "ilp_window_sizes": tuple(config.ilp_window_sizes),
-        "reg_dep_thresholds": tuple(config.reg_dep_thresholds),
-        "stride_thresholds": tuple(config.stride_thresholds),
-        "ppm_max_order": config.ppm_max_order,
-    }
-
-
 def _cold_state(
     chunk: Trace,
     start: int,
@@ -115,9 +100,8 @@ def _cold_state(
 ) -> ShardState:
     """One shard's cold state, through the shard cache when enabled."""
     global _COLD_STATE_CALLS
-    cache = key = None
-    if cache_dir is not None:
-        cache = ShardCache(cache_dir)
+    cache = None if cache_dir is None else ShardCache(cache_dir)
+    if cache is not None:
         key = shard_entry_key(
             trace_fingerprint(chunk), start, config,
             _sections_mask(wanted_sections(wanted)),
@@ -128,10 +112,7 @@ def _cold_state(
     _COLD_STATE_CALLS += 1
     state = shard_state(chunk, start, config, wanted)
     if cache is not None:
-        try:
-            cache.store(key, state_to_arrays(state))
-        except OSError as error:
-            _degrade(cache.directory, error)
+        cache.store_or_degrade(key, state_to_arrays(state))
     return state
 
 
@@ -160,9 +141,8 @@ def _load_chunk(spec) -> "Tuple[Trace, int]":
 
 def _round1_worker(args):
     """Worker: one shard's cold mergeable state (serialized)."""
-    spec, config_kwargs, wanted, cache_dir = args
+    spec, config, wanted, cache_dir = args
     integrity.drain_quarantine_log()  # discard events of earlier jobs
-    config = ReproConfig(**config_kwargs)
     chunk, start = _load_chunk(spec)
     state = _cold_state(chunk, start, config, wanted, cache_dir)
     return state_to_arrays(state)
@@ -237,7 +217,6 @@ def _parallel_characterize(
     """Two-round fan-out over a process pool; bit-identical reduce."""
     want_ppm = "branch predictability" in wanted_sections(wanted)
     specs = [_shard_spec(source, start, end) for start, end in bounds]
-    config_kwargs = _characterization_kwargs(config)
     cache_arg = None if cache_dir is None else str(cache_dir)
     worker_count = min(jobs, len(bounds))
     with ProcessPoolExecutor(max_workers=worker_count) as pool:
@@ -245,7 +224,7 @@ def _parallel_characterize(
         # shard order, so the reduce below stays deterministic).
         serialized = list(pool.map(
             _round1_worker,
-            [(spec, config_kwargs, wanted, cache_arg) for spec in specs],
+            [(spec, config, wanted, cache_arg) for spec in specs],
         ))
         states = [state_from_arrays(arrays) for arrays in serialized]
         merged, carries = _prefix_carries(states, config, want_ppm)

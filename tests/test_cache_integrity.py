@@ -1,6 +1,6 @@
 """Tests for the integrity-checked cache hierarchy.
 
-Every ``.npz`` the four cache levels write embeds a payload checksum
+Every ``.npz`` the five cache levels write embeds a payload checksum
 plus schema metadata (level, semantic version, shape/dtype).  These
 tests pin the contract: any corrupted, wrong-shape, stale-version or
 foreign entry reads back as a *verified miss* that quarantines the file
@@ -11,6 +11,7 @@ directories degrade to compute-without-cache with a single warning, and
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.config import ReproConfig
 from repro.errors import CacheDegradedWarning, CacheIntegrityError
+from repro.experiments import clear_dataset_cache
 from repro.mica import NUM_CHARACTERISTICS, characterize
 from repro.perf import (
     CharacterizationCache,
@@ -33,6 +35,7 @@ from repro.perf import (
     sweep_temporaries,
     verify_cache,
 )
+from repro.perf.cache import DatasetCache
 from repro.synth import WorkloadProfile, generate_trace
 
 SMALL_CONFIG = ReproConfig(trace_length=2_000)
@@ -44,10 +47,16 @@ def tiny_trace():
     return generate_trace(PROFILE, 2_000)
 
 
+#: Entries ``_populate_all_levels`` writes per level.
+POPULATED = {"char": 1, "hpc": 1, "trace": 1, "shard": 2, "dataset": 1}
+
+
 def _populate_all_levels(trace, directory) -> None:
     cached_generate_trace(PROFILE, 2_000, cache_dir=directory)
-    cached_characterize(trace, SMALL_CONFIG, directory)
-    cached_collect_hpc(trace, cache_dir=directory)
+    mica = cached_characterize(trace, SMALL_CONFIG, directory).values
+    hpc = cached_collect_hpc(trace, cache_dir=directory).values
+    characterize(trace, SMALL_CONFIG, shards=2, cache_dir=directory)
+    DatasetCache(directory).store("population", mica[None], hpc[None])
 
 
 class TestIntegrityMetadata:
@@ -303,21 +312,36 @@ class TestClearRaceAndSweep:
 
 
 class TestVerifyCache:
-    def test_scan_quarantines_bad_entries_only(self, tiny_trace, tmp_path):
+    @pytest.mark.parametrize("prefix", list(POPULATED))
+    def test_scan_quarantines_bad_entries_only(
+        self, tiny_trace, tmp_path, prefix
+    ):
         _populate_all_levels(tiny_trace, tmp_path)
-        bad = next(tmp_path.glob("char-*.npz"))
+        healthy = {
+            path: path.read_bytes() for path in tmp_path.glob("*.npz")
+        }
+        bad = sorted(tmp_path.glob(f"{prefix}-*.npz"))[0]
+        del healthy[bad]
         faults.corrupt_entry(bad, "bitflip", seed=1)
         report = verify_cache(tmp_path, sweep_older_than=0.0)
-        assert report.scanned["char"] == 1
-        assert report.scanned["hpc"] == 1
-        assert report.scanned["trace"] == 1
+        assert list(report.scanned) == [
+            "char", "hpc", "trace", "shard", "dataset", "journal",
+        ]
+        assert report.scanned == {**POPULATED, "journal": 0}
         assert len(report.quarantined) == 1
         assert report.quarantined[0].path == str(bad)
         assert "checksum" in report.quarantined[0].reason
+        assert not bad.exists()
         # Healthy entries untouched; the scan is idempotent.
+        for path, data in healthy.items():
+            assert path.read_bytes() == data
         clean = verify_cache(tmp_path, sweep_older_than=0.0)
         assert len(clean.quarantined) == 0
         assert "quarantined" in report.format()
+        # Clearing sweeps every level, quarantined entries included.
+        assert clear_dataset_cache(tmp_path) == len(healthy) + 1
+        assert not list(tmp_path.glob("*.npz"))
+        assert not list(tmp_path.glob("*.quarantined"))
 
     def test_scan_sweeps_stale_temporaries(self, tmp_path):
         (tmp_path / "tmp-trace-dead.7.npz").write_bytes(b"x")
@@ -391,3 +415,55 @@ class TestCacheCli:
         assert code == 0
         assert "removed 1 file(s)" in capsys.readouterr().out
         assert not list(tmp_path.glob("*.npz"))
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CACHE_MODULE = "repro.perf.cache"
+
+
+def _private_cache_names(path: Path) -> "list[str]":
+    """Underscore names the module at ``path`` takes from the cache
+    module: ``from ... import _name`` or ``alias._name`` on an alias of
+    the module itself."""
+    parts = list(path.relative_to(REPO_ROOT).with_suffix("").parts)
+    package = parts[1:-1] if parts[0] == "src" else parts[:-1]
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = package[:len(package) + 1 - node.level]
+            if not node.level:
+                base = []
+            module = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                if module == CACHE_MODULE and alias.name.startswith("_"):
+                    found.append(alias.name)
+                if f"{module}.{alias.name}" == CACHE_MODULE:
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                alias.asname for alias in node.names
+                if alias.name == CACHE_MODULE and alias.asname
+            )
+    found.extend(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases and node.attr.startswith("_")
+    )
+    return found
+
+
+class TestCacheSeam:
+    def test_no_private_cache_names_outside_the_cache_module(self):
+        """Entries are named and stored only through the level classes'
+        public methods; nothing else reaches into the cache module."""
+        owner = REPO_ROOT / "src" / "repro" / "perf" / "cache.py"
+        offenders = {}
+        for top in ("src", "tests", "e2e_bench", "benchmarks", "examples"):
+            for path in sorted((REPO_ROOT / top).rglob("*.py")):
+                names = [] if path == owner else _private_cache_names(path)
+                if names:
+                    offenders[str(path.relative_to(REPO_ROOT))] = names
+        assert offenders == {}

@@ -10,6 +10,8 @@ a journal written for a different build is refused.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,13 @@ from repro.experiments import (
     resume_dataset,
 )
 from repro.experiments.dataset import _MEMORY_CACHE
-from repro.perf import replay_journal
-from repro.workloads import all_benchmarks
+from repro.perf import (
+    CharacterizationCache,
+    HpcCache,
+    TraceCache,
+    replay_journal,
+)
+from repro.workloads import all_benchmarks, get_benchmark
 
 from conftest import TEST_CONFIG
 
@@ -78,6 +85,23 @@ class TestJournaledBuild:
         completed = [r for r in records if r["event"] == "completed"]
         for record in completed:
             assert set(record["entries"]) == {"trace", "char", "hpc"}
+            # Each journaled path is the owning level's public entry
+            # path, and the entry is on disk.
+            profile = get_benchmark(record["benchmark"]).profile
+            traces = TraceCache(tmp_path)
+            trace = traces.load(profile, TEST_CONFIG.trace_length)
+            assert record["entries"] == {
+                "trace": str(traces.entry_path(
+                    profile, TEST_CONFIG.trace_length
+                )),
+                "char": str(CharacterizationCache(tmp_path).entry_path(
+                    trace, TEST_CONFIG
+                )),
+                "hpc": str(HpcCache(tmp_path).entry_path(trace)),
+            }
+            assert all(
+                Path(path).is_file() for path in record["entries"].values()
+            )
             # Vectors are exact float64 bytes, not lossy repr.
             mica = np.frombuffer(
                 bytes.fromhex(record["mica"]), dtype=np.float64
@@ -151,8 +175,6 @@ class TestResume:
             if record["event"] == "completed"
         ]
         assert completed
-        from pathlib import Path
-
         char_entry = Path(completed[0]["entries"]["char"])
         assert char_entry.is_file()
         char_entry.write_bytes(b"rotten bytes")

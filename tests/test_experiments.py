@@ -29,7 +29,7 @@ SMALL_CONFIG = ReproConfig(
 @pytest.fixture(scope="module")
 def dataset(small_population):
     return build_dataset(
-        SMALL_CONFIG, benchmarks=small_population, use_cache=False, workers=1
+        SMALL_CONFIG, benchmarks=small_population, use_cache=False, jobs=1
     )
 
 
@@ -64,7 +64,7 @@ class TestBuildDataset:
             SMALL_CONFIG,
             benchmarks=small_population,
             cache_dir=tmp_path,
-            workers=1,
+            jobs=1,
         )
         files = list(tmp_path.glob("dataset-*.npz"))
         assert len(files) == 1
@@ -75,7 +75,7 @@ class TestBuildDataset:
             SMALL_CONFIG,
             benchmarks=small_population,
             cache_dir=tmp_path,
-            workers=1,
+            jobs=1,
         )
         assert np.array_equal(first.mica, second.mica)
 
@@ -84,7 +84,7 @@ class TestBuildDataset:
             SMALL_CONFIG,
             benchmarks=small_population,
             use_cache=False,
-            workers=3,
+            jobs=3,
         )
         assert np.array_equal(parallel.mica, dataset.mica)
         assert np.array_equal(parallel.hpc, dataset.hpc)
@@ -120,7 +120,7 @@ class TestDrivers:
             SMALL_CONFIG,
             benchmarks=small_population[:4],
             use_cache=False,
-            workers=1,
+            jobs=1,
         )
         result = run_case_study(subset, "no/such/thing", "nor/this/one")
         assert result.name_a in subset.names

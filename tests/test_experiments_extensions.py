@@ -34,7 +34,7 @@ def multi_input_dataset():
         SMALL_CONFIG,
         benchmarks=[get_benchmark(name) for name in names],
         use_cache=False,
-        workers=1,
+        jobs=1,
     )
 
 

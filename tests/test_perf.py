@@ -11,7 +11,7 @@ import pytest
 import repro.perf.cache as perf_cache
 from repro.config import DEFAULT_CONFIG, ReproConfig
 from repro.errors import ConfigurationError
-from repro.experiments import build_dataset
+from repro.experiments import build_dataset, resume_dataset
 from repro.experiments.dataset import _MEMORY_CACHE
 from repro.mica import NUM_CHARACTERISTICS, characterize
 from repro.perf import (
@@ -155,15 +155,14 @@ class TestParallelDatasetBuilds:
         assert np.array_equal(parallel_warm.hpc, serial_cold.hpc)
         _MEMORY_CACHE.clear()
 
-    def test_jobs_alias_workers(self, small_population, tmp_path):
-        population = small_population[:2]
-        via_workers = build_dataset(
-            SMALL_CONFIG, benchmarks=population, use_cache=False, workers=1
-        )
-        via_jobs = build_dataset(
-            SMALL_CONFIG, benchmarks=population, use_cache=False, jobs=1
-        )
-        assert np.array_equal(via_workers.mica, via_jobs.mica)
+    def test_workers_alias_removed(self, small_population):
+        # ``jobs=`` is the only spelling of the worker count.
+        for builder in (build_dataset, resume_dataset):
+            with pytest.raises(TypeError, match="workers"):
+                builder(
+                    SMALL_CONFIG, benchmarks=small_population[:2],
+                    use_cache=False, workers=1,
+                )
 
 
 @pytest.fixture(scope="module")
