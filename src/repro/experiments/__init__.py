@@ -27,6 +27,7 @@ from .dataset import (
     dataset_journal_path,
     load_cached_dataset,
     resume_dataset,
+    retry_delay,
 )
 from .fig1_distance_scatter import Fig1Result, run_fig1
 from .table3_classification import Table3Result, run_table3
@@ -52,6 +53,7 @@ __all__ = [
     "dataset_journal_path",
     "load_cached_dataset",
     "resume_dataset",
+    "retry_delay",
     "Fig1Result",
     "run_fig1",
     "Table3Result",

@@ -17,7 +17,13 @@ import hashlib
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -307,7 +313,7 @@ _RETRY_BACKOFF_CAP = 2.0
 
 
 class _JobOutcomes:
-    """Mutable accounting shared by the serial and parallel runners.
+    """Mutable accounting of one :func:`_run_jobs` call.
 
     When a write-ahead ``journal`` is attached, every lifecycle change
     is appended *before* the build relies on it: attempts as they are
@@ -388,215 +394,187 @@ class _JobOutcomes:
         return tuple(rows)
 
 
-def _retry_delay(
-    backoff: float,
-    round_index: int,
-    jitter_seed: "int | None" = None,
-    token: str = "",
-) -> float:
-    """Bounded exponential backoff with deterministic, seedable jitter.
+def retry_delay(backoff: float, attempt: int, token: str) -> float:
+    """Bounded exponential backoff with deterministic jitter.
 
-    Without a ``jitter_seed`` this is the historical schedule:
-    ``min(backoff * 2**round, _RETRY_BACKOFF_CAP)``.  With one, the
-    delay is scaled into ``[delay/2, delay]`` by a factor derived from
-    ``sha256(jitter_seed, token, round)`` — deterministic (the same
-    seed/token/round always sleeps the same), seedable (tests can pin
-    it) and de-synchronizing (builders retrying the same round with
-    different seeds or tokens spread out instead of thundering back
-    onto the cache in lockstep).  The jittered delay never exceeds the
-    :data:`_RETRY_BACKOFF_CAP` ceiling and never drops below half the
-    un-jittered delay.
+    The delay after the ``attempt``-th (1-based) failed attempt is
+    ``min(backoff * 2**(attempt - 1), _RETRY_BACKOFF_CAP)`` scaled into
+    ``[delay/2, delay]`` by a factor derived from
+    ``sha256(token, attempt)``: deterministic (the same token and
+    attempt always sleep the same) and de-synchronizing (benchmarks or
+    jobs retrying at the same attempt spread out instead of thundering
+    back onto the cache in lockstep).  ``backoff <= 0`` never sleeps.
     """
     if backoff <= 0.0:
         return 0.0
-    delay = min(backoff * (2 ** round_index), _RETRY_BACKOFF_CAP)
-    if jitter_seed is None:
-        return delay
-    digest = hashlib.sha256(
-        f"{jitter_seed}:{token}:{round_index}".encode()
-    ).digest()
+    delay = min(backoff * (2 ** (attempt - 1)), _RETRY_BACKOFF_CAP)
+    digest = hashlib.sha256(f"{token}:{attempt}".encode()).digest()
     unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64  # [0, 1)
     return delay * (0.5 + 0.5 * unit)
 
 
-def _retry_sleep(
-    backoff: float,
-    round_index: int,
-    jitter_seed: "int | None" = None,
-    token: str = "",
-    deadline_at: "float | None" = None,
-) -> None:
-    delay = _retry_delay(backoff, round_index, jitter_seed, token)
-    if deadline_at is not None:
-        delay = min(delay, max(0.0, deadline_at - time.monotonic()))
-    if delay > 0.0:
-        time.sleep(delay)
+#: Attempts kept in flight per pool worker: enough to keep the pool fed
+#: between completions, few enough that one worker crash takes down
+#: only a handful of pool-mates.
+_WINDOW_PER_WORKER = 2
 
 
-def _deadline_passed(deadline_at: "float | None") -> bool:
-    return deadline_at is not None and time.monotonic() >= deadline_at
+class _InlineExecutor(Executor):
+    """The ``jobs=1`` executor: ``submit`` runs the call in-process.
+
+    No pool and no pickling; the returned future is already finished.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
-def _run_jobs_serial(
-    jobs: "Dict[str, tuple]",
-    order: Sequence[str],
-    max_attempts: int,
-    retry_backoff: float,
-    progress: bool,
-    jitter_seed: "int | None" = None,
-    deadline_at: "float | None" = None,
-    journal=None,
-    initial_attempts: "Optional[Dict[str, int]]" = None,
-) -> _JobOutcomes:
-    outcomes = _JobOutcomes(journal)
-    outcomes.attempts.update(initial_attempts or {})
-    for name in order:
-        outcomes.started[name] = time.perf_counter()
-        if _deadline_passed(deadline_at):
-            outcomes.attempts.setdefault(name, 0)
-            outcomes.record_failed(name, "build deadline exceeded")
-            continue
-        # Attempts interrupted by an earlier (killed) run stay charged.
-        first = outcomes.attempts.get(name, 0) + 1
-        for attempt in range(first, max_attempts + 1):
-            outcomes.record_attempt(name, attempt)
-            try:
-                _, mica, hpc, events, entries = _characterize_one(
-                    jobs[name]
-                )
-            except Exception as error:
-                if attempt >= max_attempts or _deadline_passed(
-                    deadline_at
-                ):
-                    outcomes.record_failed(
-                        name, f"{type(error).__name__}: {error}"
-                    )
-                    break
-                _retry_sleep(
-                    retry_backoff, attempt - 1, jitter_seed,
-                    token=name, deadline_at=deadline_at,
-                )
-            else:
-                outcomes.record_ok(
-                    name, mica, hpc, events, progress, len(order),
-                    entries=entries,
-                )
-                break
-        else:
-            if first > max_attempts:
-                outcomes.record_failed(
-                    name,
-                    f"interrupted after exhausting {max_attempts} "
-                    "attempt(s)",
-                )
-    return outcomes
-
-
-def _run_jobs_parallel(
+def _run_jobs(
     jobs: "Dict[str, tuple]",
     order: Sequence[str],
     worker_count: int,
     max_attempts: int,
     retry_backoff: float,
     progress: bool,
-    jitter_seed: "int | None" = None,
-    deadline_at: "float | None" = None,
-    journal=None,
-    initial_attempts: "Optional[Dict[str, int]]" = None,
+    deadline_at: "float | None",
+    journal,
+    initial_attempts: "Dict[str, int]",
 ) -> _JobOutcomes:
-    """Submit jobs with per-future failure handling and crash isolation.
+    """Build every job through one executor and a bounded window.
 
-    Normal rounds submit every queued benchmark at once.  When a worker
-    process dies, *every* in-flight future fails with
-    ``BrokenProcessPool`` — the culprit is indistinguishable from
-    collateral — so the casualties move to an *isolation* queue and run
-    one at a time against a rebuilt pool: a benchmark that breaks the
-    pool while alone in flight is charged the crash; everyone else is
-    re-run uncharged.  A benchmark is only declared failed after
-    ``max_attempts`` charged attempts, and the failure names it.
+    ``worker_count == 1`` runs attempts in-process with a window of one,
+    so the journal reads attempt A, completed A, attempt B, ...;
+    otherwise a ``ProcessPoolExecutor`` is kept fed with up to
+    ``_WINDOW_PER_WORKER * worker_count`` attempts.  Every submission
+    first waits out the benchmark's retry backoff (charged failures
+    only), then checks the deadline and the attempt budget, and
+    journals the attempt before submitting it (attempts of a killed run
+    stay charged).  When a worker process dies, every
+    in-flight future fails with ``BrokenProcessPool``: a benchmark lost
+    alone is charged the crash; when several are lost the culprit is
+    indistinguishable, so none is charged.  Either way they re-run
+    first, one at a time, against a rebuilt pool.  A benchmark is only
+    declared failed after ``max_attempts`` charged attempts, or after a
+    charged failure past the deadline, and the failure names it.
     """
+    def new_executor():
+        if worker_count == 1:
+            return _InlineExecutor()
+        return ProcessPoolExecutor(max_workers=worker_count)
+
+    window = 1 if worker_count == 1 else _WINDOW_PER_WORKER * worker_count
     outcomes = _JobOutcomes(journal)
-    outcomes.attempts.update(initial_attempts or {})
+    outcomes.attempts.update(initial_attempts)
     pending = deque(order)
-    isolation: "deque[str]" = deque()
-    retry_round = 0
-    pool = ProcessPoolExecutor(max_workers=worker_count)
+    retry_at: Dict[str, float] = {}  # charged failure -> earliest retry
+    alone: "set[str]" = set()  # lost to a broken pool: run one at a time
+    in_flight: "Dict[Future, str]" = {}
+    executor = new_executor()
     try:
-        while pending or isolation:
-            if _deadline_passed(deadline_at):
-                for name in list(pending) + list(isolation):
-                    outcomes.started.setdefault(name, time.perf_counter())
-                    outcomes.attempts.setdefault(name, 0)
-                    outcomes.record_failed(name, "build deadline exceeded")
-                break
-            if isolation:
-                batch = [isolation.popleft()]
-            else:
-                batch = list(pending)
-                pending.clear()
-            submitted = {}
+        while pending or in_flight:
             broken = False
-            for position, name in enumerate(batch):
+            while pending and len(in_flight) < (1 if alone else window):
+                name = pending.popleft()
                 outcomes.started.setdefault(name, time.perf_counter())
+                _sleep_until(retry_at.pop(name, 0.0), deadline_at)
+                attempts = outcomes.attempts.get(name, 0)
+                if _deadline_passed(deadline_at):
+                    outcomes.record_failed(name, "build deadline exceeded")
+                    continue
+                if attempts >= max_attempts:
+                    outcomes.record_failed(
+                        name,
+                        f"interrupted after exhausting {max_attempts} "
+                        "attempt(s)",
+                    )
+                    continue
+                # Journal first: a run killed mid-attempt stays charged.
+                outcomes.record_attempt(name, attempts + 1)
                 try:
-                    future = pool.submit(_characterize_one, jobs[name])
-                except Exception:
-                    # The pool broke between rounds; nothing here was
-                    # actually submitted, so nothing is charged.
-                    isolation.extend(batch[position:])
+                    future = executor.submit(_characterize_one, jobs[name])
+                except BrokenProcessPool:
+                    # Nothing ran, so nothing is charged; the retry
+                    # journals the same attempt number again.
+                    outcomes.attempts[name] = attempts
+                    pending.appendleft(name)
                     broken = True
                     break
-                outcomes.record_attempt(
-                    name, outcomes.attempts.get(name, 0) + 1
+                in_flight[future] = name
+            if not broken:
+                if not in_flight:
+                    continue
+                done = wait(in_flight, return_when=FIRST_COMPLETED).done
+                broken = any(
+                    isinstance(future.exception(), BrokenProcessPool)
+                    for future in done
                 )
-                submitted[future] = name
-            for future in as_completed(submitted):
-                name = submitted[future]
-                try:
+            if broken:
+                # A broken pool fails everything it still held.
+                done = wait(in_flight).done
+            lost = sum(
+                isinstance(future.exception(), BrokenProcessPool)
+                for future in done
+            )
+            reruns = []
+            for future, name in list(in_flight.items()):
+                if future not in done:
+                    continue
+                del in_flight[future]
+                error = future.exception()
+                if error is None:
+                    alone.discard(name)
                     _, mica, hpc, events, entries = future.result()
-                except BrokenProcessPool as error:
-                    broken = True
-                    if len(submitted) == 1:
-                        # Alone in flight: this benchmark's worker died.
-                        if outcomes.attempts[name] >= max_attempts:
-                            outcomes.record_failed(
-                                name,
-                                "worker process died while building "
-                                f"{name!r}: {error}",
-                            )
-                        else:
-                            isolation.append(name)
-                    else:
-                        # Collateral of another benchmark's crash:
-                        # uncharge the attempt and isolate the batch to
-                        # find the culprit.
-                        outcomes.attempts[name] -= 1
-                        isolation.append(name)
-                except Exception as error:
-                    if outcomes.attempts[name] >= max_attempts:
-                        outcomes.record_failed(
-                            name, f"{type(error).__name__}: {error}"
-                        )
-                    else:
-                        pending.append(name)
-                else:
                     outcomes.record_ok(
                         name, mica, hpc, events, progress, len(order),
                         entries=entries,
                     )
+                    continue
+                if isinstance(error, BrokenProcessPool):
+                    alone.add(name)
+                    if lost > 1:
+                        outcomes.attempts[name] -= 1
+                        reruns.append(name)
+                        continue
+                    message = (
+                        f"worker process died while building {name!r}: "
+                        f"{error}"
+                    )
+                else:
+                    message = f"{type(error).__name__}: {error}"
+                attempts = outcomes.attempts[name]
+                if attempts >= max_attempts or _deadline_passed(deadline_at):
+                    alone.discard(name)
+                    outcomes.record_failed(name, message)
+                else:
+                    retry_at[name] = time.monotonic() + retry_delay(
+                        retry_backoff, attempts, name
+                    )
+                    reruns.append(name)
+            pending.extendleft(reversed(reruns))
             if broken:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = ProcessPoolExecutor(max_workers=worker_count)
+                executor.shutdown(wait=False, cancel_futures=True)
+                executor = new_executor()
                 outcomes.pool_rebuilds += 1
-            if pending or isolation:
-                _retry_sleep(
-                    retry_backoff, retry_round, jitter_seed,
-                    token="round", deadline_at=deadline_at,
-                )
-                retry_round += 1
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
     return outcomes
+
+
+def _sleep_until(at: float, deadline_at: "float | None") -> None:
+    if deadline_at is not None:
+        at = min(at, deadline_at)
+    delay = at - time.monotonic()
+    if delay > 0.0:
+        time.sleep(delay)
+
+
+def _deadline_passed(deadline_at: "float | None") -> bool:
+    return deadline_at is not None and time.monotonic() >= deadline_at
 
 
 def load_cached_dataset(
@@ -750,7 +728,6 @@ def build_dataset(
     strict: bool = True,
     max_attempts: int = 3,
     retry_backoff: float = 0.1,
-    retry_jitter_seed: "int | None" = None,
     deadline: "float | None" = None,
     journal: "Path | str | None" = None,
     shards: "int | None" = None,
@@ -778,19 +755,17 @@ def build_dataset(
             declared failed (worker crashes, raises and timeouts all
             count; a worker lost to *another* benchmark's crash does
             not).
-        retry_backoff: base of the bounded exponential sleep between
-            retry rounds (seconds; 0 disables sleeping).
-        retry_jitter_seed: when given, retry sleeps are scaled into
-            ``[delay/2, delay]`` by a deterministic factor derived from
-            the seed, the retrying benchmark/round and the round index,
-            so concurrent builders do not synchronize into
-            thundering-herd rebuild rounds.  ``None`` keeps the exact
-            historical schedule.
+        retry_backoff: base of the bounded exponential sleep a
+            benchmark waits out before each retry of a charged failure
+            (seconds; 0 disables sleeping), jittered per benchmark by
+            :func:`retry_delay`.  Uncharged re-runs never sleep.
         deadline: wall-clock budget in seconds for the whole build.
             Once it elapses, benchmarks not yet built are recorded as
             failed with ``"build deadline exceeded"`` (cooperatively —
-            checked between jobs, attempts and retry rounds) and the
-            usual strict/salvage semantics apply.
+            checked before every submission; attempts already running
+            finish).  A charged failure that ends after the deadline is
+            not retried and keeps its own error.  The usual
+            strict/salvage semantics apply.
         journal: when given, a write-ahead journal file recording every
             benchmark's lifecycle (admission, charged attempts,
             completion with exact vectors and cache keys, failure) with
@@ -821,9 +796,10 @@ def build_dataset(
             attempts, or (any mode) when *no* benchmark could be built.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, progress, strict,
-        max_attempts, retry_backoff, retry_jitter_seed, deadline, journal,
-        resume=False, shards=shards,
+        config=config, benchmarks=benchmarks, cache_dir=cache_dir,
+        use_cache=use_cache, jobs=jobs, progress=progress, strict=strict,
+        max_attempts=max_attempts, retry_backoff=retry_backoff,
+        deadline=deadline, journal=journal, resume=False, shards=shards,
     )
 
 
@@ -837,7 +813,6 @@ def resume_dataset(
     strict: bool = True,
     max_attempts: int = 3,
     retry_backoff: float = 0.1,
-    retry_jitter_seed: "int | None" = None,
     deadline: "float | None" = None,
     journal: "Path | str | None" = None,
     shards: "int | None" = None,
@@ -868,13 +843,15 @@ def resume_dataset(
         DatasetBuildError: as for :func:`build_dataset`.
     """
     return _build_or_resume(
-        config, benchmarks, cache_dir, use_cache, jobs, progress, strict,
-        max_attempts, retry_backoff, retry_jitter_seed, deadline, journal,
-        resume=True, shards=shards,
+        config=config, benchmarks=benchmarks, cache_dir=cache_dir,
+        use_cache=use_cache, jobs=jobs, progress=progress, strict=strict,
+        max_attempts=max_attempts, retry_backoff=retry_backoff,
+        deadline=deadline, journal=journal, resume=True, shards=shards,
     )
 
 
 def _build_or_resume(
+    *,
     config: ReproConfig,
     benchmarks: "Optional[Sequence[Benchmark]]",
     cache_dir: "Path | str | None",
@@ -884,11 +861,10 @@ def _build_or_resume(
     strict: bool,
     max_attempts: int,
     retry_backoff: float,
-    retry_jitter_seed: "int | None",
     deadline: "float | None",
     journal: "Path | str | None",
     resume: bool,
-    shards: "int | None" = None,
+    shards: "int | None",
 ) -> WorkloadDataset:
     names, suites, key = _population(config, benchmarks)
     directory = Path(cache_dir or default_cache_dir())
@@ -967,22 +943,10 @@ def _build_or_resume(
         worker_count = min(
             jobs or os.cpu_count() or 1, max(1, len(remaining))
         )
-        if remaining and worker_count > 1:
-            outcomes = _run_jobs_parallel(
-                jobs_by_name, remaining, worker_count, max_attempts,
-                retry_backoff, progress, jitter_seed=retry_jitter_seed,
-                deadline_at=deadline_at, journal=wal,
-                initial_attempts=initial_attempts,
-            )
-        elif remaining:
-            outcomes = _run_jobs_serial(
-                jobs_by_name, remaining, max_attempts, retry_backoff,
-                progress, jitter_seed=retry_jitter_seed,
-                deadline_at=deadline_at, journal=wal,
-                initial_attempts=initial_attempts,
-            )
-        else:
-            outcomes = _JobOutcomes()
+        outcomes = _run_jobs(
+            jobs_by_name, remaining, worker_count, max_attempts,
+            retry_backoff, progress, deadline_at, wal, initial_attempts,
+        )
         # Fold journal-recovered outcomes back in: completed rows keep
         # their journaled attempt counts, carried failures their final
         # error.  Neither is re-journaled — both are already terminal

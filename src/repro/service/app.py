@@ -73,9 +73,8 @@ class ServiceSettings:
             request does not carry ``deadline_ms``.
         max_deadline: ceiling any requested deadline is clamped to.
         max_attempts: compute attempts per job before it fails.
-        retry_backoff: base of the bounded exponential retry sleep.
-        retry_jitter_seed: seeds the deterministic retry jitter
-            (default: derived per job id).
+        retry_backoff: base of the bounded exponential retry sleep
+            (deterministically jittered per job id).
         breaker_failure_threshold / breaker_recovery: circuit-breaker
             trip threshold and open-state duration (seconds).
         watchdog_interval: seconds between deadline sweeps.
@@ -108,7 +107,6 @@ class ServiceSettings:
     max_deadline: float = 300.0
     max_attempts: int = 3
     retry_backoff: float = 0.05
-    retry_jitter_seed: "int | None" = None
     breaker_failure_threshold: int = 5
     breaker_recovery: float = 5.0
     watchdog_interval: float = 0.05
@@ -806,14 +804,10 @@ class CharacterizationService:
             self.breaker.release_probe()
 
     def _backoff(self, job: Job) -> None:
-        from ..experiments.dataset import _retry_delay
+        from ..experiments import retry_delay
 
-        seed = self.settings.retry_jitter_seed
-        delay = _retry_delay(
-            self.settings.retry_backoff,
-            job.attempts - 1,
-            jitter_seed=seed if seed is not None else 0,
-            token=job.id,
+        delay = retry_delay(
+            self.settings.retry_backoff, job.attempts, job.id
         )
         time.sleep(max(0.0, min(delay, job.remaining())))
 
@@ -941,7 +935,6 @@ class CharacterizationService:
                 strict=True,
                 max_attempts=self.settings.max_attempts,
                 retry_backoff=self.settings.retry_backoff,
-                retry_jitter_seed=self.settings.retry_jitter_seed,
                 deadline=max(job.remaining(), 0.01),
             )
         except DatasetBuildError as error:

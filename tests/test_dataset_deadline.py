@@ -78,7 +78,7 @@ class TestBuildDeadline:
         _MEMORY_CACHE.clear()
         budgeted = build_dataset(
             SMALL_CONFIG, population, cache_dir=tmp_path / "b", jobs=1,
-            deadline=600.0, retry_jitter_seed=7,
+            deadline=600.0,
         )
         assert np.array_equal(budgeted.mica, reference.mica)
         assert np.array_equal(budgeted.hpc, reference.hpc)

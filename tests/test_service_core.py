@@ -4,9 +4,8 @@ Covers the pieces the HTTP fault matrix builds on: the circuit
 breaker's state machine (including the single half-open probe slot),
 the bounded admission queue and its deadline watchdog, the job
 registry's first-writer-wins transitions and bounded terminal history,
-the readiness policy, and the deterministic seedable retry jitter
-(satellite: bounds, determinism, the :data:`_RETRY_BACKOFF_CAP`
-ceiling).
+the readiness policy, and the deterministic per-token retry jitter
+(bounds, determinism, the :data:`_RETRY_BACKOFF_CAP` ceiling).
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from repro.errors import (
     ServiceDrainingError,
     ServiceError,
 )
-from repro.experiments.dataset import _RETRY_BACKOFF_CAP, _retry_delay
+from repro.experiments import retry_delay
+from repro.experiments.dataset import _RETRY_BACKOFF_CAP
 from repro.service import CircuitBreaker, JobRegistry, ServiceQueue
 from repro.service.health import readiness
 
@@ -425,44 +425,27 @@ class TestReadiness:
 
 
 class TestRetryJitter:
-    """Satellite: deterministic seedable jitter in the retry sleeps."""
-
-    def test_unseeded_keeps_the_historical_schedule(self):
-        assert _retry_delay(0.1, 0) == pytest.approx(0.1)
-        assert _retry_delay(0.1, 3) == pytest.approx(0.8)
+    """Deterministic per-token jitter in the retry sleeps."""
 
     def test_cap_is_the_ceiling_with_or_without_jitter(self):
-        assert _retry_delay(0.5, 10) == _RETRY_BACKOFF_CAP
-        for seed in range(20):
-            assert (
-                _retry_delay(0.5, 10, jitter_seed=seed, token="x")
-                <= _RETRY_BACKOFF_CAP
-            )
+        for index in range(20):
+            assert retry_delay(0.5, 11, f"x{index}") <= _RETRY_BACKOFF_CAP
 
     def test_zero_backoff_never_sleeps(self):
-        assert _retry_delay(0.0, 5, jitter_seed=7, token="x") == 0.0
-        assert _retry_delay(-1.0, 5) == 0.0
+        assert retry_delay(0.0, 6, "x") == 0.0
+        assert retry_delay(-1.0, 6, "x") == 0.0
 
     @pytest.mark.parametrize("round_index", [0, 1, 2, 5])
     def test_jitter_bounds(self, round_index):
-        base = _retry_delay(0.1, round_index)
-        for seed in range(50):
-            jittered = _retry_delay(
-                0.1, round_index, jitter_seed=seed, token="bench"
-            )
+        base = min(0.1 * 2 ** round_index, _RETRY_BACKOFF_CAP)
+        for index in range(50):
+            jittered = retry_delay(0.1, round_index + 1, f"bench{index}")
             assert base / 2.0 <= jittered <= base
 
     def test_deterministic_for_same_seed_token_round(self):
-        first = _retry_delay(0.1, 2, jitter_seed=42, token="mcf")
-        second = _retry_delay(0.1, 2, jitter_seed=42, token="mcf")
-        assert first == second
+        assert retry_delay(0.1, 3, "mcf") == retry_delay(0.1, 3, "mcf")
 
     def test_desynchronizes_across_seeds_and_tokens(self):
-        by_seed = {
-            _retry_delay(0.1, 2, jitter_seed=seed, token="mcf")
-            for seed in range(8)
-        }
-        assert len(by_seed) > 1
-        assert _retry_delay(0.1, 2, jitter_seed=1, token="mcf") != (
-            _retry_delay(0.1, 2, jitter_seed=1, token="swim")
-        )
+        by_token = {retry_delay(0.1, 3, f"job{index}") for index in range(8)}
+        assert len(by_token) > 1
+        assert retry_delay(0.1, 3, "mcf") != retry_delay(0.1, 3, "swim")
