@@ -15,8 +15,8 @@ Subcommands::
                             reproduce one table/figure
     all                     the full report
 
-Global flags ``--jobs`` and ``--cache-dir`` control dataset-build
-parallelism and the characterization cache location.
+Global flags ``--jobs`` and ``--cache-dir`` control worker processes
+(dataset builds and ``characterize --shards``) and the cache location.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def _dataset_kwargs(args: argparse.Namespace) -> dict:
         kwargs["max_attempts"] = _positive_attempts(args.max_attempts)
     if getattr(args, "retry_backoff", None) is not None:
         kwargs["retry_backoff"] = args.retry_backoff
-    if getattr(args, "shards", None):
-        if args.shards < 1:
-            raise ReproError(f"--shards must be >= 1, got {args.shards}")
-        kwargs["shards"] = args.shards
     return kwargs
 
 
@@ -93,25 +89,23 @@ def _load_trace(name: str, config):
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from .mica import characterize
+    from .perf import sharded_characterize
 
     config = _make_config(args)
-    shards = args.shards or None
-    shard_size = args.shard_size or None
-    if shards is not None and shard_size is not None:
-        raise ReproError(
-            "give at most one of --shards and --shard-size"
-        )
+    if args.shards and args.shard_size:
+        raise ReproError("give at most one of --shards and --shard-size")
     trace = _load_trace(args.benchmark, config)
-    if shards is None and shard_size is None:
+    if not (args.shards or args.shard_size):
         print(characterize(trace, config).format())
         return 0
     cache_dir = (
         Path(args.cache_dir)
         if args.cache_dir and not args.no_cache else None
     )
-    print(characterize(
-        trace, config, shards=shards, shard_size=shard_size,
-        jobs=args.jobs or None, cache_dir=cache_dir,
+    print(sharded_characterize(
+        trace, config, shards=args.shards or None,
+        shard_size=args.shard_size or None, jobs=args.jobs or None,
+        cache_dir=cache_dir,
     ).format())
     return 0
 
@@ -495,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for dataset builds (default: cpu count)",
+        help="worker processes for dataset builds and for sharded "
+             "characterize (default: cpu count when building the data "
+             "set, 1 for characterize and serve)",
     )
     parser.add_argument(
         "--cache-dir", default="", metavar="DIR",
@@ -543,20 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dataset_parser.add_argument(
         "--retry-backoff", type=float, default=None, metavar="SECONDS",
-        help="base of the bounded exponential sleep between retry "
-             "rounds (default: 0.1; 0 disables sleeping)",
+        help="base of the bounded exponential sleep a benchmark waits "
+             "out before each retry (jittered per benchmark; default: "
+             "0.1; 0 disables sleeping)",
     )
     dataset_parser.add_argument(
         "--journal", nargs="?", const="", default=None, metavar="PATH",
         help="record a crash-safe write-ahead journal of the build "
              "(default path: journal-dataset-<key>.jsonl beside the "
              "cache), so a killed build can be finished with --resume",
-    )
-    dataset_parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="characterize each trace through the shard-mergeable "
-             "engine split into N shards (fills the per-shard cache "
-             "level; results stay bit-for-bit identical)",
     )
     dataset_parser.add_argument(
         "--resume", action="store_true",

@@ -17,13 +17,7 @@ import hashlib
 import os
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +43,7 @@ from ..perf.cache import (
     cached_generate_trace,
 )
 from ..perf.integrity import QuarantineEvent
+from ..perf.pool import in_flight_window, new_executor
 from ..synth import TRACE_GEN_VERSION
 from ..uarch import HPC_METRIC_NAMES, HPC_SIM_VERSION
 from ..workloads import Benchmark, all_benchmarks, get_benchmark
@@ -199,9 +194,7 @@ class WorkloadDataset:
         return list(HPC_METRIC_NAMES)
 
 
-def _characterize_one(
-    args: "Tuple[str, ReproConfig, str | None, int | None]"
-):
+def _characterize_one(args: "Tuple[str, ReproConfig, str | None]"):
     """Worker: build one benchmark's MICA and HPC vectors.
 
     Runs in a separate process, so it re-resolves the benchmark from
@@ -212,20 +205,16 @@ def _characterize_one(
     content-keyed characterization cache above it, and the 7-metric
     vector through the content+machine-keyed HPC cache beside it (warm
     runs never run a pipeline model) — all shared across workers and
-    runs.  When ``shards`` is given, a characterization miss computes
-    through the shard-mergeable engine (bit-for-bit identical), so the
-    per-shard cache level fills alongside the per-trace one.
+    runs.
     """
-    name, config, cache_dir, shards = args
+    name, config, cache_dir = args
     faults.maybe_fail_worker(name)
     integrity.drain_quarantine_log()  # discard events of earlier jobs
     profile = get_benchmark(name).profile
     trace = cached_generate_trace(
         profile, config.trace_length, cache_dir=cache_dir
     )
-    mica_vector = cached_characterize(
-        trace, config, cache_dir, shards=shards
-    ).values
+    mica_vector = cached_characterize(trace, config, cache_dir).values
     hpc_vector = cached_collect_hpc(trace, cache_dir=cache_dir).values
     entries: Dict[str, str] = {}
     if cache_dir is not None:
@@ -413,27 +402,6 @@ def retry_delay(backoff: float, attempt: int, token: str) -> float:
     return delay * (0.5 + 0.5 * unit)
 
 
-#: Attempts kept in flight per pool worker: enough to keep the pool fed
-#: between completions, few enough that one worker crash takes down
-#: only a handful of pool-mates.
-_WINDOW_PER_WORKER = 2
-
-
-class _InlineExecutor(Executor):
-    """The ``jobs=1`` executor: ``submit`` runs the call in-process.
-
-    No pool and no pickling; the returned future is already finished.
-    """
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as error:
-            future.set_exception(error)
-        return future
-
-
 def _run_jobs(
     jobs: "Dict[str, tuple]",
     order: Sequence[str],
@@ -447,10 +415,11 @@ def _run_jobs(
 ) -> _JobOutcomes:
     """Build every job through one executor and a bounded window.
 
+    The executor and window come from :mod:`repro.perf.pool`:
     ``worker_count == 1`` runs attempts in-process with a window of one,
     so the journal reads attempt A, completed A, attempt B, ...;
-    otherwise a ``ProcessPoolExecutor`` is kept fed with up to
-    ``_WINDOW_PER_WORKER * worker_count`` attempts.  Every submission
+    otherwise a process pool is kept fed with up to
+    ``in_flight_window(worker_count)`` attempts.  Every submission
     first waits out the benchmark's retry backoff (charged failures
     only), then checks the deadline and the attempt budget, and
     journals the attempt before submitting it (attempts of a killed run
@@ -462,19 +431,14 @@ def _run_jobs(
     declared failed after ``max_attempts`` charged attempts, or after a
     charged failure past the deadline, and the failure names it.
     """
-    def new_executor():
-        if worker_count == 1:
-            return _InlineExecutor()
-        return ProcessPoolExecutor(max_workers=worker_count)
-
-    window = 1 if worker_count == 1 else _WINDOW_PER_WORKER * worker_count
+    window = in_flight_window(worker_count)
     outcomes = _JobOutcomes(journal)
     outcomes.attempts.update(initial_attempts)
     pending = deque(order)
     retry_at: Dict[str, float] = {}  # charged failure -> earliest retry
     alone: "set[str]" = set()  # lost to a broken pool: run one at a time
     in_flight: "Dict[Future, str]" = {}
-    executor = new_executor()
+    executor = new_executor(worker_count)
     try:
         while pending or in_flight:
             broken = False
@@ -558,7 +522,7 @@ def _run_jobs(
             pending.extendleft(reversed(reruns))
             if broken:
                 executor.shutdown(wait=False, cancel_futures=True)
-                executor = new_executor()
+                executor = new_executor(worker_count)
                 outcomes.pool_rebuilds += 1
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
@@ -730,7 +694,6 @@ def build_dataset(
     retry_backoff: float = 0.1,
     deadline: "float | None" = None,
     journal: "Path | str | None" = None,
-    shards: "int | None" = None,
 ) -> WorkloadDataset:
     """Build (or load) the workload data set.
 
@@ -743,7 +706,8 @@ def build_dataset(
             :mod:`repro.perf` characterization entries.
         use_cache: consult/populate the caches.
         jobs: worker-process count (default: ``os.cpu_count()``, capped
-            at the benchmark count; 1 runs serially in-process).
+            at the benchmark count; 1 runs serially in-process).  Pool
+            workers exit by themselves if the building process dies.
         progress: print one line per completed benchmark.
         strict: when True (default), raise
             :class:`~repro.errors.DatasetBuildError` — carrying the
@@ -776,12 +740,6 @@ def build_dataset(
             converges to the cold build's exact result.  Starting a
             build truncates any previous journal at this path
             atomically.
-        shards: when given, each worker characterizes its trace through
-            the shard-mergeable engine split into this many contiguous
-            shards (bit-for-bit identical results; the per-shard cache
-            level fills alongside the per-trace one, so overlapping or
-            extended traces reuse warm shards).  ``None`` keeps the
-            one-shot path.
 
     The result is identical — bit-for-bit — whether built serially with
     cold caches or with ``jobs=N`` against warm caches; workers are pure
@@ -799,7 +757,7 @@ def build_dataset(
         config=config, benchmarks=benchmarks, cache_dir=cache_dir,
         use_cache=use_cache, jobs=jobs, progress=progress, strict=strict,
         max_attempts=max_attempts, retry_backoff=retry_backoff,
-        deadline=deadline, journal=journal, resume=False, shards=shards,
+        deadline=deadline, journal=journal, resume=False,
     )
 
 
@@ -815,7 +773,6 @@ def resume_dataset(
     retry_backoff: float = 0.1,
     deadline: "float | None" = None,
     journal: "Path | str | None" = None,
-    shards: "int | None" = None,
 ) -> WorkloadDataset:
     """Resume a journaled build after the process died mid-way.
 
@@ -846,7 +803,7 @@ def resume_dataset(
         config=config, benchmarks=benchmarks, cache_dir=cache_dir,
         use_cache=use_cache, jobs=jobs, progress=progress, strict=strict,
         max_attempts=max_attempts, retry_backoff=retry_backoff,
-        deadline=deadline, journal=journal, resume=True, shards=shards,
+        deadline=deadline, journal=journal, resume=True,
     )
 
 
@@ -864,7 +821,6 @@ def _build_or_resume(
     deadline: "float | None",
     journal: "Path | str | None",
     resume: bool,
-    shards: "int | None",
 ) -> WorkloadDataset:
     names, suites, key = _population(config, benchmarks)
     directory = Path(cache_dir or default_cache_dir())
@@ -879,9 +835,7 @@ def _build_or_resume(
             return dataset
 
     trace_cache_dir = str(directory) if use_cache else None
-    jobs_by_name = {
-        name: (name, config, trace_cache_dir, shards) for name in names
-    }
+    jobs_by_name = {name: (name, config, trace_cache_dir) for name in names}
 
     wal = None
     preloaded: Dict[str, Tuple[np.ndarray, np.ndarray, int]] = {}

@@ -31,7 +31,6 @@ from .segmented import (
 from .shard import (
     SECTION_ORDER,
     ShardState,
-    characterize_stream,
     finalize_state,
     merge_states,
     ppm_shard_correct,
@@ -63,7 +62,6 @@ __all__ = [
     "segmented_producer_indices",
     "SECTION_ORDER",
     "ShardState",
-    "characterize_stream",
     "finalize_state",
     "merge_states",
     "ppm_shard_correct",

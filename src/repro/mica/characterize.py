@@ -74,28 +74,19 @@ class CharacteristicVector:
 
 
 def characterize(
-    trace: Trace,
-    config: ReproConfig = DEFAULT_CONFIG,
-    *,
-    shards: "int | None" = None,
-    shard_size: "int | None" = None,
-    jobs: "int | None" = None,
-    cache_dir=None,
+    trace: Trace, config: ReproConfig = DEFAULT_CONFIG
 ) -> CharacteristicVector:
     """Compute all 47 microarchitecture-independent characteristics.
+
+    One pass over an in-memory trace.  Traces too large for memory go
+    through the shard engine instead
+    (:func:`repro.perf.sharding.sharded_characterize`), which returns
+    the same bits.
 
     Args:
         trace: the dynamic instruction trace to characterize.
         config: reproduction configuration (window sizes, thresholds,
             granularities, PPM order).
-        shards: when given, characterize through the shard-mergeable
-            engine split into this many contiguous shards — bit-for-bit
-            identical to the one-shot path for every geometry.
-        shard_size: or split into fixed-size shards of this many rows.
-        jobs: worker processes for the intra-trace fan-out (sharded
-            path only); ``None``/``<= 1`` streams sequentially.
-        cache_dir: per-shard cold-state cache directory (sharded path
-            only; see :class:`repro.perf.cache.ShardCache`).
 
     Returns:
         The benchmark's :class:`CharacteristicVector`.
@@ -103,17 +94,6 @@ def characterize(
     Raises:
         CharacterizationError: for an empty trace.
     """
-    if shards is not None or shard_size is not None or jobs is not None:
-        # Imported lazily: repro.perf imports repro.mica at its top
-        # level, so the sharded driver cannot be a module-level import.
-        from ..perf.sharding import sharded_characterize
-
-        if shards is None and shard_size is None:
-            shards = jobs  # N workers want at least N shards
-        return sharded_characterize(
-            trace, config, shards=shards, shard_size=shard_size,
-            jobs=jobs, cache_dir=cache_dir,
-        )
     if len(trace) == 0:
         raise CharacterizationError("cannot characterize an empty trace")
     producers = producer_indices(trace)

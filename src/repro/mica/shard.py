@@ -43,9 +43,8 @@ Per-section carry design (what crosses a shard boundary):
   from a rooted incoming prefix state and adds its count tables to the
   in-shard prior counts — reusing the one-shot vectorized kernels.
 
-The drivers (sequential streaming fold and the two-round parallel
-scheduler in :mod:`repro.perf.sharding`) are thin compositions of these
-three operations.
+The shard fold in :mod:`repro.perf.sharding` is a thin composition of
+these operations.
 """
 
 from __future__ import annotations
@@ -1413,62 +1412,21 @@ def finalize_state(
     return values
 
 
-def characterize_stream(
-    source,
-    bounds: "Sequence[Tuple[int, int]]",
-    config,
-    wanted: "Optional[np.ndarray]" = None,
-) -> np.ndarray:
-    """Sequentially fold a chunked source through the shard engine.
-
-    One shard's columns are resident at a time: each chunk first runs
-    the PPM prediction pass against the rooted prefix state, then its
-    cold state merges into the prefix.  This is the constant-memory
-    out-of-core path; the parallel scheduler
-    (:mod:`repro.perf.sharding`) runs the same two phases fanned over
-    workers.
-    """
-    if wanted is None:
-        wanted = resolve_wanted()
-    want_ppm = bool(wanted[_PPM_SLICE].any())
-    if want_ppm:
-        _check_shard_max_order(config.ppm_max_order)
-    prefix: "Optional[ShardState]" = None
-    correct = np.zeros(len(VARIANTS), dtype=np.int64)
-    for start, chunk in source.iter_shards(bounds):
-        if want_ppm:
-            carry = (
-                prefix.ppm
-                if prefix is not None
-                else ppm_empty_state(config.ppm_max_order)
-            )
-            correct += ppm_shard_correct(
-                chunk, carry, config.ppm_max_order
-            )
-        delta = shard_state(chunk, start, config, wanted)
-        prefix = (
-            delta
-            if prefix is None
-            else merge_states(prefix, delta, config)
-        )
-    if prefix is None:
-        raise CharacterizationError(
-            "cannot characterize an empty shard stream"
-        )
-    return finalize_state(
-        prefix, correct if want_ppm else None, config, wanted
-    )
-
-
 # -- serialization (shard cache entries, worker transport) ----------------
+
+
+def sections_mask(sections: "Sequence[str]") -> int:
+    """Bit ``i`` set for each of ``sections`` at ``SECTION_ORDER[i]``."""
+    return sum(
+        1 << position
+        for position, name in enumerate(SECTION_ORDER)
+        if name in sections
+    )
 
 
 def state_to_arrays(state: ShardState) -> "Dict[str, np.ndarray]":
     """Flatten a shard state into named arrays (one ``.npz`` entry)."""
-    mask = 0
-    for position, name in enumerate(SECTION_ORDER):
-        if name in state.sections:
-            mask |= 1 << position
+    mask = sections_mask(state.sections)
     max_order = state.ppm.max_order if state.ppm is not None else -1
     arrays: "Dict[str, np.ndarray]" = {
         "meta": np.array(

@@ -353,16 +353,14 @@ def cached_characterize(
     trace: Trace,
     config: ReproConfig = DEFAULT_CONFIG,
     cache_dir: "Path | str | None" = None,
-    shards: "int | None" = None,
 ) -> CharacteristicVector:
     """:func:`repro.mica.characterize` behind the on-disk cache.
 
     With ``cache_dir=None`` this is exactly ``characterize``; otherwise
-    hits skip every analyzer and misses populate the cache.  With
-    ``shards``, misses compute through the shard-mergeable engine
-    (bit-for-bit identical, so the final-vector cache entry is the same
-    either way) and each shard's cold state additionally goes through
-    the per-shard :class:`ShardCache` level.
+    hits skip every analyzer and misses populate the cache.  The trace
+    is already in memory, so a miss runs the one-shot engine; the shard
+    engine (:func:`repro.perf.sharding.sharded_characterize`) is for
+    traces that are not.
 
     Returns:
         The trace's :class:`~repro.mica.CharacteristicVector` (cached
@@ -373,7 +371,7 @@ def cached_characterize(
         values = cache.load(trace, config)
         if values is not None:
             return CharacteristicVector(name=trace.name, values=values)
-    vector = characterize(trace, config, shards=shards, cache_dir=cache_dir)
+    vector = characterize(trace, config)
     if cache is not None:
         cache.store_or_degrade(trace, config, vector.values)
     return vector

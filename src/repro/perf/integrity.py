@@ -45,7 +45,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,11 @@ def drain_quarantine_log() -> Tuple[QuarantineEvent, ...]:
     events = tuple(_QUARANTINE_LOG)
     _QUARANTINE_LOG.clear()
     return events
+
+
+def record_quarantines(events: "Sequence[QuarantineEvent]") -> None:
+    """Append events (e.g. returned by a worker process) to the log."""
+    _QUARANTINE_LOG.extend(events)
 
 
 # ---------------------------------------------------------------------------

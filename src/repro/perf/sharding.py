@@ -1,40 +1,29 @@
-"""Shard scheduler: stream or fan one trace's shards across workers.
+"""Shard fold: one pass over a trace's shards, for any worker count.
 
-This is the driver layer over the shard-mergeable engine
-(:mod:`repro.mica.shard`).  :func:`sharded_characterize` splits one
-trace into contiguous shards and characterizes it either
+The layer over the shard-mergeable engine (:mod:`repro.mica.shard`),
+for traces too large for RAM (pair it with a
+:class:`~repro.trace.MappedTraceSource`).  :func:`fold_shards` has
+workers compute each shard's *cold* state (carry-free, so cacheable)
+and merges the states into the prefix in shard order as they arrive
+from a bounded window; once the prefix reaches a shard, the shard's
+PPM prediction pass is submitted with the prefix's rooted PPM state as
+its carry.  The result is bit-for-bit identical to one-shot
+:func:`repro.mica.characterize` for every shard geometry and ``jobs``.
 
-* **sequentially** (``jobs <= 1``): a streaming fold that keeps one
-  shard's rows resident at a time — the out-of-core path for traces
-  much larger than RAM (pair with a
-  :class:`~repro.trace.MappedTraceSource`); or
-* **in parallel** (``jobs > 1``): a two-round fan-out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` — the intra-trace
-  parallelism axis alongside the per-benchmark axis of
-  :func:`repro.experiments.build_dataset`.
-
-The two-round structure mirrors the engine's split between cold and
-carry-dependent state: round 1 computes every shard's *cold* mergeable
-state independently (embarrassingly parallel, shard-cacheable); the
-parent then runs the cheap sequential prefix merge, which yields each
-shard's rooted incoming PPM carry; round 2 runs the carry-dependent
-PPM prediction pass per shard in parallel.  Everything else about the
-result comes from :func:`~repro.mica.shard.finalize_state`, so the
-output is bit-for-bit identical to one-shot
-:func:`repro.mica.characterize` for every shard geometry and worker
-count.
-
-Cold states go through the per-shard cache level
-(:class:`~repro.perf.cache.ShardCache`) when a cache directory is
-given: entries key by shard content hash x absolute offset x
-characterization fingerprint, so re-characterizing an extended trace
-reuses every warm shard whose byte range lines up.
+Only the executor depends on ``jobs`` (:mod:`repro.perf.pool`):
+``jobs <= 1`` runs each call in-process with a window of one, so one
+shard's rows are resident at a time; ``jobs > 1`` feeds a process pool.
+Cold states go through the :class:`~repro.perf.cache.ShardCache` when
+a cache directory is given (keyed by shard content hash x absolute
+offset x characterization fingerprint, so an extended trace reuses
+every warm shard whose byte range lines up), and entries a worker
+quarantines reach the caller's quarantine log for every ``jobs``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,12 +32,12 @@ from ..errors import CharacterizationError
 from ..mica import CharacteristicVector
 from ..mica.characteristics import resolve_wanted, wanted_sections
 from ..mica.shard import (
-    SECTION_ORDER,
     ShardState,
     finalize_state,
     merge_states,
     ppm_empty_state,
     ppm_shard_correct,
+    sections_mask,
     shard_state,
     state_from_arrays,
     state_to_arrays,
@@ -62,6 +51,7 @@ from ..trace import (
 )
 from . import integrity
 from .cache import ShardCache, shard_entry_key, trace_fingerprint
+from .pool import in_flight_window, new_executor
 
 # -- instrumentation seam ---------------------------------------------------
 #
@@ -83,164 +73,134 @@ def reset_cold_state_call_count() -> None:
     _COLD_STATE_CALLS = 0
 
 
-def _sections_mask(sections: "Sequence[str]") -> int:
-    return sum(
-        1 << position
-        for position, name in enumerate(SECTION_ORDER)
-        if name in sections
-    )
-
-
-def _cold_state(
-    chunk: Trace,
-    start: int,
-    config: ReproConfig,
-    wanted: np.ndarray,
-    cache_dir,
-) -> ShardState:
-    """One shard's cold state, through the shard cache when enabled."""
-    global _COLD_STATE_CALLS
-    cache = None if cache_dir is None else ShardCache(cache_dir)
-    if cache is not None:
-        key = shard_entry_key(
-            trace_fingerprint(chunk), start, config,
-            _sections_mask(wanted_sections(wanted)),
-        )
-        arrays = cache.load(key)
-        if arrays is not None:
-            return state_from_arrays(arrays)
-    _COLD_STATE_CALLS += 1
-    state = shard_state(chunk, start, config, wanted)
-    if cache is not None:
-        cache.store_or_degrade(key, state_to_arrays(state))
-    return state
-
-
 # -- worker-side shard transport --------------------------------------------
 #
 # A shard *spec* is a small picklable description of how a worker
-# process re-materializes its chunk: mapped sources ship (path, start,
-# end) so only the worker touches the rows; in-memory sources ship the
-# rows themselves (copy-on-write under fork, one pickled slice under
-# spawn — still bounded by shard size per in-flight task).
+# re-materializes its chunk: mapped sources ship (path, start, end) so
+# only the worker touches the rows; in-memory sources ship the rows
+# themselves (a view in-process, one pickled slice per in-flight call
+# in a pool — bounded by shard size either way).
 
 
 def _shard_spec(source: TraceSource, start: int, end: int):
     if isinstance(source, MappedTraceSource):
-        return ("file", source.path, source.name, start, end)
-    return ("mem", source.shard(start, end).data, source.name, start)
+        return (source.path, source.name, start, end)
+    return (source.shard(start, end).data, source.name, start, end)
 
 
 def _load_chunk(spec) -> "Tuple[Trace, int]":
-    if spec[0] == "mem":
-        _, rows, name, start = spec
-        return Trace(rows, name=name), start
-    _, path, name, start, end = spec
-    return MappedTraceSource(path, name=name).shard(start, end), start
+    where, name, start, end = spec
+    if isinstance(where, str):
+        return MappedTraceSource(where, name=name).shard(start, end), start
+    return Trace(where, name=name), start
 
 
-def _round1_worker(args):
-    """Worker: one shard's cold mergeable state (serialized)."""
+def _cold_worker(args):
+    """Worker: one shard's serialized cold state and its quarantines.
+
+    The state comes through the shard cache when one is given.
+    """
+    global _COLD_STATE_CALLS
     spec, config, wanted, cache_dir = args
     integrity.drain_quarantine_log()  # discard events of earlier jobs
     chunk, start = _load_chunk(spec)
-    state = _cold_state(chunk, start, config, wanted, cache_dir)
-    return state_to_arrays(state)
+    cache = None if cache_dir is None else ShardCache(cache_dir)
+    arrays = None
+    if cache is not None:
+        key = shard_entry_key(
+            trace_fingerprint(chunk), start, config,
+            sections_mask(wanted_sections(wanted)),
+        )
+        arrays = cache.load(key)
+    if arrays is None:
+        _COLD_STATE_CALLS += 1
+        arrays = state_to_arrays(shard_state(chunk, start, config, wanted))
+        if cache is not None:
+            cache.store_or_degrade(key, arrays)
+    return arrays, integrity.drain_quarantine_log()
 
 
-def _round2_worker(args):
+def _ppm_worker(args):
     """Worker: one shard's PPM correct counts given its rooted carry."""
     spec, max_order, carry = args
     chunk, _ = _load_chunk(spec)
     return ppm_shard_correct(chunk, carry, max_order)
 
 
-# -- drivers ----------------------------------------------------------------
+# -- the fold ---------------------------------------------------------------
 
 
-def _prefix_carries(
-    states: "List[ShardState]",
-    config: ReproConfig,
-    want_ppm: bool,
-) -> "Tuple[ShardState, list]":
-    """Sequential prefix merge: (full merged state, per-shard carries)."""
-    carries = []
-    merged: "Optional[ShardState]" = None
-    for state in states:
-        if want_ppm:
-            carries.append(
-                merged.ppm if merged is not None
-                else ppm_empty_state(config.ppm_max_order)
-            )
-        merged = (
-            state if merged is None
-            else merge_states(merged, state, config)
-        )
-    return merged, carries
-
-
-def _stream_characterize(
+def fold_shards(
     source: TraceSource,
     bounds: "Sequence[Tuple[int, int]]",
-    config: ReproConfig,
-    wanted: np.ndarray,
-    cache_dir,
+    config: ReproConfig = DEFAULT_CONFIG,
+    wanted: "Optional[np.ndarray]" = None,
+    *,
+    jobs: "Optional[int]" = None,
+    cache_dir=None,
 ) -> np.ndarray:
-    """Sequential fold: one shard resident at a time, cache-aware."""
-    want_ppm = "branch predictability" in wanted_sections(wanted)
-    correct = np.zeros(4, dtype=np.int64)
-    prefix: "Optional[ShardState]" = None
-    for start, end in bounds:
-        chunk = source.shard(start, end)
-        if want_ppm:
-            carry = (
-                prefix.ppm if prefix is not None
-                else ppm_empty_state(config.ppm_max_order)
-            )
-            correct += ppm_shard_correct(chunk, carry, config.ppm_max_order)
-        state = _cold_state(chunk, start, config, wanted, cache_dir)
-        prefix = (
-            state if prefix is None
-            else merge_states(prefix, state, config)
-        )
-    return finalize_state(prefix, correct, config, wanted)
+    """Fold ``source``'s contiguous ``bounds`` into the 47-dim values.
 
+    ``bounds`` partition ``[0, len(source))`` in order; ``wanted`` is
+    an optional 47-entry mask (unrequested entries come back NaN);
+    ``jobs`` and ``cache_dir`` are as for :func:`sharded_characterize`.
 
-def _parallel_characterize(
-    source: TraceSource,
-    bounds: "Sequence[Tuple[int, int]]",
-    config: ReproConfig,
-    wanted: np.ndarray,
-    jobs: int,
-    cache_dir,
-) -> np.ndarray:
-    """Two-round fan-out over a process pool; bit-identical reduce."""
+    Raises:
+        CharacterizationError: no shards, an empty shard, or a PPM
+            order the shard engine cannot carry.
+    """
+    if wanted is None:
+        wanted = resolve_wanted()
     want_ppm = "branch predictability" in wanted_sections(wanted)
     specs = [_shard_spec(source, start, end) for start, end in bounds]
     cache_arg = None if cache_dir is None else str(cache_dir)
-    worker_count = min(jobs, len(bounds))
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        # Round 1: cold states, embarrassingly parallel (map preserves
-        # shard order, so the reduce below stays deterministic).
-        serialized = list(pool.map(
-            _round1_worker,
-            [(spec, config, wanted, cache_arg) for spec in specs],
-        ))
-        states = [state_from_arrays(arrays) for arrays in serialized]
-        merged, carries = _prefix_carries(states, config, want_ppm)
-        # Round 2: carry-dependent PPM predictions, parallel again now
-        # that the prefix merge has rooted every shard's incoming state.
-        correct = np.zeros(4, dtype=np.int64)
-        if want_ppm:
-            for partial in pool.map(
-                _round2_worker,
-                [
-                    (spec, config.ppm_max_order, carry)
-                    for spec, carry in zip(specs, carries)
-                ],
-            ):
-                correct += partial
-    return finalize_state(merged, correct, config, wanted)
+    cold_args = [(spec, config, wanted, cache_arg) for spec in specs]
+    worker_count = max(1, min(int(jobs or 1), len(specs)))
+    window = in_flight_window(worker_count)
+    # The caller's quarantine events survive; workers' join them.
+    events = list(integrity.drain_quarantine_log())
+    prefix: "Optional[ShardState]" = None
+    correct = np.zeros(4, dtype=np.int64)
+    ppm: deque = deque()
+    try:
+        with new_executor(worker_count) as executor:
+            cold = deque(
+                executor.submit(_cold_worker, args)
+                for args in cold_args[:window]
+            )
+            for index, spec in enumerate(specs):
+                if want_ppm:
+                    if len(ppm) == window:
+                        correct += ppm.popleft().result()
+                    carry = (
+                        prefix.ppm if prefix is not None
+                        else ppm_empty_state(config.ppm_max_order)
+                    )
+                    ppm.append(executor.submit(
+                        _ppm_worker, (spec, config.ppm_max_order, carry)
+                    ))
+                arrays, raised = cold.popleft().result()
+                events.extend(raised)
+                state = state_from_arrays(arrays)
+                prefix = (
+                    state if prefix is None
+                    else merge_states(prefix, state, config)
+                )
+                if index + window < len(specs):
+                    cold.append(executor.submit(
+                        _cold_worker, cold_args[index + window]
+                    ))
+            for future in ppm:
+                correct += future.result()
+    finally:
+        integrity.record_quarantines(events)
+    if prefix is None:
+        raise CharacterizationError(
+            "cannot characterize an empty shard stream"
+        )
+    return finalize_state(
+        prefix, correct if want_ppm else None, config, wanted
+    )
 
 
 def sharded_characterize(
@@ -257,27 +217,24 @@ def sharded_characterize(
     """Characterize a trace shard-by-shard; bit-identical to one-shot.
 
     Args:
-        trace_or_source: an in-memory :class:`~repro.trace.Trace` or a
-            chunked :class:`~repro.trace.TraceSource` (use
+        trace_or_source: a :class:`~repro.trace.Trace` or a chunked
+            :class:`~repro.trace.TraceSource` (use
             :func:`~repro.trace.open_trace_source` for traces larger
             than RAM).
         config: reproduction configuration.
-        shards: split into this many near-equal contiguous shards.
-        shard_size: or split into fixed-size shards of this many rows
-            (exactly one of ``shards``/``shard_size`` is required).
-        jobs: worker processes for the intra-trace fan-out; ``None`` or
-            ``<= 1`` streams sequentially in-process (the out-of-core
-            path).
+        shards: split into this many near-equal contiguous shards, or
+        shard_size: into fixed-size shards of this many rows (give
+            exactly one).
+        jobs: worker processes; ``None`` or ``<= 1`` folds in-process
+            with one shard resident at a time (the out-of-core path).
         cache_dir: when given, every shard's cold state goes through
             the content-keyed :class:`~repro.perf.cache.ShardCache`.
-        categories: optional Table II category names to compute
-            (others come back NaN), as in segmented characterization.
-        indices: optional characteristic indices to compute.
+        categories / indices: optional Table II categories or
+            characteristic indices to compute (others come back NaN).
 
     Returns:
-        The trace's :class:`~repro.mica.CharacteristicVector` —
-        bit-for-bit identical to :func:`repro.mica.characterize` where
-        computed, NaN where not requested.
+        The trace's :class:`~repro.mica.CharacteristicVector`,
+        bit-for-bit :func:`repro.mica.characterize` where computed.
 
     Raises:
         CharacterizationError: empty trace, unknown category or
@@ -290,12 +247,7 @@ def sharded_characterize(
         raise CharacterizationError("cannot characterize an empty trace")
     bounds = shard_bounds(n, shards=shards, shard_size=shard_size)
     wanted = resolve_wanted(categories, indices)
-    if jobs is None or jobs <= 1 or len(bounds) == 1:
-        values = _stream_characterize(
-            source, bounds, config, wanted, cache_dir
-        )
-    else:
-        values = _parallel_characterize(
-            source, bounds, config, wanted, int(jobs), cache_dir
-        )
+    values = fold_shards(
+        source, bounds, config, wanted, jobs=jobs, cache_dir=cache_dir
+    )
     return CharacteristicVector(name=source.name, values=values)

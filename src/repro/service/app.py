@@ -86,10 +86,6 @@ class ServiceSettings:
         drain_timeout: seconds granted to in-flight jobs on SIGTERM.
         max_trace_length: ceiling on requested trace lengths.
         max_body_bytes: largest accepted request body.
-        shards: when set, cold characterize jobs compute through the
-            shard-mergeable engine split into this many contiguous
-            shards (bit-for-bit identical results; fills the per-shard
-            cache level so overlapping traces reuse warm shards).
         state_dir: durable-state directory.  When set, admissions and
             terminal transitions are write-ahead journaled there
             (``journal-service-jobs.jsonl``): a restarted service
@@ -118,7 +114,6 @@ class ServiceSettings:
     max_trace_length: int = 1_000_000
     max_body_bytes: int = 1 << 20
     state_dir: "Path | str | None" = None
-    shards: "int | None" = None
 
 
 # ---------------------------------------------------------------------------
@@ -875,9 +870,7 @@ class CharacterizationService:
         trace = self._job_trace(job)
         self._checkpoint(job)
         vector = cached_characterize(
-            trace, self._config_for(job.params),
-            self._compute_cache_dir(),
-            shards=self.settings.shards,
+            trace, self._config_for(job.params), self._compute_cache_dir()
         )
         return characterize_payload(
             job.params["benchmark"], job.params["trace_length"],

@@ -161,16 +161,8 @@ class MemoryTraceSource(TraceSource):
         return len(self._trace)
 
     def _rows(self, start: int, end: int) -> np.ndarray:
+        # A view: shards share the trace's backing array, no copy.
         return self._trace.data[start:end]
-
-    def shard(self, start: int, end: int) -> Trace:
-        n = len(self)
-        if not 0 <= start < end <= n:
-            raise TraceError(
-                f"bad shard bounds [{start}, {end}) for length {n}"
-            )
-        # Slicing a Trace shares the backing array — no copy needed.
-        return self._trace[start:end]
 
 
 class MappedTraceSource(TraceSource):

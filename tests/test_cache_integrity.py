@@ -32,6 +32,7 @@ from repro.perf import (
     faults,
     integrity,
     reset_cache_degradation,
+    sharded_characterize,
     sweep_temporaries,
     verify_cache,
 )
@@ -55,7 +56,7 @@ def _populate_all_levels(trace, directory) -> None:
     cached_generate_trace(PROFILE, 2_000, cache_dir=directory)
     mica = cached_characterize(trace, SMALL_CONFIG, directory).values
     hpc = cached_collect_hpc(trace, cache_dir=directory).values
-    characterize(trace, SMALL_CONFIG, shards=2, cache_dir=directory)
+    sharded_characterize(trace, SMALL_CONFIG, shards=2, cache_dir=directory)
     DatasetCache(directory).store("population", mica[None], hpc[None])
 
 

@@ -320,17 +320,6 @@ class TestShardFlagExitCodes:
         ]) == 0
         assert capsys.readouterr().out == one_shot
 
-    def test_dataset_negative_shards_is_rejected(self):
-        args = build_parser().parse_args(["dataset", "--shards", "-2"])
-        with pytest.raises(Exception, match="--shards must be >= 1"):
-            _dataset_kwargs(args)
-
-    def test_dataset_shards_thread_through_kwargs(self):
-        args = build_parser().parse_args(["dataset", "--shards", "3"])
-        assert _dataset_kwargs(args)["shards"] == 3
-        args = build_parser().parse_args(["dataset"])
-        assert "shards" not in _dataset_kwargs(args)
-
     def test_corrupted_shard_entry_exits_one(self, tmp_path, capsys):
         from repro.config import ReproConfig as _Config
         from repro.perf import sharded_characterize

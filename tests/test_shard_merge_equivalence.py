@@ -28,7 +28,6 @@ from repro.errors import CharacterizationError, TraceError
 from repro.mica import characterize
 from repro.mica.shard import (
     SECTION_ORDER,
-    characterize_stream,
     finalize_state,
     merge_states,
     ppm_empty_state,
@@ -44,6 +43,7 @@ from repro.perf import (
     sharded_characterize,
     trace_fingerprint,
 )
+from repro.perf.sharding import fold_shards
 from repro.synth import WorkloadProfile, generate_trace
 from repro.trace import (
     MappedTraceSource,
@@ -79,9 +79,7 @@ def _random_bounds(n: int, rng: np.random.Generator):
 
 
 def _stream_values(trace, bounds, config=CONFIG, wanted=None):
-    return characterize_stream(
-        as_trace_source(trace), bounds, config, wanted
-    )
+    return fold_shards(as_trace_source(trace), bounds, config, wanted)
 
 
 class TestPopulationEquivalence:
@@ -255,19 +253,6 @@ class TestParallelScheduler:
         )
         assert _bitwise_equal(
             result.values, characterize(small_trace, CONFIG).values
-        )
-
-    def test_characterize_entrypoint_shards(self, small_trace):
-        # characterize(trace, shards=N) routes through the scheduler.
-        assert _bitwise_equal(
-            characterize(small_trace, CONFIG, shards=6).values,
-            characterize(small_trace, CONFIG).values,
-        )
-
-    def test_jobs_alone_implies_shards(self, small_trace):
-        assert _bitwise_equal(
-            characterize(small_trace, CONFIG, jobs=2).values,
-            characterize(small_trace, CONFIG).values,
         )
 
 
