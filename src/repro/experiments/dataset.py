@@ -38,13 +38,11 @@ from ..perf.cache import (
     DatasetCache,
     HpcCache,
     TraceCache,
-    cached_characterize,
-    cached_collect_hpc,
-    cached_generate_trace,
+    cached_vectors,
 )
 from ..perf.integrity import QuarantineEvent
 from ..perf.pool import in_flight_window, new_executor
-from ..synth import TRACE_GEN_VERSION
+from ..synth import TRACE_GEN_VERSION, TraceRecipe
 from ..uarch import HPC_METRIC_NAMES, HPC_SIM_VERSION
 from ..workloads import Benchmark, all_benchmarks, get_benchmark
 
@@ -199,38 +197,35 @@ def _characterize_one(args: "Tuple[str, ReproConfig, str | None]"):
 
     Runs in a separate process, so it re-resolves the benchmark from
     the registry by name (profiles are deterministic).  When a cache
-    directory is given, the trace comes from the profile+seed-keyed
-    :mod:`repro.perf` trace cache (warm runs never invoke the
-    generator), the 47-dimensional vector goes through the
-    content-keyed characterization cache above it, and the 7-metric
-    vector through the content+machine-keyed HPC cache beside it (warm
-    runs never run a pipeline model) — all shared across workers and
-    runs.
+    directory is given, :func:`repro.perf.cached_vectors` first looks
+    the 47-dimensional and 7-metric vectors up by the trace's recipe (a
+    warm benchmark loads, hashes and generates no trace; it only
+    re-verifies the trace entry it rests on); only a miss loads the
+    trace from the trace cache or generates it, and computes what is
+    missing — all shared across workers and runs.
     """
     name, config, cache_dir = args
     faults.maybe_fail_worker(name)
     integrity.drain_quarantine_log()  # discard events of earlier jobs
     profile = get_benchmark(name).profile
-    trace = cached_generate_trace(
-        profile, config.trace_length, cache_dir=cache_dir
+    vectors = cached_vectors(
+        profile, config.trace_length, config=config, cache_dir=cache_dir
     )
-    mica_vector = cached_characterize(trace, config, cache_dir).values
-    hpc_vector = cached_collect_hpc(trace, cache_dir=cache_dir).values
     entries: Dict[str, str] = {}
     if cache_dir is not None:
-        # Name the cache entries this benchmark now rests on (the
-        # char/hpc keys need the trace's content hash, known only
-        # here), so a journaled build can re-verify them on resume.
+        # Name the cache entries this benchmark now rests on, so a
+        # journaled build can re-verify them on resume.
+        recipe = TraceRecipe.of(profile, config.trace_length)
         entries = {
             "trace": str(TraceCache(cache_dir).entry_path(
                 profile, config.trace_length
             )),
             "char": str(CharacterizationCache(cache_dir).entry_path(
-                trace, config
+                recipe, config
             )),
-            "hpc": str(HpcCache(cache_dir).entry_path(trace)),
+            "hpc": str(HpcCache(cache_dir).entry_path(recipe)),
         }
-    return (name, mica_vector, hpc_vector,
+    return (name, vectors["char"], vectors["hpc"],
             integrity.drain_quarantine_log(), entries)
 
 

@@ -5,15 +5,18 @@ package holds the two pieces that are about *speed* rather than paper
 semantics:
 
 * :mod:`repro.perf.cache` — the on-disk cache hierarchy, five levels
-  (``CACHE_LEVELS``): a characterization cache keyed by trace
-  **content** hash plus the configuration fingerprint (a benchmark
-  whose trace has not changed is never re-analyzed), an HPC cache keyed
-  by the same content hash plus the **machine fingerprints +
-  HPC_SIM_VERSION** (never re-simulated), a trace cache keyed by
-  **profile fingerprint + length + seed + TRACE_GEN_VERSION** (never
-  re-generated — the gap a content-addressed cache cannot close, since
-  hashing content requires the bytes), a per-shard cold-state cache,
-  and on top the dataset-level population matrices.
+  (``CACHE_LEVELS``): a characterization cache keyed by the trace's
+  **recipe** (profile fingerprint + length + seed + TRACE_GEN_VERSION)
+  when it was generated, or its **content** hash when it was read from
+  a file, plus the configuration fingerprint (a benchmark whose trace
+  has not changed is never re-analyzed); an HPC cache keyed by the same
+  trace identity plus the **machine fingerprints + HPC_SIM_VERSION**
+  (never re-simulated); a trace cache keyed by the recipe's parts (never
+  re-generated; only char/HPC misses, phase detection and a build's
+  integrity re-check read it, since recipe-keyed hits need no trace
+  bytes — see ``cached_vectors``); a
+  per-shard cold-state cache; and on top the dataset-level population
+  matrices.
 * :mod:`repro.perf.integrity` — the trust layer under every cache
   level: checksum + schema metadata embedded in each ``.npz``, verified
   loads that quarantine (never re-serve) corrupt entries, and atomic
@@ -51,6 +54,7 @@ from .cache import (
     cached_characterize,
     cached_collect_hpc,
     cached_generate_trace,
+    cached_vectors,
     is_cache_degraded,
     reset_cache_degradation,
     shard_entry_key,
@@ -94,6 +98,7 @@ __all__ = [
     "sharded_characterize",
     "cached_collect_hpc",
     "cached_generate_trace",
+    "cached_vectors",
     "faults",
     "history",
     "append_bench_history",

@@ -9,7 +9,7 @@ Five cache levels live here, one class each, listed (in scan order) by
   contents and the characterization fields of
   :class:`~repro.config.ReproConfig`.  Entries key by::
 
-      sha256(trace bytes) + config.characterization_fingerprint() + version
+      trace identity + config.characterization_fingerprint() + version
 
   and store one small ``.npz`` per trace.
 
@@ -18,25 +18,37 @@ Five cache levels live here, one class each, listed (in scan order) by
   the trace contents and the two simulated machines — so entries key
   by::
 
-      sha256(trace bytes) + inorder.fingerprint() + ooo.fingerprint()
+      trace identity + inorder.fingerprint() + ooo.fingerprint()
           + HPC_SIM_VERSION
 
   and a warm :func:`cached_collect_hpc` performs zero pipeline-model
   runs (asserted via :func:`repro.uarch.hpc_call_count`).
 
+  The *trace identity* of both levels is the trace's
+  :class:`~repro.synth.TraceRecipe` key (profile fingerprint, length,
+  seed and :data:`~repro.synth.TRACE_GEN_VERSION`) when it has one —
+  every generated or trace-cached trace does — and its content hash
+  ``sha256(trace bytes)`` otherwise (traces read from files or derived
+  by slicing and filtering).  The two parts are tagged, so a recipe key
+  and a content key never collide.  A recipe names the generated bytes
+  as tightly as their hash (``tests/data/trace_digests.json`` pins them
+  for the registry), and it is known before the trace exists:
+  :func:`cached_vectors` answers a warm request without loading,
+  hashing or generating a trace.
+
 * **Trace cache** (``trace``, below them).  Generating a trace is also
   pure — a function of the profile knobs, the length and the per-trace
-  seed — but the content-keyed caches cannot skip *generation* (hashing
-  the content requires the bytes).  The trace cache closes that gap: it
-  keys by::
+  seed — so it keys by the recipe's parts::
 
       profile.fingerprint() + length + seed + TRACE_GEN_VERSION
 
-  (no content hash needed) and stores the full instruction array,
-  uncompressed, so a warm :func:`cached_generate_trace` never runs the
-  generator at all.  Entries are ~6x larger than deflated ones (2.90 MB
-  against 0.48 MB at 100k instructions) but write in ~13 ms instead of
-  ~97 ms, which was the largest single tax on a cold build (see
+  and stores the full instruction array, uncompressed, so a warm
+  :func:`cached_generate_trace` never runs the generator at all.  Only
+  a char/HPC miss and the phase detector still need trace bytes (a
+  build also re-verifies the entry, see :func:`cached_vectors`).
+  Entries are ~6x larger than deflated ones (2.90 MB against 0.48 MB at
+  100k instructions) but write in ~13 ms instead of ~97 ms, which was
+  the largest single tax on a cold build (see
   :mod:`repro.perf.integrity`).
   :data:`~repro.synth.TRACE_GEN_VERSION` is part of the key because the
   bytes a (profile, length, seed) triple produces may legitimately
@@ -90,7 +102,12 @@ from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CacheDegradedWarning, CacheIntegrityError
 from ..isa import TRACE_DTYPE
 from ..mica import NUM_CHARACTERISTICS, CharacteristicVector, characterize
-from ..synth import TRACE_GEN_VERSION, WorkloadProfile, generate_trace
+from ..synth import (
+    TRACE_GEN_VERSION,
+    TraceRecipe,
+    WorkloadProfile,
+    generate_trace,
+)
 from ..trace import Trace
 from ..uarch import (
     EV56_CONFIG,
@@ -147,6 +164,18 @@ def trace_fingerprint(trace: Trace) -> str:
     hash is memoized on the trace (:meth:`repro.trace.Trace.fingerprint`).
     """
     return trace.fingerprint()
+
+
+def _trace_identity(trace: "Trace | TraceRecipe") -> str:
+    """The tagged key part naming a trace's bytes.
+
+    Its recipe key when it has a recipe (no byte is read), its content
+    fingerprint otherwise; the tags keep the two schemes disjoint.
+    """
+    recipe = trace if isinstance(trace, TraceRecipe) else trace.recipe
+    if recipe is not None:
+        return f"recipe={recipe.key}"
+    return f"content={trace_fingerprint(trace)}"
 
 
 def _digest(*parts: object) -> str:
@@ -320,16 +349,20 @@ class CharacterizationCache(_NpzCacheDirectory):
         return CHAR_CACHE_VERSION
 
     def entry_path(
-        self, trace: Trace, config: ReproConfig = DEFAULT_CONFIG
+        self,
+        trace: "Trace | TraceRecipe",
+        config: ReproConfig = DEFAULT_CONFIG,
     ) -> Path:
-        """Where the entry for this trace content + config lives."""
+        """Where the entry for this trace (or recipe) + config lives."""
         return self._path(_digest(
-            CHAR_CACHE_VERSION, trace_fingerprint(trace),
+            CHAR_CACHE_VERSION, _trace_identity(trace),
             config.characterization_fingerprint(),
         ))
 
     def load(
-        self, trace: Trace, config: ReproConfig = DEFAULT_CONFIG
+        self,
+        trace: "Trace | TraceRecipe",
+        config: ReproConfig = DEFAULT_CONFIG,
     ) -> "Optional[np.ndarray]":
         """The cached 47-dimensional vector, or None on a miss.
 
@@ -341,7 +374,7 @@ class CharacterizationCache(_NpzCacheDirectory):
 
     def store(
         self,
-        trace: Trace,
+        trace: "Trace | TraceRecipe",
         config: ReproConfig,
         values: np.ndarray,
     ) -> Path:
@@ -390,7 +423,7 @@ class HpcCache(_NpzCacheDirectory):
             directory with the other cache levels (distinct ``hpc-``
             file prefix).
 
-    One small ``.npz`` per (trace content, machine pair,
+    One small ``.npz`` per (trace recipe or content, machine pair,
     :data:`~repro.uarch.HPC_SIM_VERSION`) holds the seven-metric
     vector.
     """
@@ -403,19 +436,19 @@ class HpcCache(_NpzCacheDirectory):
 
     def entry_path(
         self,
-        trace: Trace,
+        trace: "Trace | TraceRecipe",
         inorder: MachineConfig = EV56_CONFIG,
         ooo: MachineConfig = EV67_CONFIG,
     ) -> Path:
-        """Where the entry for this trace content + machine pair lives."""
+        """Where the entry for this trace (or recipe) + machines lives."""
         return self._path(_digest(
-            HPC_SIM_VERSION, trace_fingerprint(trace),
+            HPC_SIM_VERSION, _trace_identity(trace),
             inorder.fingerprint(), ooo.fingerprint(),
         ))
 
     def load(
         self,
-        trace: Trace,
+        trace: "Trace | TraceRecipe",
         inorder: MachineConfig = EV56_CONFIG,
         ooo: MachineConfig = EV67_CONFIG,
     ) -> "Optional[np.ndarray]":
@@ -429,7 +462,7 @@ class HpcCache(_NpzCacheDirectory):
 
     def store(
         self,
-        trace: Trace,
+        trace: "Trace | TraceRecipe",
         inorder: MachineConfig,
         ooo: MachineConfig,
         values: np.ndarray,
@@ -500,15 +533,23 @@ class TraceCache(_NpzCacheDirectory):
     ) -> "Optional[Trace]":
         """The cached trace (renamed after the profile), or None.
 
+        The trace carries its :class:`~repro.synth.TraceRecipe`, like
+        the :func:`~repro.synth.generate_trace` output it stands for.
         Wrong-dtype or wrong-length entries are verified misses (the
         file is quarantined, not re-served).
         """
-        arrays = self._load(
+        arrays = self._verified(profile, length, seed)
+        return None if arrays is None else Trace(
+            arrays["data"], name=profile.name,
+            recipe=TraceRecipe.of(profile, length, seed),
+        )
+
+    def _verified(
+        self, profile: WorkloadProfile, length: int, seed: int
+    ) -> "Optional[Dict[str, np.ndarray]]":
+        return self._load(
             self.entry_path(profile, length, seed),
             {"data": ((length,), TRACE_DTYPE)},
-        )
-        return None if arrays is None else Trace(
-            arrays["data"], name=profile.name
         )
 
     def store(
@@ -544,6 +585,61 @@ def cached_generate_trace(
         trace = generate_trace(profile, length, seed=seed)
         cache.store_or_degrade(profile, length, seed, trace)
     return trace
+
+
+def cached_vectors(
+    profile: WorkloadProfile,
+    length: int,
+    seed: int = 0,
+    config: ReproConfig = DEFAULT_CONFIG,
+    cache_dir: "Path | str | None" = None,
+    levels: "Tuple[str, ...]" = ("char", "hpc"),
+    compute: bool = True,
+) -> "Optional[Dict[str, np.ndarray]]":
+    """The char/HPC vectors of one generated trace, probed by recipe.
+
+    Each requested level (``"char"``: the MICA vector under ``config``;
+    ``"hpc"``: the default machine pair) is first looked up by the
+    trace's :class:`~repro.synth.TraceRecipe`, so a full hit reads no
+    trace byte.  Only a miss loads or generates the trace
+    (:func:`cached_generate_trace`) and computes what is missing through
+    :func:`cached_characterize` / :func:`cached_collect_hpc`, which
+    store it under the same recipe key.
+
+    With ``compute`` (a build), a full hit still re-verifies the trace
+    entry the vectors rest on — the one a build journal records — so
+    a corrupt trace entry is quarantined by the build instead of
+    surfacing in a later phases job; a missing one stays missing.  The
+    warm probe (``compute=False``) reads nothing but the requested
+    entries.
+
+    Returns:
+        ``{level: values}`` for every requested level; None when
+        ``compute`` is False and any level misses (the service's warm
+        probe, which must never compute).
+    """
+    recipe = TraceRecipe.of(profile, length, seed)
+    vectors: "Dict[str, Optional[np.ndarray]]" = dict.fromkeys(levels)
+    if cache_dir is not None:
+        if "char" in vectors:
+            vectors["char"] = CharacterizationCache(cache_dir).load(
+                recipe, config
+            )
+        if "hpc" in vectors:
+            vectors["hpc"] = HpcCache(cache_dir).load(recipe)
+    missing = [level for level, values in vectors.items() if values is None]
+    if not missing:
+        if compute and cache_dir is not None:
+            TraceCache(cache_dir)._verified(profile, length, seed)
+        return vectors
+    if not compute:
+        return None
+    trace = cached_generate_trace(profile, length, seed, cache_dir)
+    if "char" in missing:
+        vectors["char"] = cached_characterize(trace, config, cache_dir).values
+    if "hpc" in missing:
+        vectors["hpc"] = cached_collect_hpc(trace, cache_dir=cache_dir).values
+    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ policy (the service analogue of the PR 6 cache semantics):
 ============================  =====================================
 condition                     response
 ============================  =====================================
-warm content-hash hit         200 immediately (no queueing)
+warm recipe-keyed hit         200 immediately (no queueing)
 cold work                     202 + job id, poll/wait endpoints
 admission queue full          429 + ``Retry-After`` (bounded memory)
 deadline overrun              504; watchdog expires overdue jobs

@@ -1,7 +1,8 @@
 """The characterization service: request handling and job execution.
 
 ``CharacterizationService`` is the transport-independent core — it
-validates requests, serves warm content-hash cache hits inline (200),
+validates requests, serves warm cache hits inline (200; characterize
+and HPC hits are keyed by the trace's recipe and read no trace bytes),
 admits cold work into the bounded queue (202 + job id), executes jobs
 on worker threads with retry/backoff/jitter, and enforces the fixed
 failure policies:
@@ -31,6 +32,7 @@ JSON a cold serial computation would.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -291,9 +293,9 @@ class CharacterizationService:
         URLs answer exactly as before the crash; admitted-but-unfinished
         jobs are re-admitted through the normal bounded queue under
         their original ids with a fresh default deadline — re-running
-        them is idempotent because all compute is keyed by content
-        hashes, so recovered work reuses every warm cache entry.  The
-        journal is then compacted (one atomic rotation) to just the
+        them is idempotent because all compute is keyed by recipes or
+        content hashes, so recovered work reuses every warm cache entry.
+        The journal is then compacted (one atomic rotation) to just the
         surviving jobs.
         """
         if self._journal is None or self._recovered:
@@ -527,14 +529,23 @@ class CharacterizationService:
         headers = {"Location": f"/v1/jobs/{job.id}"}
         return 202, job.status_body(), headers
 
-    def _deadline_seconds(self, body: dict) -> float:
-        raw = body.get("deadline_ms", self.settings.default_deadline * 1000.0)
+    @staticmethod
+    def _finite(raw, field: str, kind: str = "a number") -> float:
+        """``float(raw)``, or 400 when it is not a finite number (JSON
+        bodies may carry a bare ``NaN`` or ``Infinity``)."""
         try:
-            seconds = float(raw) / 1000.0
+            value = float(raw)
         except (TypeError, ValueError):
             raise BadRequestError(
-                f"deadline_ms must be a number, got {raw!r}"
+                f"{field} must be {kind}, got {raw!r}"
             ) from None
+        if not math.isfinite(value):
+            raise BadRequestError(f"{field} must be finite, got {raw!r}")
+        return value
+
+    def _deadline_seconds(self, body: dict) -> float:
+        raw = body.get("deadline_ms", self.settings.default_deadline * 1000.0)
+        seconds = self._finite(raw, "deadline_ms") / 1000.0
         if seconds <= 0.0:
             raise BadRequestError("deadline_ms must be positive")
         return min(seconds, self.settings.max_deadline)
@@ -547,12 +558,10 @@ class CharacterizationService:
             return 0.0
         if raw in (True, "true", "1"):
             return deadline_seconds + 0.25
-        try:
-            return min(float(raw), deadline_seconds + 0.25)
-        except (TypeError, ValueError):
-            raise BadRequestError(
-                f"wait must be a boolean or number of seconds, got {raw!r}"
-            ) from None
+        return min(
+            self._finite(raw, "wait", "a boolean or number of seconds"),
+            deadline_seconds + 0.25,
+        )
 
     # -- validation ----------------------------------------------------
 
@@ -600,6 +609,14 @@ class CharacterizationService:
             params["interval"] = self._int_field(
                 body, "interval", 5_000, minimum=1
             )
+            # The detector needs two whole intervals; a request that
+            # cannot give them is the client's error, not a worker
+            # casualty to retry (and charge to the circuit breaker).
+            if params["trace_length"] // params["interval"] < 2:
+                raise BadRequestError(
+                    f"interval {params['interval']} gives fewer than 2 "
+                    f"intervals of trace_length {params['trace_length']}"
+                )
             signature = body.get("signature", "bbv")
             from ..phases.detect import SIGNATURE_KINDS
 
@@ -645,10 +662,13 @@ class CharacterizationService:
         return self.cache_dir
 
     def _try_warm(self, kind: str, params: dict) -> "Optional[dict]":
-        """Serve from the content-hash caches without queueing.
+        """Serve from the caches without queueing.
 
-        Only complete hits count — a warm trace with a cold
-        characterization entry is still cold work.  Never computes.
+        Characterize and HPC requests probe their level by the trace's
+        recipe (:func:`repro.perf.cached_vectors` with
+        ``compute=False``), so a warm hit reads no trace byte; dataset
+        requests probe the dataset level.  Only complete hits count,
+        and this never computes.
         """
         directory = self._warm_cache_dir()
         if directory is None:
@@ -665,31 +685,24 @@ class CharacterizationService:
         if kind == "phases":
             return None  # no phase-level cache exists (yet)
 
-        from ..perf import CharacterizationCache, HpcCache, TraceCache
+        from ..perf import cached_vectors
         from ..workloads import get_benchmark
 
-        benchmark = get_benchmark(params["benchmark"])
-        trace = TraceCache(directory).load(
-            benchmark.profile, params["trace_length"], params["seed"]
+        level, payload = (
+            ("char", characterize_payload) if kind == "characterize"
+            else ("hpc", hpc_payload)
         )
-        if trace is None:
+        vectors = cached_vectors(
+            get_benchmark(params["benchmark"]).profile,
+            params["trace_length"], params["seed"],
+            config=self._config_for(params), cache_dir=directory,
+            levels=(level,), compute=False,
+        )
+        if vectors is None:
             return None
-        if kind == "characterize":
-            values = CharacterizationCache(directory).load(
-                trace, self._config_for(params)
-            )
-            if values is None:
-                return None
-            return characterize_payload(
-                params["benchmark"], params["trace_length"],
-                params["seed"], values,
-            )
-        values = HpcCache(directory).load(trace)
-        if values is None:
-            return None
-        return hpc_payload(
+        return payload(
             params["benchmark"], params["trace_length"],
-            params["seed"], values,
+            params["seed"], vectors[level],
         )
 
     def _config_for(self, params: dict) -> ReproConfig:
@@ -706,12 +719,7 @@ class CharacterizationService:
         job = self.registry.get(job_id)
         raw_wait = query.get("wait")
         if raw_wait:
-            try:
-                wait_for = float(raw_wait)
-            except ValueError:
-                raise BadRequestError(
-                    f"wait must be a number of seconds, got {raw_wait!r}"
-                ) from None
+            wait_for = self._finite(raw_wait, "wait", "a number of seconds")
             job.wait(min(wait_for, max(job.remaining(), 0.0) + 0.25))
         return self._job_response(job)
 

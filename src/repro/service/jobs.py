@@ -1,6 +1,6 @@
 """Job lifecycle and registry for the characterization service.
 
-A *job* is one admitted cold request (warm content-hash hits never
+A *job* is one admitted cold request (warm cache hits never
 become jobs — they answer 200 inline).  Jobs move through a fixed state
 machine::
 

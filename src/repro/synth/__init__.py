@@ -44,6 +44,7 @@ from .profiles import (
 )
 from .generator import (
     TRACE_GEN_VERSION,
+    TraceRecipe,
     clear_code_cache,
     code_for_profile,
     generate_trace,
@@ -75,6 +76,7 @@ __all__ = [
     "BranchSpec",
     "WorkloadProfile",
     "TRACE_GEN_VERSION",
+    "TraceRecipe",
     "clear_code_cache",
     "code_for_profile",
     "generate_trace",

@@ -73,6 +73,43 @@ from .rng import make_rng
 #: (profile, length, seed); the perf trace cache keys on it.
 TRACE_GEN_VERSION = 2
 
+
+@dataclass(frozen=True)
+class TraceRecipe:
+    """What a generated trace is a pure function of.
+
+    :func:`generate_trace` maps (profile knobs, length, seed) to the
+    same bytes under one :data:`TRACE_GEN_VERSION`, and
+    ``tests/data/trace_digests.json`` pins those bytes for the whole
+    registry, so a recipe names a generated trace as tightly as a hash
+    of its contents does.  The :mod:`repro.perf` char and HPC caches key
+    by :attr:`key` when a trace carries a recipe, so a warm lookup
+    needs no trace bytes at all.
+
+    Attributes:
+        profile_fingerprint: :meth:`WorkloadProfile.fingerprint`.
+        length: the trace length in instructions.
+        seed: the per-trace seed passed to :func:`generate_trace`.
+    """
+
+    profile_fingerprint: str
+    length: int
+    seed: int = 0
+
+    @classmethod
+    def of(
+        cls, profile: WorkloadProfile, length: int, seed: int = 0
+    ) -> "TraceRecipe":
+        """The recipe :func:`generate_trace` follows for these arguments."""
+        return cls(profile.fingerprint(), int(length), int(seed))
+
+    @property
+    def key(self) -> str:
+        """Stable identity of the generated bytes, version included."""
+        return (f"gen-v{TRACE_GEN_VERSION}/{self.profile_fingerprint}/"
+                f"{self.length}/{self.seed}")
+
+
 #: Namespace of the dynamic-stream rng, derived from the protocol
 #: version: bumping :data:`TRACE_GEN_VERSION` re-rolls every trace
 #: realization coherently.
@@ -155,7 +192,8 @@ def generate_trace(
 
     Returns:
         A validated-by-construction :class:`~repro.trace.Trace` of
-        exactly ``length`` instructions named after the profile.
+        exactly ``length`` instructions named after the profile, carrying
+        its :class:`TraceRecipe`.
 
     Raises:
         ProfileError: if ``length`` is not positive.
@@ -174,7 +212,10 @@ def generate_trace(
     data = np.empty(length, dtype=TRACE_DTYPE)
     for name in data.dtype.names:
         data[name] = columns[name][:length]
-    return Trace(data, name=profile.name)
+    return Trace(
+        data, name=profile.name,
+        recipe=TraceRecipe.of(profile, length, seed),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,17 @@ class WorkloadProfile:
 
         Two profiles with equal knobs fingerprint identically across
         processes and platforms (behavior-mix dictionaries are compared
-        by content, not insertion order).  Keys the static-code memo
-        and the :mod:`repro.perf` trace cache.
+        by content, not insertion order).  Keys the static-code memo,
+        the :mod:`repro.perf` trace cache and every
+        :class:`~repro.synth.TraceRecipe`.
+
+        Memoized in the instance ``__dict__``, outside the dataclass
+        fields, so equality, ``asdict`` and ``replace`` never see it
+        (a ``with_overrides`` copy starts without one).
         """
-        payload = repr((_FINGERPRINT_SCHEMA, _canonical(asdict(self))))
-        return hashlib.sha256(payload.encode()).hexdigest()[:32]
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            payload = repr((_FINGERPRINT_SCHEMA, _canonical(asdict(self))))
+            memo = hashlib.sha256(payload.encode()).hexdigest()[:32]
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo

@@ -13,6 +13,13 @@ reproduction's analogue of pointing MICA at ATOM output):
 
   Fields after the class are optional per class: memory instructions
   carry an address, branches carry an outcome and target.
+
+Both readers are the boundary :mod:`repro.trace.validate` describes:
+every trace they return has passed :func:`validate_trace`, and any
+malformed content — out-of-range registers or classes, a value that
+does not fit its column — raises :class:`TraceFormatError`.  Traces
+read from files carry no :class:`~repro.synth.TraceRecipe`, so the
+:mod:`repro.perf` caches key them by content.
 """
 
 from __future__ import annotations
@@ -24,9 +31,10 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from ..errors import TraceFormatError
+from ..errors import TraceError, TraceFormatError
 from ..isa import NO_REG, OpClass, TRACE_DTYPE
 from .trace import Trace
+from .validate import validate_trace
 
 #: Magic bytes identifying a binary trace file.
 MAGIC = b"MTF1"
@@ -58,7 +66,8 @@ def read_trace(path: PathLike, name: str = "") -> Trace:
     """Read a binary ``.mtf`` trace file (``.gz`` accepted).
 
     Raises:
-        TraceFormatError: on bad magic, truncated data, or size mismatch.
+        TraceFormatError: on bad magic, truncated data, size mismatch,
+            or rows that fail :func:`validate_trace`.
     """
     with _open_binary(path, "rb") as handle:
         header = handle.read(_HEADER.size)
@@ -74,7 +83,17 @@ def read_trace(path: PathLike, name: str = "") -> Trace:
             f"{path}: expected {expected} payload bytes, found {len(payload)}"
         )
     data = np.frombuffer(payload, dtype=TRACE_DTYPE).copy()
-    return Trace(data, name=name or str(path))
+    return _validated(Trace(data, name=name or str(path)), str(path))
+
+
+def _validated(trace: Trace, label: str) -> Trace:
+    """``trace`` once it passes :func:`validate_trace`; raises
+    :class:`TraceFormatError` naming ``label`` otherwise."""
+    try:
+        validate_trace(trace)
+    except TraceError as error:
+        raise TraceFormatError(f"{label}: {error}") from None
+    return trace
 
 
 def _format_reg(index: int) -> str:
@@ -123,7 +142,8 @@ def read_trace_text(source: Union[PathLike, TextIO], name: str = "") -> Trace:
     Blank lines and lines starting with ``#`` are ignored.
 
     Raises:
-        TraceFormatError: on any malformed line.
+        TraceFormatError: on any malformed line, a value that does not
+            fit its column, or rows that fail :func:`validate_trace`.
     """
     if hasattr(source, "read"):
         return _read_text(source, name)  # type: ignore[arg-type]
@@ -186,8 +206,16 @@ def _read_text(handle: TextIO, name: str) -> Trace:
         if cursor != len(tokens):
             raise TraceFormatError(f"line {line_no}: trailing fields")
         rows.append((pc, int(opclass), src1, src2, dst, mem_addr, taken, target))
-    data = np.array(rows, dtype=TRACE_DTYPE) if rows else np.empty(0, TRACE_DTYPE)
-    return Trace(data, name=name)
+    label = name or "text trace"
+    try:
+        data = np.array(rows, dtype=TRACE_DTYPE) if rows else np.empty(
+            0, TRACE_DTYPE
+        )
+    except OverflowError as error:
+        raise TraceFormatError(
+            f"{label}: field value out of range ({error})"
+        ) from None
+    return _validated(Trace(data, name=name), label)
 
 
 def trace_from_text(text: str, name: str = "") -> Trace:

@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import TraceError, TraceFormatError
 from ..isa import TRACE_DTYPE
 from .trace import Trace
-from .io import _HEADER, MAGIC
+from .io import _HEADER, MAGIC, _validated
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -174,9 +174,13 @@ class MappedTraceSource(TraceSource):
     (``.gz``) cannot be mapped — decompress first or read them whole
     with :func:`repro.trace.read_trace`.
 
+    Rows are validated (:func:`~repro.trace.validate_trace`) once, on
+    open, one bounded chunk at a time.
+
     Raises:
-        TraceFormatError: on a gzipped path, bad magic, or a payload
-            shorter than the header's row count promises.
+        TraceFormatError: on a gzipped path, bad magic, a payload
+            shorter than the header's row count promises, or rows that
+            fail validation.
     """
 
     def __init__(self, path: PathLike, name: str = ""):
@@ -201,6 +205,9 @@ class MappedTraceSource(TraceSource):
             )
         self._count = int(count)
         self.name = name or self.path
+        for start in range(0, self._count, _DIGEST_CHUNK_ROWS):
+            end = min(start + _DIGEST_CHUNK_ROWS, self._count)
+            _validated(Trace(self._rows(start, end)), self.path)
 
     def __len__(self) -> int:
         return self._count

@@ -38,12 +38,17 @@ class Trace:
     Args:
         data: structured array with dtype :data:`TRACE_DTYPE`.
         name: optional label (usually ``suite/program/input``).
+        recipe: the :class:`repro.synth.TraceRecipe` the bytes were
+            generated from, or None.  Only the generator and the trace
+            cache set it; every derived trace (slices, filters,
+            builders, file readers) carries none, so cache keys fall
+            back to the content fingerprint.
 
     The underlying array is marked read-only; build modified traces through
     :class:`repro.trace.TraceBuilder` or the filter utilities.
     """
 
-    def __init__(self, data: np.ndarray, name: str = ""):
+    def __init__(self, data: np.ndarray, name: str = "", recipe=None):
         if data.dtype != TRACE_DTYPE:
             raise TraceError(
                 f"trace data must have TRACE_DTYPE, got {data.dtype}"
@@ -53,6 +58,7 @@ class Trace:
         self._data = data
         self._data.setflags(write=False)
         self.name = name
+        self.recipe = recipe
         # Memoized column views / masks / derived streams; safe because
         # the backing array is read-only for the trace's lifetime.
         self._derived: Dict[str, np.ndarray] = {}
@@ -226,7 +232,9 @@ class Trace:
         """
         if self._digest is None:
             hasher = hashlib.sha256()
-            hasher.update(self._data.tobytes())
+            # The buffer itself, not a ``tobytes`` copy (only a strided
+            # slice is made contiguous first).
+            hasher.update(np.ascontiguousarray(self._data))
             self._digest = hasher.hexdigest()[:16]
         return self._digest
 
@@ -240,7 +248,7 @@ class Trace:
         if self._fingerprint is None:
             hasher = hashlib.sha256()
             hasher.update(str(self._data.dtype).encode())
-            hasher.update(self._data.tobytes())
+            hasher.update(np.ascontiguousarray(self._data))
             self._fingerprint = hasher.hexdigest()[:32]
         return self._fingerprint
 

@@ -236,6 +236,27 @@ class TestWarmAndColdPaths:
         )
         assert len(body["simulation_points"]) == body["k"]
 
+    def test_warm_hits_read_no_trace(self, live_service, tmp_path):
+        """Warm characterize/HPC hits are keyed by the trace's recipe:
+        with every trace entry deleted they still come from the cache,
+        byte for byte."""
+        _, client = live_service()
+        cold = {
+            kind: client.post(f"/v1/{kind}", {"benchmark": "mcf",
+                                              "wait": True})
+            for kind in ("characterize", "hpc")
+        }
+        traces = list((tmp_path / "cache").glob("trace-*.npz"))
+        assert traces
+        for path in traces:
+            path.unlink()
+        for kind, computed in cold.items():
+            warm = client.post(f"/v1/{kind}", {"benchmark": "mcf"})
+            assert warm.status == 200
+            assert warm.headers["X-Repro-Source"] == "cache"
+            assert warm.raw == computed.raw
+        assert not list((tmp_path / "cache").glob("trace-*.npz"))
+
     def test_dataset_cold_then_warm(self, live_service):
         _, client = live_service()
         request = {
@@ -287,6 +308,50 @@ class TestValidation:
         response = client.post("/v1/characterize", body)
         assert response.status == 400
         assert response.error_code == "bad_request"
+
+    @pytest.mark.parametrize("field", ["deadline_ms", "wait"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_numbers_are_400(self, live_service, field, value):
+        # json.dumps writes bare NaN/Infinity, which json.loads accepts.
+        _, client = live_service()
+        response = client.post(
+            "/v1/characterize", {"benchmark": "mcf", field: value}
+        )
+        assert response.status == 400
+        assert response.error_code == "bad_request"
+        assert "finite" in response.body["error"]["message"]
+
+    def test_non_finite_poll_wait_is_400(self, live_service):
+        _, client = live_service()
+        accepted = client.post("/v1/characterize", {"benchmark": "mcf"})
+        response = client.get(f"{accepted.body['poll']}?wait=nan")
+        assert response.status == 400
+
+    def test_too_short_phases_request_is_400_not_an_outage(
+        self, live_service
+    ):
+        """A phases request whose interval fits fewer than two times
+        into the trace is the client's error: it answers 400 at once,
+        so repeating it never opens the breaker on everyone else."""
+        service, client = live_service(workers=1)
+        for _ in range(3):
+            response = client.post(
+                "/v1/phases",
+                {"benchmark": "mcf", "trace_length": 1_000, "wait": True},
+            )
+            assert response.status == 400
+            assert response.error_code == "bad_request"
+            assert "fewer than 2 intervals" in (
+                response.body["error"]["message"]
+            )
+        assert service.breaker.state == "closed"
+        valid = client.post(
+            "/v1/characterize", {"benchmark": "mcf", "wait": True}
+        )
+        assert valid.status == 200
+        assert client.get("/readyz").status == 200
 
     def test_bad_phases_signature_is_400(self, live_service):
         _, client = live_service()
