@@ -199,16 +199,17 @@ def _characterize_one(args: "Tuple[str, ReproConfig, str | None]"):
     the registry by name (profiles are deterministic).  When a cache
     directory is given, :func:`repro.perf.cached_vectors` first looks
     the 47-dimensional and 7-metric vectors up by the trace's recipe (a
-    warm benchmark loads, hashes and generates no trace; it only
-    re-verifies the trace entry it rests on); only a miss loads the
-    trace from the trace cache or generates it, and computes what is
-    missing — all shared across workers and runs.
+    warm benchmark builds, hashes and generates no trace; it only
+    re-verifies the trace entry it rests on, regenerating it when that
+    entry is gone or damaged); only a miss loads the trace from the
+    trace cache or generates it, and computes what is missing — all
+    shared across workers and runs.
     """
     name, config, cache_dir = args
     faults.maybe_fail_worker(name)
     integrity.drain_quarantine_log()  # discard events of earlier jobs
     profile = get_benchmark(name).profile
-    vectors = cached_vectors(
+    mica_vector, hpc_vector = cached_vectors(
         profile, config.trace_length, config=config, cache_dir=cache_dir
     )
     entries: Dict[str, str] = {}
@@ -225,7 +226,7 @@ def _characterize_one(args: "Tuple[str, ReproConfig, str | None]"):
             )),
             "hpc": str(HpcCache(cache_dir).entry_path(recipe)),
         }
-    return (name, vectors["char"], vectors["hpc"],
+    return (name, mica_vector, hpc_vector,
             integrity.drain_quarantine_log(), entries)
 
 

@@ -32,9 +32,9 @@ Five cache levels live here, one class each, listed (in scan order) by
   by slicing and filtering).  The two parts are tagged, so a recipe key
   and a content key never collide.  A recipe names the generated bytes
   as tightly as their hash (``tests/data/trace_digests.json`` pins them
-  for the registry), and it is known before the trace exists:
-  :func:`cached_vectors` answers a warm request without loading,
-  hashing or generating a trace.
+  for the registry), and it is known before the trace exists: a warm
+  service request is one ``load(recipe)``, and a warm build
+  (:func:`cached_vectors`) builds, hashes and generates no trace.
 
 * **Trace cache** (``trace``, below them).  Generating a trace is also
   pure — a function of the profile knobs, the length and the per-trace
@@ -544,6 +544,16 @@ class TraceCache(_NpzCacheDirectory):
             recipe=TraceRecipe.of(profile, length, seed),
         )
 
+    def holds(
+        self, profile: WorkloadProfile, length: int, seed: int = 0
+    ) -> bool:
+        """Whether a healthy entry for (profile, length, seed) exists.
+
+        Verified exactly like :meth:`load` (a failing file is
+        quarantined), but no :class:`~repro.trace.Trace` is built.
+        """
+        return self._verified(profile, length, seed) is not None
+
     def _verified(
         self, profile: WorkloadProfile, length: int, seed: int
     ) -> "Optional[Dict[str, np.ndarray]]":
@@ -593,53 +603,38 @@ def cached_vectors(
     seed: int = 0,
     config: ReproConfig = DEFAULT_CONFIG,
     cache_dir: "Path | str | None" = None,
-    levels: "Tuple[str, ...]" = ("char", "hpc"),
-    compute: bool = True,
-) -> "Optional[Dict[str, np.ndarray]]":
-    """The char/HPC vectors of one generated trace, probed by recipe.
+) -> "Tuple[np.ndarray, np.ndarray]":
+    """The ``(mica, hpc)`` vectors of one generated trace, probed by recipe.
 
-    Each requested level (``"char"``: the MICA vector under ``config``;
-    ``"hpc"``: the default machine pair) is first looked up by the
-    trace's :class:`~repro.synth.TraceRecipe`, so a full hit reads no
-    trace byte.  Only a miss loads or generates the trace
-    (:func:`cached_generate_trace`) and computes what is missing through
-    :func:`cached_characterize` / :func:`cached_collect_hpc`, which
-    store it under the same recipe key.
-
-    With ``compute`` (a build), a full hit still re-verifies the trace
-    entry the vectors rest on — the one a build journal records — so
-    a corrupt trace entry is quarantined by the build instead of
-    surfacing in a later phases job; a missing one stays missing.  The
-    warm probe (``compute=False``) reads nothing but the requested
-    entries.
-
-    Returns:
-        ``{level: values}`` for every requested level; None when
-        ``compute`` is False and any level misses (the service's warm
-        probe, which must never compute).
+    Both levels (the MICA vector under ``config``, the HPC vector of
+    the default machine pair) are first looked up by the trace's
+    :class:`~repro.synth.TraceRecipe`, so a full hit builds, hashes and
+    generates no trace.  It still re-verifies the trace entry the
+    vectors rest on (:meth:`TraceCache.holds`), the one a build journal
+    records, so a corrupt trace entry is quarantined here rather than
+    in a later phases job.  A char/HPC miss, or a trace entry that is
+    missing or failed that check, loads or regenerates the trace
+    (:func:`cached_generate_trace`, which re-stores it); what missed is
+    computed through :func:`cached_characterize` /
+    :func:`cached_collect_hpc`, which store it under the same recipe
+    key.  With ``cache_dir=None`` this is plain generate + compute.
     """
-    recipe = TraceRecipe.of(profile, length, seed)
-    vectors: "Dict[str, Optional[np.ndarray]]" = dict.fromkeys(levels)
+    mica = hpc = None
     if cache_dir is not None:
-        if "char" in vectors:
-            vectors["char"] = CharacterizationCache(cache_dir).load(
-                recipe, config
-            )
-        if "hpc" in vectors:
-            vectors["hpc"] = HpcCache(cache_dir).load(recipe)
-    missing = [level for level, values in vectors.items() if values is None]
-    if not missing:
-        if compute and cache_dir is not None:
-            TraceCache(cache_dir)._verified(profile, length, seed)
-        return vectors
-    if not compute:
-        return None
+        recipe = TraceRecipe.of(profile, length, seed)
+        mica = CharacterizationCache(cache_dir).load(recipe, config)
+        hpc = HpcCache(cache_dir).load(recipe)
+        if (
+            mica is not None and hpc is not None
+            and TraceCache(cache_dir).holds(profile, length, seed)
+        ):
+            return mica, hpc
     trace = cached_generate_trace(profile, length, seed, cache_dir)
-    if "char" in missing:
-        vectors["char"] = cached_characterize(trace, config, cache_dir).values
-    if "hpc" in missing:
-        vectors["hpc"] = cached_collect_hpc(trace, cache_dir=cache_dir).values
-    return vectors
+    if mica is None:
+        mica = cached_characterize(trace, config, cache_dir).values
+    if hpc is None:
+        hpc = cached_collect_hpc(trace, cache_dir=cache_dir).values
+    return mica, hpc
 
 
 # ---------------------------------------------------------------------------

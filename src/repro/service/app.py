@@ -664,11 +664,10 @@ class CharacterizationService:
     def _try_warm(self, kind: str, params: dict) -> "Optional[dict]":
         """Serve from the caches without queueing.
 
-        Characterize and HPC requests probe their level by the trace's
-        recipe (:func:`repro.perf.cached_vectors` with
-        ``compute=False``), so a warm hit reads no trace byte; dataset
-        requests probe the dataset level.  Only complete hits count,
-        and this never computes.
+        Characterize and HPC requests load their level's entry by the
+        trace's :class:`~repro.synth.TraceRecipe`, so a warm hit reads no
+        trace byte; dataset requests probe the dataset level.  Only
+        complete hits count, and this never computes.
         """
         directory = self._warm_cache_dir()
         if directory is None:
@@ -685,24 +684,27 @@ class CharacterizationService:
         if kind == "phases":
             return None  # no phase-level cache exists (yet)
 
-        from ..perf import cached_vectors
+        from ..perf import CharacterizationCache, HpcCache
+        from ..synth import TraceRecipe
         from ..workloads import get_benchmark
 
-        level, payload = (
-            ("char", characterize_payload) if kind == "characterize"
-            else ("hpc", hpc_payload)
-        )
-        vectors = cached_vectors(
+        recipe = TraceRecipe.of(
             get_benchmark(params["benchmark"]).profile,
             params["trace_length"], params["seed"],
-            config=self._config_for(params), cache_dir=directory,
-            levels=(level,), compute=False,
         )
-        if vectors is None:
+        if kind == "characterize":
+            payload = characterize_payload
+            values = CharacterizationCache(directory).load(
+                recipe, self._config_for(params)
+            )
+        else:
+            payload = hpc_payload
+            values = HpcCache(directory).load(recipe)
+        if values is None:
             return None
         return payload(
             params["benchmark"], params["trace_length"],
-            params["seed"], vectors[level],
+            params["seed"], values,
         )
 
     def _config_for(self, params: dict) -> ReproConfig:

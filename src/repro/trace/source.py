@@ -174,13 +174,13 @@ class MappedTraceSource(TraceSource):
     (``.gz``) cannot be mapped — decompress first or read them whole
     with :func:`repro.trace.read_trace`.
 
-    Rows are validated (:func:`~repro.trace.validate_trace`) once, on
-    open, one bounded chunk at a time.
+    Every shard is validated (:func:`~repro.trace.validate_trace`) as
+    it is read, so a shard task reads and checks only its own rows.
 
     Raises:
-        TraceFormatError: on a gzipped path, bad magic, a payload
-            shorter than the header's row count promises, or rows that
-            fail validation.
+        TraceFormatError: on a gzipped path, bad magic, or a payload
+            shorter than the header's row count promises; from
+            :meth:`shard`, on rows that fail validation.
     """
 
     def __init__(self, path: PathLike, name: str = ""):
@@ -205,12 +205,14 @@ class MappedTraceSource(TraceSource):
             )
         self._count = int(count)
         self.name = name or self.path
-        for start in range(0, self._count, _DIGEST_CHUNK_ROWS):
-            end = min(start + _DIGEST_CHUNK_ROWS, self._count)
-            _validated(Trace(self._rows(start, end)), self.path)
 
     def __len__(self) -> int:
         return self._count
+
+    def shard(self, start: int, end: int) -> Trace:
+        return _validated(
+            super().shard(start, end), f"{self.path}[{start}:{end}]"
+        )
 
     def _rows(self, start: int, end: int) -> np.ndarray:
         # A fresh map per read keeps the source picklable (workers
@@ -236,5 +238,6 @@ def as_trace_source(
 
 
 def open_trace_source(path: PathLike, name: str = "") -> TraceSource:
-    """A chunked source over an on-disk binary ``.mtf`` trace."""
+    """A chunked source over an on-disk binary ``.mtf`` trace; each
+    shard is validated as it is read."""
     return MappedTraceSource(path, name=name)

@@ -143,3 +143,62 @@ class TestTextFormat:
         trace = read_trace_text(path)
         vector = characterize(trace, ReproConfig(trace_length=200))
         assert vector.values.shape == (47,)
+
+
+class TestReadersValidate:
+    """Every reader is a validation boundary: a row that fails
+    ``validate_trace`` or a value that does not fit its column raises
+    ``TraceFormatError`` instead of yielding a trace."""
+
+    @pytest.fixture()
+    def bad_binary(self, sample_trace, tmp_path):
+        from repro.trace import Trace
+
+        data = sample_trace.data.copy()
+        data["src1"][1] = 99  # No such register.
+        path = tmp_path / "bad.mtf"
+        write_trace(Trace(data, name="bad"), path)
+        return path
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "0x0 alu 99 - -",              # Register out of range.
+            "0x0 alu 300 - -",             # Register overflows its column.
+            "0x1000 ld 1 2 - 0x0",         # Memory access at address 0.
+        ],
+    )
+    def test_text_rows_are_validated(self, line):
+        with pytest.raises(TraceFormatError):
+            trace_from_text(line + "\n")
+
+    def test_binary_rows_are_validated(self, bad_binary):
+        with pytest.raises(TraceFormatError, match="bad.mtf"):
+            read_trace(bad_binary)
+
+    def test_mapped_shards_are_validated(self, bad_binary):
+        from repro.trace import open_trace_source
+
+        source = open_trace_source(bad_binary)
+        assert len(source.shard(2, 7)) == 5
+        with pytest.raises(TraceFormatError, match=r"\[0:3\]"):
+            source.shard(0, 3)
+
+    def test_a_mapped_shard_reads_only_its_rows(
+        self, sample_trace, tmp_path, monkeypatch
+    ):
+        from repro.trace import MappedTraceSource, open_trace_source
+
+        path = tmp_path / "trace.mtf"
+        write_trace(sample_trace, path)
+        reads = []
+        original = MappedTraceSource._rows
+
+        def counting_rows(self, start, end):
+            reads.append((start, end))
+            return original(self, start, end)
+
+        monkeypatch.setattr(MappedTraceSource, "_rows", counting_rows)
+        shard = open_trace_source(path).shard(2, 4)
+        assert reads == [(2, 4)]
+        assert np.array_equal(shard.data, sample_trace.data[2:4])

@@ -11,9 +11,11 @@ readers) carries no recipe and keeps the content key.  Pinned here:
   with ``TRACE_GEN_VERSION``;
 * recipe-keyed warm vectors are byte-identical to cold ``characterize``
   / ``collect_hpc`` over the 8-benchmark population;
-* a warm per-trace dataset rebuild makes no ``TraceCache.load`` call, no
-  generator call and hashes no trace; it only re-verifies the trace
-  entry each row rests on (so a corrupt one is still quarantined).
+* a warm per-trace dataset rebuild builds, hashes and generates no
+  trace; its only trace reads are one verification of the trace entry
+  each row rests on (so a corrupt one is still quarantined), and a
+  missing or damaged one is regenerated, so the journal never names an
+  entry that does not exist.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import numpy as np
 import pytest
 
 from repro.config import ReproConfig
-from repro.experiments import build_dataset
+from repro.experiments import build_dataset, resume_dataset
+from repro.experiments import dataset as dataset_module
 from repro.experiments.dataset import _MEMORY_CACHE
 from repro.mica import characterize
 from repro.perf import cache as perf_cache
+from repro.perf import faults, integrity
 from repro.perf import (
     CharacterizationCache,
     HpcCache,
@@ -153,43 +157,58 @@ class TestRecipeVectors:
                 benchmark.profile, SMALL_CONFIG.trace_length,
                 config=SMALL_CONFIG, cache_dir=tmp_path,
             )
-            warm = cached_vectors(
-                benchmark.profile, SMALL_CONFIG.trace_length,
-                config=SMALL_CONFIG, cache_dir=tmp_path, compute=False,
+            recipe = TraceRecipe.of(
+                benchmark.profile, SMALL_CONFIG.trace_length
+            )
+            warm = (
+                CharacterizationCache(tmp_path).load(recipe, SMALL_CONFIG),
+                HpcCache(tmp_path).load(recipe),
             )
             for vectors in (cold, warm):
-                assert vectors["char"].tobytes() == mica.tobytes()
-                assert vectors["hpc"].tobytes() == hpc.tobytes()
+                assert vectors[0].tobytes() == mica.tobytes()
+                assert vectors[1].tobytes() == hpc.tobytes()
 
-    def test_probe_without_compute_misses_cold_and_computes_nothing(
-        self, tmp_path
-    ):
-        calls = generation_call_count()
-        assert cached_vectors(
-            PROFILE, 2_000, config=SMALL_CONFIG, cache_dir=tmp_path,
-            compute=False,
-        ) is None
-        assert generation_call_count() == calls
-        assert not list(tmp_path.glob("*.npz"))
-
-    def test_warm_probe_needs_no_trace_entry(self, tmp_path):
+    def test_recipe_entries_need_no_trace_entry(self, tmp_path):
         cold = cached_vectors(
             PROFILE, 2_000, config=SMALL_CONFIG, cache_dir=tmp_path
         )
         for path in tmp_path.glob("trace-*.npz"):
             path.unlink()
-        warm = cached_vectors(
-            PROFILE, 2_000, config=SMALL_CONFIG, cache_dir=tmp_path,
-            levels=("hpc",), compute=False,
+        recipe = TraceRecipe.of(PROFILE, 2_000)
+        assert CharacterizationCache(tmp_path).load(
+            recipe, SMALL_CONFIG
+        ).tobytes() == cold[0].tobytes()
+        assert HpcCache(tmp_path).load(recipe).tobytes() == (
+            cold[1].tobytes()
         )
-        assert set(warm) == {"hpc"}
-        assert warm["hpc"].tobytes() == cold["hpc"].tobytes()
+
+    @pytest.mark.parametrize("damage", ["delete", "bitflip"])
+    def test_full_hit_restores_a_damaged_trace_entry(self, tmp_path, damage):
+        cold = cached_vectors(
+            PROFILE, 2_000, config=SMALL_CONFIG, cache_dir=tmp_path
+        )
+        entry = TraceCache(tmp_path).entry_path(PROFILE, 2_000)
+        if damage == "delete":
+            entry.unlink()
+        else:
+            faults.corrupt_entry(entry, damage, seed=5)
+        calls = generation_call_count()
+        warm = cached_vectors(
+            PROFILE, 2_000, config=SMALL_CONFIG, cache_dir=tmp_path
+        )
+        assert generation_call_count() == calls + 1
+        assert TraceCache(tmp_path).holds(PROFILE, 2_000)
+        assert [array.tobytes() for array in warm] == [
+            array.tobytes() for array in cold
+        ]
 
 
-class TestWarmRebuildReadsNoTrace:
-    def test_rebuild_makes_no_trace_load_and_no_generation(
+class TestWarmRebuild:
+    def test_rebuild_builds_no_trace_and_never_generates(
         self, small_population, tmp_path, monkeypatch
     ):
+        """The only trace reads left are one verification of each
+        row's trace entry; no Trace is built, hashed or generated."""
         population = small_population[:3]
         _MEMORY_CACHE.clear()
         cold = build_dataset(
@@ -200,16 +219,24 @@ class TestWarmRebuildReadsNoTrace:
         _MEMORY_CACHE.clear()
 
         loads = []
-        original = TraceCache.load
+        original_load = TraceCache.load
+        verified = []
+        original_verify = integrity.load_entry
 
         def counting_load(self, *args, **kwargs):
             loads.append(args)
-            return original(self, *args, **kwargs)
+            return original_load(self, *args, **kwargs)
+
+        def counting_verify(path, *args, **kwargs):
+            if path.name.startswith("trace-"):
+                verified.append(path)
+            return original_verify(path, *args, **kwargs)
 
         def no_hashing(trace):
             raise AssertionError("a warm rebuild hashed a trace")
 
         monkeypatch.setattr(TraceCache, "load", counting_load)
+        monkeypatch.setattr(integrity, "load_entry", counting_verify)
         monkeypatch.setattr(perf_cache, "trace_fingerprint", no_hashing)
         calls = generation_call_count()
         warm = build_dataset(
@@ -217,6 +244,56 @@ class TestWarmRebuildReadsNoTrace:
         )
         assert loads == []
         assert generation_call_count() == calls
+        assert sorted(verified) == sorted(
+            TraceCache(tmp_path).entry_path(
+                benchmark.profile, SMALL_CONFIG.trace_length
+            )
+            for benchmark in population
+        )
         assert warm.mica.tobytes() == cold.mica.tobytes()
         assert warm.hpc.tobytes() == cold.hpc.tobytes()
+        _MEMORY_CACHE.clear()
+
+    @pytest.mark.parametrize("damage", ["delete", "bitflip"])
+    def test_resume_trusts_a_row_whose_trace_entry_was_damaged(
+        self, small_population, tmp_path, monkeypatch, damage
+    ):
+        """A full char/HPC hit over a damaged trace entry restores the
+        entry, so the completion it journals still verifies on resume
+        and the benchmark is preloaded, not re-run."""
+        population = small_population[:3]
+        _MEMORY_CACHE.clear()
+        cold = build_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=tmp_path, jobs=1
+        )
+        entry = TraceCache(tmp_path).entry_path(
+            population[0].profile, SMALL_CONFIG.trace_length
+        )
+        if damage == "delete":
+            entry.unlink()
+        else:
+            faults.corrupt_entry(entry, damage, seed=5)
+        for path in tmp_path.glob("dataset-*.npz"):
+            path.unlink()
+        _MEMORY_CACHE.clear()
+        journal = tmp_path / "journal.jsonl"
+        build_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=tmp_path,
+            jobs=1, journal=journal,
+        )
+        # Interrupted before the dataset-level matrices were written.
+        for path in tmp_path.glob("dataset-*.npz"):
+            path.unlink()
+        _MEMORY_CACHE.clear()
+
+        def boom(args):
+            raise AssertionError(f"resume re-ran {args[0]}")
+
+        monkeypatch.setattr(dataset_module, "_characterize_one", boom)
+        resumed = resume_dataset(
+            SMALL_CONFIG, benchmarks=population, cache_dir=tmp_path,
+            jobs=1, journal=journal,
+        )
+        assert resumed.mica.tobytes() == cold.mica.tobytes()
+        assert resumed.hpc.tobytes() == cold.hpc.tobytes()
         _MEMORY_CACHE.clear()
