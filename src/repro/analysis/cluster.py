@@ -5,6 +5,10 @@ The paper runs k-means for K = 1..70 and keeps the K whose BIC score is
 log-likelihood-based quantities, so the 90% rule is applied to the
 min-max normalized score (the SimPoint convention): the smallest K whose
 normalized score reaches the threshold wins.
+
+Every K is solved by one :func:`~repro.analysis.kmeans.lockstep_kmeans`
+call, bit-for-bit ``kmeans(data, K, seed + K)`` per K (see
+:mod:`repro.analysis.kmeans` for the draw protocol and summation order).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from .kmeans import KMeansResult, bic_score, kmeans
+from .kmeans import KMeansResult, bic_score, lockstep_kmeans
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,11 @@ def choose_k(
             f"largest K explored for {len(data)} rows"
         )
 
-    solutions: Dict[int, KMeansResult] = {}
-    scores: Dict[int, float] = {}
-    for k in range(low, high + 1):
-        solution = kmeans(data, k, seed=seed + k, restarts=restarts)
-        solutions[k] = solution
-        scores[k] = bic_score(data, solution)
+    ks = range(low, high + 1)
+    solutions: Dict[int, KMeansResult] = dict(zip(ks, lockstep_kmeans(
+        data, ks, [seed + k for k in ks], restarts
+    )))
+    scores = {k: bic_score(data, solutions[k]) for k in ks}
 
     values = np.array([scores[k] for k in sorted(scores)])
     finite = values[np.isfinite(values)]

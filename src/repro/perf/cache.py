@@ -109,6 +109,7 @@ from ..synth import (
     generate_trace,
 )
 from ..trace import Trace
+from ..trace.trace import DIGEST_LENGTH
 from ..uarch import (
     EV56_CONFIG,
     EV67_CONFIG,
@@ -228,7 +229,7 @@ class _NpzCacheDirectory:
 
     def _load(
         self, path: Path, expected: "integrity.ExpectedFields | None" = None
-    ) -> "Optional[Dict[str, np.ndarray]]":
+    ) -> "Optional[integrity.VerifiedFields]":
         """Verified arrays of one entry, or None on a (verified) miss.
 
         ``expected`` defaults to the static expectations; an entry
@@ -534,15 +535,21 @@ class TraceCache(_NpzCacheDirectory):
         """The cached trace (renamed after the profile), or None.
 
         The trace carries its :class:`~repro.synth.TraceRecipe`, like
-        the :func:`~repro.synth.generate_trace` output it stands for.
-        Wrong-dtype or wrong-length entries are verified misses (the
-        file is quarantined, not re-served).
+        the :func:`~repro.synth.generate_trace` output it stands for,
+        and its content digest is the checksum its verification just
+        matched (not a second hash).  Wrong-dtype or wrong-length
+        entries are verified misses (the file is quarantined, not
+        re-served).
         """
         arrays = self._verified(profile, length, seed)
-        return None if arrays is None else Trace(
+        if arrays is None:
+            return None
+        trace = Trace(
             arrays["data"], name=profile.name,
             recipe=TraceRecipe.of(profile, length, seed),
         )
+        trace._digest = arrays.checksums["data"][:DIGEST_LENGTH]
+        return trace
 
     def holds(
         self, profile: WorkloadProfile, length: int, seed: int = 0
@@ -556,7 +563,7 @@ class TraceCache(_NpzCacheDirectory):
 
     def _verified(
         self, profile: WorkloadProfile, length: int, seed: int
-    ) -> "Optional[Dict[str, np.ndarray]]":
+    ) -> "Optional[integrity.VerifiedFields]":
         return self._load(
             self.entry_path(profile, length, seed),
             {"data": ((length,), TRACE_DTYPE)},

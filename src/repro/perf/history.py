@@ -31,9 +31,19 @@ from typing import Dict, List, Tuple
 HISTORY_SCHEMA = "BENCH_history/v1"
 
 
+def src_line_count() -> int:
+    """Lines of Python in the ``repro`` package (``src/repro/**/*.py``)."""
+    package = Path(__file__).resolve().parent.parent
+    return sum(
+        len(path.read_bytes().splitlines())
+        for path in package.rglob("*.py")
+    )
+
+
 def bench_history_row(result) -> dict:
     """One flat history row for a :class:`~repro.perf.timing.BenchResult`:
-    its flat ``speedups`` map (floor group -> ratio) plus metadata."""
+    its flat ``speedups`` map (floor group -> ratio) plus metadata,
+    ``src_lines`` (:func:`src_line_count`) included."""
     return {
         "schema": HISTORY_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -42,6 +52,7 @@ def bench_history_row(result) -> dict:
         "repeats": int(result.repeats),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "src_lines": src_line_count(),
         "speedups": dict(result.speedups),
     }
 

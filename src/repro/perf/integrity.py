@@ -47,7 +47,7 @@ production control flow.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import io
 import json
 import os
@@ -59,6 +59,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import CacheIntegrityError
+from ..trace.trace import array_hasher
 
 #: Name of the embedded metadata field inside every cache ``.npz``.
 METADATA_FIELD = "__integrity__"
@@ -72,6 +73,13 @@ QUARANTINE_SUFFIX = ".quarantined"
 
 #: ``{field: (expected_shape | None, expected_dtype | None)}``
 ExpectedFields = Mapping[str, Tuple[Optional[tuple], Optional[object]]]
+
+
+class VerifiedFields(dict):
+    """The payload arrays of a verified entry, by field name, with the
+    sha256 each matched in ``checksums`` (reusable as its hash)."""
+
+    checksums: Dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -134,9 +142,7 @@ def _replace(source: "Path | str", destination: "Path | str") -> None:
 
 def _array_digest(array: np.ndarray) -> str:
     data = np.ascontiguousarray(array)
-    digest = hashlib.sha256()
-    digest.update(str(data.dtype).encode())
-    digest.update(repr(tuple(data.shape)).encode())
+    digest = array_hasher(data.dtype, data.shape)
     digest.update(data)  # the buffer itself, no tobytes() copy
     return digest.hexdigest()
 
@@ -243,6 +249,21 @@ _NPY_HEADER_READERS = {
 }
 
 
+@functools.lru_cache(maxsize=256)
+def _parse_npy_header(raw: bytes) -> "Tuple[tuple, bool, np.dtype]":
+    """``(shape, fortran_order, dtype)`` of one raw ``.npy`` header.
+
+    Memoized by the raw bytes (magic, length field and header), so the
+    header's ``literal_eval`` runs once per distinct header; a damaged
+    header is different bytes and is parsed, and rejected, afresh.
+    """
+    stream = io.BytesIO(raw)
+    version = np.lib.format.read_magic(stream)
+    if version not in _NPY_HEADER_READERS:
+        raise CacheIntegrityError(f"unsupported .npy format {version}")
+    return _NPY_HEADER_READERS[version](stream)
+
+
 def _read_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     """One ``.npy`` member as a read-only array over its bytes.
 
@@ -252,15 +273,14 @@ def _read_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     size disagrees with its header.
     """
     data = archive.read(member)
-    header = io.BytesIO(data)
-    version = np.lib.format.read_magic(header)
-    if version not in _NPY_HEADER_READERS:
-        raise CacheIntegrityError(f"unsupported .npy format {version}")
-    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](header)
+    # Magic (6 bytes) and version (2), then the header length: 2 bytes
+    # little-endian in format 1.0, 4 in 2.0.
+    width = 4 if data[6:8] == b"\x02\x00" else 2
+    offset = 8 + width + int.from_bytes(data[8 : 8 + width], "little")
+    shape, fortran_order, dtype = _parse_npy_header(data[:offset])
     if dtype.hasobject:
         raise CacheIntegrityError(f"member {member!r} holds object arrays")
     count = int(np.prod(shape, dtype=np.int64))
-    offset = header.tell()
     if len(data) - offset != count * dtype.itemsize:
         raise CacheIntegrityError(
             f"member {member!r} holds {len(data) - offset} payload bytes, "
@@ -278,13 +298,14 @@ def verify_entry(
     level: str,
     version: object,
     expected: "ExpectedFields | None" = None,
-) -> Dict[str, np.ndarray]:
+) -> VerifiedFields:
     """Read one entry, verifying metadata and payload checksums.
 
     Returns:
-        The payload arrays (metadata field excluded), fully
-        materialized — the archive handle is closed before returning.
-        They are read-only views of the verified bytes.
+        The payload arrays (metadata field excluded) with the checksums
+        they matched, fully materialized — the archive handle is closed
+        before returning.  They are read-only views of the verified
+        bytes.
 
     Raises:
         CacheIntegrityError: on any violation — unreadable/truncated
@@ -327,7 +348,8 @@ def verify_entry(
                 raise CacheIntegrityError(
                     "payload fields do not match the recorded schema"
                 )
-            arrays: Dict[str, np.ndarray] = {}
+            arrays = VerifiedFields()
+            arrays.checksums = {}
             for name, spec in recorded.items():
                 array = _read_member(archive, members[name])
                 if list(array.shape) != list(spec.get("shape", [])):
@@ -346,6 +368,7 @@ def verify_entry(
                     )
                 _check_expected(name, array, expected or {})
                 arrays[name] = array
+                arrays.checksums[name] = spec["sha256"]
             return arrays
     except (CacheIntegrityError, OSError):
         raise
@@ -377,7 +400,7 @@ def load_entry(
     level: str,
     version: object,
     expected: "ExpectedFields | None" = None,
-) -> "Optional[Dict[str, np.ndarray]]":
+) -> "Optional[VerifiedFields]":
     """Verified load: the payload arrays, or None on a (verified) miss.
 
     A missing file is a plain miss.  A file that fails verification is

@@ -60,6 +60,10 @@ logger = logging.getLogger("repro.service")
 #: Request kinds the service accepts.
 KINDS = ("characterize", "hpc", "phases", "dataset")
 
+#: Most intervals (``trace_length // interval``) a phases request gets:
+#: 1,000 intervals of a 1M-instruction trace take ~3 s on one Xeon core.
+MAX_PHASE_INTERVALS = 1_000
+
 
 @dataclass(frozen=True)
 class ServiceSettings:
@@ -532,10 +536,11 @@ class CharacterizationService:
     @staticmethod
     def _finite(raw, field: str, kind: str = "a number") -> float:
         """``float(raw)``, or 400 when it is not a finite number (JSON
-        bodies may carry a bare ``NaN`` or ``Infinity``)."""
+        bodies may carry a bare ``NaN`` or ``Infinity``, or an integer
+        past float range)."""
         try:
             value = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise BadRequestError(
                 f"{field} must be {kind}, got {raw!r}"
             ) from None
@@ -612,10 +617,17 @@ class CharacterizationService:
             # The detector needs two whole intervals; a request that
             # cannot give them is the client's error, not a worker
             # casualty to retry (and charge to the circuit breaker).
-            if params["trace_length"] // params["interval"] < 2:
+            intervals = params["trace_length"] // params["interval"]
+            if intervals < 2:
                 raise BadRequestError(
                     f"interval {params['interval']} gives fewer than 2 "
                     f"intervals of trace_length {params['trace_length']}"
+                )
+            if intervals > MAX_PHASE_INTERVALS:
+                raise BadRequestError(
+                    f"interval {params['interval']} gives {intervals} "
+                    f"intervals of trace_length {params['trace_length']}, "
+                    f"above the ceiling of {MAX_PHASE_INTERVALS}"
                 )
             signature = body.get("signature", "bbv")
             from ..phases.detect import SIGNATURE_KINDS

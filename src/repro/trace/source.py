@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import TraceError, TraceFormatError
 from ..isa import TRACE_DTYPE
-from .trace import Trace
+from .trace import DIGEST_LENGTH, Trace, array_hasher
 from .io import _HEADER, MAGIC, _validated
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -129,12 +129,12 @@ class TraceSource:
         """Streaming counterpart of :meth:`Trace.content_digest`.
 
         Computed incrementally (one bounded chunk of rows resident at a
-        time) over the exact byte stream the in-memory digest hashes,
-        so the two are always equal for the same rows.
+        time) over the exact prefix and byte stream the in-memory
+        digest hashes, so the two are always equal for the same rows.
         """
-        hasher = hashlib.sha256()
+        hasher = array_hasher(TRACE_DTYPE, (len(self),))
         self._digest_update(hasher)
-        return hasher.hexdigest()[:16]
+        return hasher.hexdigest()[:DIGEST_LENGTH]
 
     def fingerprint(self) -> str:
         """Streaming counterpart of :func:`repro.perf.trace_fingerprint`.

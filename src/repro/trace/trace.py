@@ -32,6 +32,19 @@ from ..isa import (
 )
 
 
+#: Hex digits of :meth:`Trace.content_digest`.
+DIGEST_LENGTH = 16
+
+
+def array_hasher(dtype, shape):
+    """A sha256 fed an array's dtype and shape: fed its bytes next, the
+    checksum of :mod:`repro.perf.integrity` and of content digests."""
+    hasher = hashlib.sha256()
+    hasher.update(str(dtype).encode())
+    hasher.update(repr(tuple(shape)).encode())
+    return hasher
+
+
 class Trace:
     """An immutable dynamic instruction trace.
 
@@ -224,18 +237,21 @@ class Trace:
     def content_digest(self) -> str:
         """Short content hash of the instruction stream (name-blind).
 
-        Memoized (the backing array is immutable).  Used by analysis
-        results that must later verify they are being applied to the
-        trace they were computed from — e.g.
+        The cache's payload checksum (:func:`array_hasher` over the
+        records) truncated, so a trace the cache loads is seeded with
+        the checksum its verification matched.  Memoized (the backing
+        array is immutable).  Used by analysis results that must later
+        verify they are being applied to the trace they were computed
+        from — e.g.
         :class:`repro.phases.PhaseResult` — where equal length alone
         would let a wrong trace pass silently.
         """
         if self._digest is None:
-            hasher = hashlib.sha256()
+            hasher = array_hasher(self._data.dtype, self._data.shape)
             # The buffer itself, not a ``tobytes`` copy (only a strided
             # slice is made contiguous first).
             hasher.update(np.ascontiguousarray(self._data))
-            self._digest = hasher.hexdigest()[:16]
+            self._digest = hasher.hexdigest()[:DIGEST_LENGTH]
         return self._digest
 
     def fingerprint(self) -> str:

@@ -62,6 +62,15 @@ class TestHistoryRow:
             "generation": 11.0, "events": 9.0, "pipelines": 1.5,
         }
 
+    def test_row_records_the_src_line_count(self):
+        package = Path(__file__).parent.parent / "src" / "repro"
+        expected = sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in package.glob("**/*.py")
+        )
+        row = bench_history_row(_result())
+        assert row["src_lines"] == expected > 20_000
+
     def test_skipped_sections_are_absent_not_zero(self):
         row = bench_history_row(_result(
             include_generation=False, include_hpc=False,

@@ -73,3 +73,47 @@ def test_payload_size_must_match_its_header(tmp_path):
             archive.writestr(name, data)
     with pytest.raises(CacheIntegrityError, match="payload bytes"):
         _verify(path)
+
+
+def _rewrite_member(path, member, transform):
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    members[member] = transform(members[member])
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+def test_header_memo_keeps_every_check(tmp_path):
+    """The parsed ``.npy`` header is memoized by its raw bytes; a
+    damaged header (valid zip CRC) is still refused and quarantined
+    after a healthy entry warmed the memo, and the object-array refusal
+    runs on every read."""
+    values = np.arange(8.0)
+    healthy = _write(tmp_path / "healthy.npz", values=values)
+    _verify(healthy)
+    before = integrity._parse_npy_header.cache_info().hits
+    assert np.array_equal(_verify(healthy)["values"], values)
+    assert integrity._parse_npy_header.cache_info().hits > before
+
+    damaged = _write(tmp_path / "damaged.npz", values=values)
+    _rewrite_member(
+        damaged, "values.npy", lambda data: data.replace(b"(8,)", b"(9,)", 1)
+    )
+    with pytest.raises(CacheIntegrityError, match="payload bytes"):
+        _verify(damaged)
+    assert integrity.load_entry(damaged, level="test", version=1) is None
+    assert not damaged.exists()
+    assert damaged.with_name(
+        damaged.name + integrity.QUARANTINE_SUFFIX
+    ).exists()
+
+    objects = _write(tmp_path / "objects.npz", values=values)
+    _rewrite_member(
+        objects, "values.npy",
+        lambda data: data.replace(b"'<f8'", b"'|O' ", 1),
+    )
+    for _ in range(2):
+        with pytest.raises(CacheIntegrityError, match="object arrays"):
+            _verify(objects)
+    assert np.array_equal(_verify(healthy)["values"], values)
