@@ -21,7 +21,7 @@ from ..analysis import max_normalize
 from ..errors import AnalysisError
 from ..mica import CHARACTERISTICS
 from ..reporting import format_table
-from ..uarch.hpc import HPC_METRIC_NAMES, HPC_MIX_NAMES
+from ..uarch.hpc import HPC_METRIC_NAMES
 from .dataset import WorkloadDataset
 
 #: Mix columns in the MICA matrix (prepended to the HPC vector for the
@@ -143,7 +143,9 @@ def run_case_study(
     mix = dataset.mica[:, _MIX_SLICE]
     hpc_extended = np.hstack([dataset.hpc, mix])
     hpc_normalized = max_normalize(hpc_extended)
-    hpc_labels = tuple(HPC_METRIC_NAMES) + tuple(HPC_MIX_NAMES)
+    hpc_labels = tuple(HPC_METRIC_NAMES) + tuple(
+        characteristic.key for characteristic in CHARACTERISTICS[_MIX_SLICE]
+    )
 
     mica_normalized = max_normalize(dataset.mica)
     mica_labels = tuple(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import gzip
 import io
 import struct
+import zlib
 from typing import TextIO, Union
 
 import numpy as np
@@ -66,17 +67,22 @@ def read_trace(path: PathLike, name: str = "") -> Trace:
     """Read a binary ``.mtf`` trace file (``.gz`` accepted).
 
     Raises:
-        TraceFormatError: on bad magic, truncated data, size mismatch,
-            or rows that fail :func:`validate_trace`.
+        TraceFormatError: on a corrupt gzip stream, bad magic, truncated
+            data, size mismatch, or rows that fail :func:`validate_trace`.
     """
-    with _open_binary(path, "rb") as handle:
-        header = handle.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise TraceFormatError(f"{path}: truncated header")
-        magic, count = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise TraceFormatError(f"{path}: bad magic {magic!r}")
-        payload = handle.read()
+    try:
+        with _open_binary(path, "rb") as handle:
+            header = handle.read(_HEADER.size)
+            payload = handle.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as error:
+        raise TraceFormatError(
+            f"{path}: corrupt gzip stream ({error})"
+        ) from None
+    if len(header) != _HEADER.size:
+        raise TraceFormatError(f"{path}: truncated header")
+    magic, count = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise TraceFormatError(f"{path}: bad magic {magic!r}")
     expected = count * TRACE_DTYPE.itemsize
     if len(payload) != expected:
         raise TraceFormatError(
@@ -142,13 +148,19 @@ def read_trace_text(source: Union[PathLike, TextIO], name: str = "") -> Trace:
     Blank lines and lines starting with ``#`` are ignored.
 
     Raises:
-        TraceFormatError: on any malformed line, a value that does not
-            fit its column, or rows that fail :func:`validate_trace`.
+        TraceFormatError: on a file that is not ASCII, any malformed
+            line, a value that does not fit its column, or rows that
+            fail :func:`validate_trace`.
     """
     if hasattr(source, "read"):
         return _read_text(source, name)  # type: ignore[arg-type]
     with open(source, "r", encoding="ascii") as handle:
-        return _read_text(handle, name or str(source))
+        try:
+            return _read_text(handle, name or str(source))
+        except UnicodeDecodeError as error:
+            raise TraceFormatError(
+                f"{source}: not ASCII text ({error})"
+            ) from None
 
 
 def _read_text(handle: TextIO, name: str) -> Trace:

@@ -16,10 +16,10 @@ its own predictions, so the full history streams are known up front:
 each predictor's :meth:`~BranchPredictor.simulate_batch` materializes
 the (global or per-PC) history registers for the whole branch stream,
 maps every branch to its counter cell, and recovers the counter value
-each branch observed with a grouped *clamped* prefix sum — a saturating
-counter's trajectory has a closed form over its cell's update
-subsequence via the reversed running-min/max transform (see
-:func:`_saturating_counter_states`).  No per-branch Python loops, and
+each branch observed with a grouped *clamped* prefix scan over runs of
+equal updates — saturating updates compose in closed form (see
+:func:`_saturating_counter_states`).  Cell ids are radix-sorted as
+``uint16`` keys when the table allows.  No per-branch Python loops, and
 the tables/registers are left in exactly the state the scalar
 ``predict``/``update`` path produces.
 :func:`simulate_predictor_reference` retains the scalar loop as the
@@ -35,19 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
+from .cache import _run_firsts, _stable_order
 
 
 def _check_power_of_two(value: int, label: str) -> None:
     if value <= 0 or value & (value - 1):
         raise SimulationError(f"{label} must be a positive power of two")
-
-
-def _group_firsts(keys: np.ndarray) -> np.ndarray:
-    """Boolean mask marking the first element of each run of equal keys."""
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    first[1:] = keys[1:] != keys[:-1]
-    return first
 
 
 def _saturating_counter_states(
@@ -71,10 +64,14 @@ def _saturating_counter_states(
                                    s1+s2)
 
     where a map ``(a,b,s)`` sends ``v`` to ``min(b, max(a, v+s))``.  A
-    grouped logarithmic-doubling scan over that monoid yields every
-    prefix composition at once, so the value a cell held *before* each
-    of its updates — and the closing value written back into ``table``
-    — falls out without any per-event Python loop.
+    run of ``k`` consecutive updates of one cell by the same ``x`` is
+    the single map ``(low, high, k*x)`` on ``[low, high]``, where every
+    counter value lies.  A grouped logarithmic-doubling scan over that
+    monoid, one element per run, yields every prefix composition at
+    once: the value a cell held *entering* each run, and the closing
+    value written back into ``table``.  The ``j``-th update of a run
+    observes ``min(high, max(low, entering + j*x))``, so no per-event
+    Python loop is needed.
 
     Returns:
         Per-event counter values, in program order.
@@ -82,20 +79,28 @@ def _saturating_counter_states(
     n = len(cells)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(cells, kind="stable")
+    order = _stable_order(cells, len(table))
     sorted_cells = cells[order]
-    first = _group_firsts(sorted_cells)
-    positions = np.arange(n, dtype=np.int64)
+    sorted_deltas = deltas[order].astype(np.int64)
+    first = _run_firsts(sorted_cells)
+    run_first = first.copy()
+    run_first[1:] |= sorted_deltas[1:] != sorted_deltas[:-1]
+    run_starts = np.flatnonzero(run_first)
+    runs = len(run_starts)
+    run_lengths = np.diff(np.append(run_starts, n))
+    step_sizes = sorted_deltas[run_starts]
+    first = first[run_starts]
+    positions = np.arange(runs, dtype=np.int64)
     within = positions - np.maximum.accumulate(np.where(first, positions, 0))
 
     # Inclusive prefix composition per group, by doubling: after the
-    # k-th pass each element holds the composition of the trailing
-    # min(2^k, within+1) updates of its group.
-    lower = np.full(n, low, dtype=np.int64)
-    upper = np.full(n, high, dtype=np.int64)
-    shift = deltas[order].astype(np.int64)
+    # k-th pass each run holds the composition of the trailing
+    # min(2^k, within+1) runs of its group.
+    lower = np.full(runs, low, dtype=np.int64)
+    upper = np.full(runs, high, dtype=np.int64)
+    shift = step_sizes * run_lengths
     step = 1
-    while step < n:
+    while step < runs:
         merge = within >= step
         if not merge.any():
             break
@@ -111,24 +116,27 @@ def _saturating_counter_states(
         shift = np.where(merge, new_shift, shift)
         step *= 2
 
-    initial = table[sorted_cells].astype(np.int64)
-    # State before event t = the exclusive prefix composition (the
-    # inclusive one of the previous event) applied to the cell's
-    # pre-batch value; the first event of a group sees it untouched.
-    before = np.empty(n, dtype=np.int64)
-    before[1:] = np.minimum(
+    initial = table[sorted_cells[run_starts]].astype(np.int64)
+    # State entering run r = the exclusive prefix composition (the
+    # inclusive one of the previous run) applied to the cell's
+    # pre-batch value; the first run of a group sees it untouched.
+    entering = np.empty(runs, dtype=np.int64)
+    entering[1:] = np.minimum(
         upper[:-1], np.maximum(lower[:-1], initial[1:] + shift[:-1])
     )
-    before[first] = initial[first]
+    entering[first] = initial[first]
 
-    last = np.empty(n, dtype=bool)
+    last = np.empty(runs, dtype=bool)
     last[:-1] = first[1:]
     last[-1] = True
     closing = np.minimum(upper, np.maximum(lower, initial + shift))
-    table[sorted_cells[last]] = closing[last].astype(table.dtype)
+    table[sorted_cells[run_starts[last]]] = closing[last].astype(table.dtype)
 
+    run = np.repeat(positions, run_lengths)
+    offset = np.arange(n, dtype=np.int64) - run_starts[run]
+    seen = entering[run] + offset * step_sizes[run]
     result = np.empty(n, dtype=np.int64)
-    result[order] = before
+    result[order] = np.clip(seen, low, high)
     return result
 
 
@@ -298,10 +306,10 @@ class LocalHistoryPredictor(BranchPredictor):
         """Per-branch local-history values, advancing level one."""
         n = len(branch_pcs)
         entries = (branch_pcs.astype(np.int64) >> 2) & self._entry_mask
-        order = np.argsort(entries, kind="stable")
+        order = _stable_order(entries, len(self._histories))
         sorted_entries = entries[order]
         sorted_bits = taken[order].astype(np.int64)
-        first = _group_firsts(sorted_entries)
+        first = _run_firsts(sorted_entries)
         within = np.arange(n, dtype=np.int64)
         within -= np.maximum.accumulate(np.where(first, within, 0))
         sorted_histories = _history_streams(

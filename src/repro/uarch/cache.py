@@ -20,14 +20,22 @@ canonical state, interleaving them is always safe (the historical
 direct-mapped fast path left LRU ages stale; a recency stack cannot).
 
 **Batch engine.**  :meth:`SetAssociativeCache.simulate` resolves a whole
-access stream without per-access Python loops: accesses are stable-sorted
-by set (current residents are prepended as virtual warm-up accesses in
-LRU-to-MRU order, so warm starts are just a longer stream);
-direct-mapped hits are one previous-same-line compare; small
-associativities walk a "last A distinct lines" pointer recurrence
-bounded by the (small, static) associativity; large associativities
-(the fully-associative TLB) compare exact LRU stack distances computed
-with a merge-counting pass.  :meth:`SetAssociativeCache.simulate_reference`
+access stream without per-access Python loops, and only where the
+outcome is not already known.  An access to the same line as the access
+before it is an MRU hit that leaves the stack unchanged, so only the
+heads of such runs are simulated (statistics still count every access).
+The heads are stable-sorted by set (current residents are prepended as
+virtual warm-up accesses in LRU-to-MRU order, so warm starts are just a
+longer stream); set ids, and line ids spanning at most 2**16 values,
+are sorted as ``uint16`` keys, which numpy radix-sorts.  Direct-mapped
+hits are one previous-same-line compare; small associativities walk a
+"last A distinct lines" pointer recurrence bounded by the (small,
+static) associativity; large associativities (the fully-associative
+TLB) use exact LRU stack distances behind a reuse-gap filter: by LRU
+inclusion, a line reused after fewer than ``ways`` other accesses hits,
+and so does every reuse in a stream of at most ``ways`` distinct lines.
+Only the remaining reuses are counted, blockwise under a fixed element
+budget (``_ELEMENT_BUDGET``).  :meth:`SetAssociativeCache.simulate_reference`
 retains the scalar per-access loop as the executable specification the
 equivalence tests pin the engine against, bit for bit — including the
 final stack state.
@@ -51,6 +59,12 @@ _SMALL_WAYS = 8
 #: masked pointer jumps crawl, so after this many total jump passes the
 #: engine falls back to the stack-distance path (identical results).
 _MAX_JUMP_PASSES = 96
+
+#: Block and sub-block sizes of the exact stack-distance count.
+_BLOCKS = (256, 16)
+
+#: Elements of the largest exact stack-distance temporary (int64: 512 KiB).
+_ELEMENT_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,13 +116,6 @@ class CacheStats:
             return 0.0
         return self.misses / self.accesses
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Combined counters of two runs."""
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            misses=self.misses + other.misses,
-        )
-
 
 def _run_firsts(keys: np.ndarray) -> np.ndarray:
     """True at the first element of each run of equal keys (non-empty)."""
@@ -118,45 +125,86 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def _earlier_larger_counts(values: np.ndarray) -> np.ndarray:
-    """For each position ``i``: ``#{p < i : values[p] > values[i]}``.
+def _stable_order(keys: np.ndarray, domain: int, base: int = 0) -> np.ndarray:
+    """Stable argsort of ``keys``, all in ``[base, base + domain)``.
 
-    Merge-counting without the merge: at each doubling level every
-    element is either in the left or the right half of its block, and
-    one stable key sort per level ranks right-half elements among their
-    block's left half.  ``ceil(log2(n))`` fully-vectorized passes.
-    Ties are not counted (strictly larger only).
+    Keys whose domain fits 16 bits are sorted as ``uint16`` offsets,
+    which numpy's stable sort handles with a radix sort: the same
+    permutation, several times faster than the int64 sort.
     """
-    m = len(values)
-    counts = np.zeros(m, dtype=np.int64)
-    if m < 2:
-        return counts
+    if domain <= 1 << 16:
+        keys = (keys - base).astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _stack_distance_hits(previous_same: np.ndarray, ways: int) -> np.ndarray:
+    """Hit mask via exact LRU stack distances (any associativity).
+
+    The stack distance of an access is the number of distinct lines
+    touched in its set since the previous access of the same line: the
+    reuse gap (accesses in between) minus the in-window repeats, i.e.
+    accesses whose own previous occurrence also lies inside the window.
+    A gap below ``ways`` is a hit whatever the window holds, and a
+    stream of at most ``ways`` distinct lines hits on every reuse, so
+    only the other reuses are counted.  For an access at ``i`` whose
+    previous occurrence is ``l``, the repeats are the positions
+    ``p < i`` with ``previous_same[p] > l`` (every ``p <= l`` points
+    below ``l``).  They are counted by binary search in the sorted
+    pointers of each whole block inside the window (``_BLOCKS``: blocks,
+    then sub-blocks of the block holding ``i``) and by direct compare in
+    the sub-block of ``i``, ``_ELEMENT_BUDGET`` elements at a time.
+    Groups never contaminate each other: a foreign access's pointer
+    always falls outside the window's position range.
+    """
+    m = len(previous_same)
+    reused = previous_same >= 0
+    if m - np.count_nonzero(reused) <= ways:
+        return reused
     positions = np.arange(m, dtype=np.int64)
-    shifted = values.astype(np.int64) - int(values.min())  # Non-negative.
-    span = int(shifted.max()) + 2
-    half = 1
-    while half < m:
-        block = positions // (2 * half)
-        in_right = (positions // half) & 1 == 1
-        order = np.argsort(block * span + shifted, kind="stable")
-        sorted_block = block[order]
-        sorted_left = ~in_right[order]
-        left_running = np.cumsum(sorted_left)
-        first = _run_firsts(sorted_block)
-        starts = np.flatnonzero(first)
-        base = (left_running - sorted_left)[starts]
-        block_ordinal = np.cumsum(first) - 1
-        # Left elements sorted before me have values <= mine (stable
-        # sort puts equal-valued lefts first: they sit earlier in the
-        # block), so the strictly-larger count is the block remainder.
-        left_before = (left_running - sorted_left) - base[block_ordinal]
-        ends = np.append(starts[1:], m) - 1
-        total_left = left_running[ends] - base
-        right_sorted = ~sorted_left
-        gain = (total_left[block_ordinal] - left_before)[right_sorted]
-        counts[order[right_sorted]] += gain
-        half *= 2
-    return counts
+    gap = positions - previous_same - 1
+    hits = reused & (gap < ways)
+    queries = np.flatnonzero(reused & ~hits)
+    if len(queries) == 0:
+        return hits
+    # Per block size, block-major and pointer-minor keys: block c fills
+    # sorted slots [c*size, c*size + size).
+    span = m + 1
+    levels = [
+        (size, np.sort(positions // size * span + previous_same + 1))
+        for size in _BLOCKS
+    ]
+    lows = previous_same[queries]
+    block, sub_block = _BLOCKS
+    work = np.cumsum(
+        queries // block - (lows + 1) // block + block // sub_block + sub_block
+    )
+    cuts = np.searchsorted(
+        work, np.arange(_ELEMENT_BUDGET, work[-1], _ELEMENT_BUDGET)
+    )
+    for start, stop in zip(np.append(0, cuts), np.append(cuts, len(queries))):
+        query = queries[start:stop]
+        low = lows[start:stop]
+        begin = low + 1
+        repeats = np.zeros(len(query), dtype=np.int64)
+        for size, keys in levels:
+            first = begin // size
+            count = query // size - first
+            owner = np.repeat(np.arange(len(query)), count)
+            blocks = np.repeat(first - np.cumsum(count) + count, count)
+            blocks += np.arange(len(owner))
+            above = (blocks + 1) * size - np.searchsorted(
+                keys, blocks * span + low[owner] + 1, side="right"
+            )
+            repeats += np.bincount(owner, above, len(query)).astype(np.int64)
+            begin = query // size * size
+        window = begin[:, None] + np.arange(sub_block)
+        repeats += np.count_nonzero(
+            (previous_same[np.minimum(window, m - 1)] > low[:, None])
+            & (window < query[:, None]),
+            axis=1,
+        )
+        hits[query] = gap[query] - repeats < ways
+    return hits
 
 
 class SetAssociativeCache:
@@ -227,6 +275,10 @@ class SetAssociativeCache:
             return np.zeros(0, dtype=bool)
         ways = self.config.associativity
         lines = addresses.astype(np.int64) >> self._line_shift
+        # A repeat of the previous access's line is an MRU hit that
+        # leaves the stack as it is: only run heads are resolved.
+        heads = np.flatnonzero(_run_firsts(lines))
+        lines = lines[heads]
         sets = lines & self._set_mask
 
         # Prepend the current residents as virtual accesses (LRU to MRU
@@ -243,7 +295,7 @@ class SetAssociativeCache:
 
         # Stable sort by set: virtuals lead each group, then the batch
         # accesses in program order.
-        order = np.argsort(all_sets, kind="stable")
+        order = _stable_order(all_sets, self.config.num_sets)
         group_sets = all_sets[order]
         group_lines = all_lines[order]
         m = len(order)
@@ -251,7 +303,10 @@ class SetAssociativeCache:
 
         # Previous occurrence of the same line (equal lines share a
         # set, so one line-keyed stable sort covers every group).
-        line_order = np.argsort(group_lines, kind="stable")
+        lowest = int(group_lines.min())
+        line_order = _stable_order(
+            group_lines, int(group_lines.max()) - lowest + 1, lowest
+        )
         ordered_lines = group_lines[line_order]
         same_as_previous = ~_run_firsts(ordered_lines)
         previous_same = np.full(m, -1, dtype=np.int64)
@@ -271,29 +326,12 @@ class SetAssociativeCache:
                 group_lines, new_group, previous_same, ways
             )
         else:
-            # Immediate same-line repeats are distance-0 hits that never
-            # move the recency stack: collapse them first, then run the
-            # exact stack-distance count on the (much shorter) residue.
-            repeat = np.zeros(m, dtype=bool)
-            repeat[1:] = (group_lines[1:] == group_lines[:-1]) & (
-                ~new_group[1:]
-            )
-            kept = np.flatnonzero(~repeat)
-            kept_lines = group_lines[kept]
-            kept_order = np.argsort(kept_lines, kind="stable")
-            kept_same = ~_run_firsts(kept_lines[kept_order])
-            kept_previous = np.full(len(kept), -1, dtype=np.int64)
-            kept_repeats = np.flatnonzero(kept_same)
-            kept_previous[kept_order[kept_repeats]] = kept_order[
-                kept_repeats - 1
-            ]
-            hits = np.ones(m, dtype=bool)
-            hits[kept] = self._stack_distance_hits(kept_previous, ways)
+            hits = _stack_distance_hits(previous_same, ways)
 
         # Scatter the query results back to program order.
-        misses = np.empty(n, dtype=bool)
+        misses = np.zeros(n, dtype=bool)
         query = order >= n_virtual
-        misses[order[query] - n_virtual] = ~hits[query]
+        misses[heads[order[query] - n_virtual]] = ~hits[query]
         self.stats.accesses += n
         self.stats.misses += int(misses.sum())
 
@@ -303,7 +341,7 @@ class SetAssociativeCache:
         is_final[line_order[:-1]] = ~same_as_previous[1:]
         final_positions = np.flatnonzero(is_final)[::-1]  # Descending.
         final_sets = group_sets[final_positions]
-        mru_order = np.argsort(final_sets, kind="stable")
+        mru_order = _stable_order(final_sets, self.config.num_sets)
         rows = final_sets[mru_order]
         row_first = _run_firsts(rows)
         depth = np.arange(len(rows), dtype=np.int64)
@@ -368,7 +406,7 @@ class SetAssociativeCache:
                     break
                 passes += 1
                 if passes > _MAX_JUMP_PASSES:
-                    return self._stack_distance_hits(previous_same, ways)
+                    return _stack_distance_hits(previous_same, ways)
                 candidate[duplicate] = different_previous[
                     np.maximum(candidate[duplicate], 0)
                 ]
@@ -377,23 +415,3 @@ class SetAssociativeCache:
         # (-1 when fewer than A distinct lines exist): hit iff the
         # line's previous occurrence is at least that recent.
         return (previous_same >= 0) & (previous_same >= chain)
-
-    @staticmethod
-    def _stack_distance_hits(
-        previous_same: np.ndarray, ways: int
-    ) -> np.ndarray:
-        """Hit mask via exact LRU stack distances (any associativity).
-
-        The stack distance of an access is the number of distinct lines
-        touched in its set since the previous access of the same line:
-        window length minus in-window repeats, where a repeat is any
-        access whose own previous occurrence also lies inside the
-        window — a strictly-larger-``previous_same`` inversion count.
-        Groups never contaminate each other: a foreign access's pointer
-        always falls outside the window's position range.
-        """
-        m = len(previous_same)
-        positions = np.arange(m, dtype=np.int64)
-        repeats = _earlier_larger_counts(previous_same)
-        stack_distance = positions - previous_same - 1 - repeats
-        return (previous_same >= 0) & (stack_distance < ways)

@@ -8,9 +8,13 @@ and returns everything, so the expensive simulations are never repeated.
 
 The default ``engine="batch"`` drives the vectorized cache/TLB and
 predictor engines, so assembling the event arrays involves no per-access
-Python loops; ``engine="reference"`` drives the retained scalar
-specifications instead (bit-identical results, used by the equivalence
-tests and the perf harness).
+Python loops.  Those engines skip the work whose outcome is already
+known: repeated fetches of one line and reuses closer than the
+associativity are hits without simulation, and runs of identical
+counter updates compose in closed form (see :mod:`repro.uarch.cache`
+and :mod:`repro.uarch.branch_predictors`).  ``engine="reference"``
+drives the retained scalar specifications instead (bit-identical
+results, used by the equivalence tests and the perf harness).
 """
 
 from __future__ import annotations

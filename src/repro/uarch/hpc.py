@@ -12,9 +12,9 @@ IPC:
 6. D-TLB miss rate,
 7. IPC on the 21264A (EV67, out-of-order four-wide).
 
-For case-study figures (the paper's Figure 2) the instruction mix can be
-appended with :meth:`HpcVector.extended_with_mix`, mirroring common
-workload-characterization practice.
+The paper's Figure 2 appends the instruction mix to these metrics; that
+case study (:mod:`repro.experiments.fig23_case_study`) takes the mix
+from the data set's MICA matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mica.instruction_mix import instruction_mix
 from ..trace import Trace
 from .configs import EV56_CONFIG, EV67_CONFIG, MachineConfig
 from .events import MachineEvents
@@ -60,16 +59,6 @@ HPC_METRIC_NAMES: Tuple[str, ...] = (
     "l2_miss_rate",
     "dtlb_miss_rate",
     "ipc_ev67",
-)
-
-#: Names appended by :meth:`HpcVector.extended_with_mix`.
-HPC_MIX_NAMES: Tuple[str, ...] = (
-    "mix_loads",
-    "mix_stores",
-    "mix_branches",
-    "mix_arith",
-    "mix_int_mul",
-    "mix_fp",
 )
 
 
@@ -147,14 +136,3 @@ def collect_hpc(
         ]
     )
     return HpcVector(name=trace.name, values=values)
-
-
-def hpc_with_mix(trace: Trace, hpc: HpcVector) -> "tuple[Tuple[str, ...], np.ndarray]":
-    """The HPC vector extended with the instruction mix (Figure 2 style).
-
-    Returns:
-        ``(names, values)`` with the six mix fractions appended.
-    """
-    mix = instruction_mix(trace)
-    names = HPC_METRIC_NAMES + HPC_MIX_NAMES
-    return names, np.concatenate([hpc.values, mix])

@@ -49,7 +49,7 @@ class TLB:
 
         Runs the batch engine of the underlying cache — with a single
         set whose associativity is the entry count, the engine resolves
-        hits via exact LRU stack distances.
+        hits via the reuse-gap filter and exact LRU stack distances.
         """
         return self._cache.simulate(addresses)
 

@@ -156,11 +156,3 @@ class TestCollectHpc:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             HpcVector(name="x", values=np.zeros(3))
-
-    def test_hpc_with_mix_appends_six(self, small_trace):
-        from repro.uarch.hpc import hpc_with_mix
-
-        hpc = collect_hpc(small_trace)
-        names, values = hpc_with_mix(small_trace, hpc)
-        assert len(names) == len(HPC_METRIC_NAMES) + 6
-        assert values.shape == (len(names),)
