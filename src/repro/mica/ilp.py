@@ -9,23 +9,27 @@ consecutive non-overlapping windows of W instructions; each window
 executes in as many cycles as its dataflow critical path; IPC is the
 instruction count divided by the summed critical-path lengths.
 
-Register dataflow is recovered from the trace with
-:func:`producer_indices`, which maps every source operand to the dynamic
-index of the instruction that produced the value (the most recent writer
-of that architected register) — a single key-sorted pass over one
-combined read/write event stream (the retained per-register
-:func:`producer_indices_reference` is its executable specification).
+Register dataflow is recovered with :func:`producer_indices`, which
+maps every source operand to the dynamic index of the instruction that
+produced the value (the most recent writer of that architected
+register).  One grouped-radix kernel serves it and the segmented
+engine: reads and writes are stable-sorted by a narrow group id
+(the register here, interval x register there) in one 8- or 16-bit
+radix pass, and each slot's grouped reads merge against the grouped
+writes with one binary search.  The retained per-register
+:func:`producer_indices_reference` is its executable specification.
 
 Two critical-path implementations are provided:
 
 * :func:`window_cycle_counts` — the production path.  Windows of one
-  size are mutually independent, so instead of walking the trace once
-  per window size it walks window-relative *offsets* once (0..max(W)-1)
-  and, at each offset, updates the dataflow depth of that position in
-  **every** window of **every** requested size with array gathers.  A
-  producer always precedes its consumer, so by the time offset ``j`` is
-  processed every in-window producer (offset < ``j``) already has its
-  final depth.
+  size are mutually independent, so each size walks window-relative
+  *offsets* and, at each offset, updates the dataflow depth of that
+  position in every window with array gathers; a producer always
+  precedes its consumer, so by the time offset ``j`` is processed
+  every in-window producer already has its final depth.  Window
+  prefixes nest: a size starts from the depths of the largest walked
+  size dividing it and walks only the offsets that size does not
+  cover.
 * :func:`ilp_ipc_reference` — the original per-instruction scalar loop,
   retained as the executable specification for the equivalence tests.
 """
@@ -38,11 +42,86 @@ import numpy as np
 
 from ..errors import CharacterizationError
 from ..isa import NO_REG
-from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG
+from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
 
 #: Producer index used when a source has no producer in the trace.
 NO_PRODUCER = -1
+
+
+#: Register liveness lookup: absent slots and the hardwired-zero
+#: registers never have a producer.
+_LIVE_SOURCE = np.ones(1 << 8, dtype=bool)
+_LIVE_SOURCE[[NO_REG, INT_ZERO_REG, FP_ZERO_REG]] = False
+
+
+def _grouped_order(group_ids: np.ndarray, domain: int) -> np.ndarray:
+    """Stable sort order by group id.
+
+    Narrow domains take one radix pass (numpy's stable sort is a radix
+    sort for 8- and 16-bit integers, an order of magnitude faster than
+    the 64-bit merge sort); wide domains fall back to the merge sort.
+    """
+    if domain <= (1 << 8):
+        return np.argsort(group_ids.astype(np.uint8), kind="stable")
+    if domain <= (1 << 16):
+        return np.argsort(group_ids.astype(np.uint16), kind="stable")
+    return np.argsort(group_ids, kind="stable")
+
+
+def _grouped_producer_indices(
+    src1: np.ndarray, src2: np.ndarray, dst: np.ndarray, interval: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Producer recovery with register state restarting every
+    ``interval`` instructions (``interval >= len(dst)``: never).
+
+    Both event streams are grouped by the segmented register —
+    ``(position // interval) * TOTAL_REGS + register``, a bare register
+    number with one interval — in one radix pass over the narrow group
+    domain, never a 64-bit comparison sort, and the writes become an
+    ascending ``group * (n + 1) + position`` key array.  A slot's
+    grouped reads are key-ascending too (the stable sort keeps
+    positions ascending within each group), so the writes merge into
+    them with one sorted-query binary search, and each read's
+    preceding-write slot falls out of the insertion histogram.  The
+    producer is that write, provided it belongs to the read's group.
+    An instruction's same-register write has exactly its read's key;
+    ``side="right"`` inserts it after, keeping it invisible.
+    """
+    n = len(dst)
+    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
+    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
+    writers = np.flatnonzero(dst != NO_REG)
+    if len(writers) == 0:
+        return producer1, producer2  # No writes: nothing has a producer.
+    domain = -(-n // interval) * TOTAL_REGS
+
+    def grouped(positions: np.ndarray, registers: np.ndarray):
+        groups = registers[positions]
+        if interval < n:
+            groups = (positions // interval) * TOTAL_REGS + groups
+        order = _grouped_order(groups, domain)
+        sorted_groups = groups[order].astype(np.int64)
+        sorted_positions = positions[order]
+        keys = sorted_groups * (n + 1) + sorted_positions
+        return sorted_groups, sorted_positions, keys
+
+    write_groups, sorted_writers, write_keys = grouped(writers, dst)
+    for source, producer in ((src1, producer1), (src2, producer2)):
+        readers = np.flatnonzero(_LIVE_SOURCE[source])
+        if len(readers) == 0:
+            continue
+        read_groups, sorted_readers, read_keys = grouped(readers, source)
+        insertions = np.searchsorted(read_keys, write_keys, side="right")
+        slot = np.cumsum(
+            np.bincount(insertions, minlength=len(readers) + 1)[:-1]
+        ) - 1
+        clamped = np.maximum(slot, 0)
+        valid = (slot >= 0) & (write_groups[clamped] == read_groups)
+        producer[sorted_readers] = np.where(
+            valid, sorted_writers[clamped], NO_PRODUCER
+        )
+    return producer1, producer2
 
 
 def producer_indices(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
@@ -52,74 +131,15 @@ def producer_indices(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     index of the most recent earlier instruction that wrote that source
     register, or :data:`NO_PRODUCER` when the slot is empty, reads a
     hardwired-zero register, or reads a register not yet written.
-
-    Single pass: both read slots and the write stream pack into one
-    ``register * (n + 1) + position`` key stream (write keys biased by
-    one half-step so an instruction's own same-register write sorts
-    *after* its reads), and a single key sort merges them — each read's
-    producer is the write immediately preceding it in key order,
-    provided that write sits in the same register's key run.  After
-    biasing, keys collide only when one instruction reads the same
-    register through both slots — interchangeable events — so the
-    (fast) unstable sort is exact.
+    One interval of the grouped-radix kernel the segmented engine
+    shares, so each group is one architected register.
 
     Returns:
         ``(producer1, producer2)`` int64 arrays of the trace length.
     """
-    n = len(trace)
-    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
-    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
-
-    def live_readers(source: np.ndarray) -> np.ndarray:
-        live = (source != NO_REG) & (source != INT_ZERO_REG) & (
-            source != FP_ZERO_REG
-        )
-        return np.flatnonzero(live)
-
-    readers1 = live_readers(trace.src1)
-    readers2 = live_readers(trace.src2)
-    writers = np.flatnonzero(trace.dst != NO_REG)
-    if len(writers) == 0:
-        return producer1, producer2  # No writes: nothing has a producer.
-    base1 = trace.src1[readers1].astype(np.int64) * (n + 1)
-    base2 = trace.src2[readers2].astype(np.int64) * (n + 1)
-    writer_keys = trace.dst[writers].astype(np.int64) * (n + 1) + writers
-    n_reads = len(readers1) + len(readers2)
-    merged = np.concatenate(
-        [
-            (base1 + readers1) * 2,
-            (base2 + readers2) * 2,
-            writer_keys * 2 + 1,
-        ]
+    return _grouped_producer_indices(
+        trace.src1, trace.src2, trace.dst, max(len(trace), 1)
     )
-    order = np.argsort(merged)
-    write_entry = order >= n_reads
-    # For each read, the number of writes sorted before it, minus one:
-    # an index into the key-sorted write stream (-1 = no earlier write).
-    slot = np.cumsum(write_entry) - write_entry - 1
-    write_order = order[write_entry] - n_reads
-    sorted_keys = writer_keys[write_order]
-    sorted_positions = writers[write_order]
-
-    read_entry = ~write_entry
-    read_index = order[read_entry]  # Into the concatenated read streams.
-    read_slot = slot[read_entry]
-    bases = np.concatenate([base1, base2])
-    targets = np.concatenate([readers1, readers2])
-    valid = read_slot >= 0
-    # Same register iff the producing write's key falls in the reader's
-    # register run.
-    valid &= sorted_keys[np.maximum(read_slot, 0)] >= bases[read_index]
-    second = read_index >= len(readers1)
-    keep1 = valid & ~second
-    keep2 = valid & second
-    producer1[targets[read_index[keep1]]] = sorted_positions[
-        read_slot[keep1]
-    ]
-    producer2[targets[read_index[keep2]]] = sorted_positions[
-        read_slot[keep2]
-    ]
-    return producer1, producer2
 
 
 def producer_indices_reference(
@@ -192,6 +212,89 @@ def _window_critical_paths_reference(
     return total_cycles
 
 
+def _window_depths(
+    producer1: np.ndarray,
+    producer2: np.ndarray,
+    window_sizes: Sequence[int],
+    origin: int = 0,
+) -> Dict[int, np.ndarray]:
+    """Dataflow critical path of every window of every size.
+
+    Windows are aligned at absolute multiples of their size, with local
+    index 0 at absolute position ``origin``: row ``k`` of size ``W``
+    covers local positions ``[k * W - pad, (k + 1) * W - pad)`` clipped
+    to the trace, ``pad = origin % W``, so the first row is a partial
+    window when ``pad > 0`` and the last when the trace ends inside one.
+
+    Each size walks window-relative offsets: at offset ``j`` the
+    instructions at ``j`` of every window (one column of the
+    ``(windows, W)`` grid) gather their producers' already-final
+    depths.  Depths are stored *based*, as ``local window start +
+    depth``: a producer in an earlier window then holds at most the
+    consumer's window start, so ``max(based producers, window start) +
+    1`` is the consumer's based depth with no membership test
+    (``NO_PRODUCER`` reads a trailing cell below every start).  The
+    grid is padded to whole windows with producer-less rows, whose
+    depth 1 never raises a window max.
+
+    Windows are aligned, so when ``V`` divides ``W`` the ``V``-window at
+    each ``W``-window start is its prefix and offsets below ``V`` have
+    equal depths in both: each size starts from the depths of the
+    largest already-walked size dividing it and walks only offsets
+    ``V..W-1`` (32/64/128/256 take 255 offset steps, not 476).  A size
+    with no walked divisor walks from offset 1.
+
+    Returns:
+        ``{size: per-row critical paths}`` for each distinct size.
+    """
+    n = len(producer1)
+    walked: Dict[int, Tuple[np.ndarray, int]] = {}
+    depths: Dict[int, np.ndarray] = {}
+    for window in sorted({int(window) for window in window_sizes}):
+        pad = origin % window
+        windows = -(-(n + pad) // window)
+        cells = windows * window
+        starts = np.arange(-pad, cells - pad, window, dtype=np.int64)
+        based = np.empty(cells + 1, dtype=np.int64)
+        grid = based[:cells].reshape(windows, window)
+        grid[:] = starts[:, None] + 1  # Depth 1 throughout.
+        based[cells] = -window  # Read by NO_PRODUCER (index -1).
+        first = max(
+            (size for size in walked if window % size == 0), default=1
+        )
+        if first > 1:
+            source, source_pad = walked[first]
+            based[pad : pad + n] = source[source_pad : source_pad + n]
+        columns = []
+        for producer in (producer1, producer2):
+            if pad:
+                producer = np.where(
+                    producer >= 0, producer + pad, NO_PRODUCER
+                )
+            columns.append(
+                np.concatenate(
+                    [
+                        np.full(pad, NO_PRODUCER, np.int64),
+                        producer,
+                        np.full(cells - n - pad, NO_PRODUCER, np.int64),
+                    ]
+                ).reshape(windows, window)
+            )
+        depth = np.empty(windows, dtype=np.int64)
+        for offset in range(first, window):
+            np.maximum(
+                based[columns[0][:, offset]],
+                based[columns[1][:, offset]],
+                out=depth,
+            )
+            np.maximum(depth, starts, out=depth)
+            depth += 1
+            grid[:, offset] = depth
+        walked[window] = (based, pad)
+        depths[window] = grid.max(axis=1) - starts
+    return depths
+
+
 def window_cycle_counts(
     producer1: np.ndarray,
     producer2: np.ndarray,
@@ -199,117 +302,14 @@ def window_cycle_counts(
 ) -> List[int]:
     """Summed per-window critical-path cycles for every window size.
 
-    One traversal over window-relative offsets computes the dataflow
-    depth of every instruction for **all** window sizes: at offset ``j``
-    the instructions ``starts + j`` (one per window) gather their
-    producers' already-final depths, zeroing producers outside their own
-    window.  Per-window critical paths then fall out of a segmented max.
+    Windows tile the trace from its first instruction (see
+    :func:`_window_depths` for the walk).
 
     Returns:
         Total cycles per entry of ``window_sizes`` (same order).
     """
-    n = len(producer1)
-    unique_sizes = sorted({int(window) for window in window_sizes})
-    levels: Dict[int, np.ndarray] = {}
-    starts: Dict[int, np.ndarray] = {}
-    for window in unique_sizes:
-        # Offset-0 instructions have no in-window producer: depth 1.
-        levels[window] = np.ones(n, dtype=np.int64)
-        starts[window] = np.arange(0, n, window, dtype=np.int64)
-
-    for offset in range(1, max(unique_sizes, default=1)):
-        for window in unique_sizes:
-            if offset >= window:
-                continue
-            window_starts = starts[window]
-            # starts are ascending, so the windows still holding an
-            # instruction at this offset form a prefix.
-            count = int(
-                np.searchsorted(window_starts, n - offset, side="left")
-            )
-            if count == 0:
-                continue
-            window_starts = window_starts[:count]
-            indices = window_starts + offset
-            level = levels[window]
-            gather1 = producer1[indices]
-            gather2 = producer2[indices]
-            depth1 = np.where(
-                gather1 >= window_starts, level[gather1], 0
-            )
-            depth2 = np.where(
-                gather2 >= window_starts, level[gather2], 0
-            )
-            level[indices] = np.maximum(depth1, depth2) + 1
-
-    cycles = {
-        window: int(np.maximum.reduceat(levels[window], starts[window]).sum())
-        for window in unique_sizes
-    }
-    return [cycles[int(window)] for window in window_sizes]
-
-
-def full_window_cycle_counts(
-    producer1: np.ndarray,
-    producer2: np.ndarray,
-    starts_by_size: "Dict[int, np.ndarray]",
-    n: "int | None" = None,
-) -> "Dict[int, int]":
-    """Summed critical-path cycles over explicitly listed *full* windows.
-
-    The shard engine's generalization of :func:`window_cycle_counts`:
-    instead of tiling ``[0, n)`` it is handed, per window size, the
-    ascending local start positions of the windows to close — each
-    guaranteed full (``start + size <= n``), which is exactly the set of
-    globally-aligned windows falling entirely inside one shard.  Same
-    offset-major traversal, but with every window full no prefix
-    trimming is needed.
-
-    Returns:
-        ``{size: total cycles}`` (0 for a size with no listed windows).
-    """
-    if n is None:
-        n = len(producer1)
-    normalized = {
-        int(size): np.asarray(starts, dtype=np.int64)
-        for size, starts in starts_by_size.items()
-    }
-    sizes = sorted(normalized)
-    levels: Dict[int, np.ndarray] = {}
-    active: List[int] = []
-    for size in sizes:
-        if len(normalized[size]):
-            levels[size] = np.ones(n, dtype=np.int64)
-            active.append(size)
-    for offset in range(1, max(active, default=1)):
-        for size in active:
-            if offset >= size:
-                continue
-            window_starts = normalized[size]
-            indices = window_starts + offset
-            level = levels[size]
-            gather1 = producer1[indices]
-            gather2 = producer2[indices]
-            depth1 = np.where(
-                gather1 >= window_starts, level[gather1], 0
-            )
-            depth2 = np.where(
-                gather2 >= window_starts, level[gather2], 0
-            )
-            level[indices] = np.maximum(depth1, depth2) + 1
-    cycles: Dict[int, int] = {}
-    for size in sizes:
-        starts = normalized[size]
-        if len(starts) == 0:
-            cycles[size] = 0
-            continue
-        # Same-size aligned windows are contiguous, so reduceat segments
-        # are exactly the windows; trailing rows past the last window
-        # keep their init depth of 1 and cannot raise a window max.
-        cycles[size] = int(
-            np.maximum.reduceat(levels[size], starts).sum()
-        )
-    return cycles
+    depths = _window_depths(producer1, producer2, window_sizes)
+    return [int(depths[int(window)].sum()) for window in window_sizes]
 
 
 def _validate_ilp_inputs(trace: Trace, window_sizes: Sequence[int]) -> None:
@@ -327,9 +327,10 @@ def ilp_ipc(
 ) -> np.ndarray:
     """Idealized-processor IPC for each window size.
 
-    Vectorized: all window sizes are computed from one offset-major
-    traversal (see :func:`window_cycle_counts`), producing exactly the
-    same cycle counts as :func:`ilp_ipc_reference`.
+    Vectorized: window sizes are walked offset-major, each from the
+    depths of the largest size dividing it (see
+    :func:`window_cycle_counts`), producing exactly the same cycle
+    counts as :func:`ilp_ipc_reference`.
 
     Args:
         trace: the dynamic instruction trace.

@@ -19,12 +19,14 @@ analyzer family gets there differently:
 
 * **mix / working set / strides** — pure segmented unique/group counts:
   opclass and address streams are keyed by interval id and reduced with
-  ``bincount`` / lexsorted group-boundary counting; stride adjacency
-  masks drop pairs that straddle an interval boundary.
-* **ILP / register traffic** — :func:`segmented_producer_indices` packs
-  the interval id *above* the architected register number in the
-  producer key stream, so a write in one interval is invisible to reads
-  in the next (exactly a per-chunk producer restart); ILP windows are
+  ``bincount`` / group-boundary counting (working sets run the one-shot
+  unique kernel of :mod:`repro.mica.working_set` with interval ids);
+  stride adjacency masks drop pairs that straddle an interval boundary.
+* **ILP / register traffic** — :func:`segmented_producer_indices` runs
+  the one-shot grouped-radix producer kernel with the interval id
+  *above* the architected register number in the group, so a write in
+  one interval is invisible to reads in the next (exactly a per-chunk
+  producer restart); ILP windows are
   generated per interval (including the short trailing window of each
   chunk when ``interval % W != 0``) and walked offset-major once for
   all intervals and window sizes together.
@@ -49,14 +51,13 @@ import numpy as np
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import CharacterizationError
 from ..isa import NO_REG, OpClass
-from ..isa.registers import FP_ZERO_REG, INT_ZERO_REG, TOTAL_REGS
 from ..trace import Trace
 from .characteristics import (
     NUM_CHARACTERISTICS,
     category_slices,
     resolve_wanted,
 )
-from .ilp import NO_PRODUCER
+from .ilp import NO_PRODUCER, _grouped_producer_indices
 from .ppm import (
     MAX_VECTOR_ORDER,
     VARIANTS,
@@ -65,6 +66,7 @@ from .ppm import (
     _variant_predictions,
     ppm_predictabilities,
 )
+from .working_set import _block_page_counts
 
 
 def _full_interval_count(trace: Trace, interval: int) -> int:
@@ -148,24 +150,6 @@ class _SegmentedContext:
         )
 
 
-#: Register liveness lookup: absent slots and the hardwired-zero
-#: registers never have a producer.
-_LIVE_SOURCE = np.ones(1 << 8, dtype=bool)
-_LIVE_SOURCE[[NO_REG, INT_ZERO_REG, FP_ZERO_REG]] = False
-
-
-def _grouped_order(group_ids: np.ndarray, domain: int) -> np.ndarray:
-    """Stable sort order by group id.
-
-    Narrow domains take one radix pass (numpy's stable sort is a radix
-    sort for <= 16-bit integers — an order of magnitude faster than the
-    64-bit merge sort); wide domains fall back to the merge sort.
-    """
-    if domain <= (1 << 16):
-        return np.argsort(group_ids.astype(np.uint16), kind="stable")
-    return np.argsort(group_ids, kind="stable")
-
-
 def segmented_producer_indices(
     trace: Trace, interval: int, count: "int | None" = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,76 +162,15 @@ def segmented_producer_indices(
     distances match the per-chunk values exactly).  A read whose most
     recent writer lives in an earlier interval has
     :data:`~repro.mica.ilp.NO_PRODUCER`, reproducing the cold register
-    state each chunk starts with.
-
-    Both event streams are grouped by the segmented register —
-    ``interval_id * TOTAL_REGS + register``, one radix pass over the
-    narrow combined domain, never a 64-bit comparison sort — and the
-    writes become an ascending ``group * (n + 1) + position`` key
-    array.  Each read then finds its producer with one vectorized
-    binary search (monotone on both sides, since the reads are grouped
-    identically): the write immediately preceding the read's own key,
-    provided it belongs to the same group.  An instruction's
-    same-register write has exactly the read's key, so
-    ``side="right"`` — inserting equal write keys *after* the read —
-    keeps it invisible to its own reads.
+    state each chunk starts with.  The one-shot path's grouped-radix
+    kernel, with ``interval_id * TOTAL_REGS + register`` as the group.
     """
     if count is None:
         count = _full_interval_count(trace, interval)
     n = count * interval
-    src1 = trace.src1[:n]
-    src2 = trace.src2[:n]
-    dst = trace.dst[:n]
-    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
-    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
-
-    writers = np.flatnonzero(dst != NO_REG)
-    if len(writers) == 0:
-        return producer1, producer2  # No writes: nothing has a producer.
-    domain = count * TOTAL_REGS
-
-    write_groups = (writers // interval) * TOTAL_REGS + dst[
-        writers
-    ].astype(np.int64)
-    write_order = _grouped_order(write_groups, domain)
-    sorted_writers = writers[write_order]
-    sorted_write_groups = write_groups[write_order]
-    sorted_keys = sorted_write_groups * (n + 1) + sorted_writers
-
-    for source, producer in ((src1, producer1), (src2, producer2)):
-        readers = np.flatnonzero(_LIVE_SOURCE[source])
-        if len(readers) == 0:
-            continue
-        read_groups = (readers // interval) * TOTAL_REGS + source[
-            readers
-        ].astype(np.int64)
-        read_order = _grouped_order(read_groups, domain)
-        sorted_readers = readers[read_order]
-        sorted_read_groups = read_groups[read_order]
-        # One slot's grouped reads are fully key-ascending (the stable
-        # sort keeps positions ascending within each group), so the
-        # (fewer) writes can be merged into the read stream with one
-        # sorted-query binary search, recovering each read's
-        # preceding-write slot from the insertion histogram.  An
-        # instruction's same-register write shares its own read's key;
-        # ``side="right"`` inserts it after, keeping it invisible.
-        insertions = np.searchsorted(
-            sorted_read_groups * (n + 1) + sorted_readers,
-            sorted_keys,
-            side="right",
-        )
-        slot = np.cumsum(
-            np.bincount(insertions, minlength=len(readers) + 1)[:-1]
-        ) - 1
-        valid = slot >= 0
-        valid &= (
-            sorted_write_groups[np.maximum(slot, 0)] == sorted_read_groups
-        )
-        found = np.where(
-            valid, sorted_writers[np.maximum(slot, 0)], NO_PRODUCER
-        )
-        producer[sorted_readers] = found
-    return producer1, producer2
+    return _grouped_producer_indices(
+        trace.src1[:n], trace.src2[:n], trace.dst[:n], interval
+    )
 
 
 # -- section engines ------------------------------------------------------
@@ -504,62 +427,6 @@ def _segmented_register_traffic(
     return result
 
 
-def _granularity_shift(granularity: int) -> np.uint64:
-    shift = int(granularity).bit_length() - 1
-    if granularity != (1 << shift):
-        raise CharacterizationError(
-            f"granularity must be a power of two, got {granularity}"
-        )
-    return np.uint64(shift)
-
-
-#: Presence-table budget for the dense unique-count path (cells).
-_DENSE_UNIQUE_CELLS = 1 << 22
-
-
-def _segmented_unique_counts(
-    values: np.ndarray, interval_ids: np.ndarray, count: int
-) -> np.ndarray:
-    """Unique ``values`` per interval id (segmented ``len(np.unique)``).
-
-    Three strategies, cheapest applicable first: a dense
-    (interval x value) presence table for narrow value domains (one
-    ``bincount``, no sorting — working-set block/page ids are usually
-    tiny), one packed-key ``np.sort`` when ``(interval, value)`` fits
-    63 bits (values only — no permutation needed just to count), and a
-    two-key ``lexsort`` for arbitrary 64-bit values.
-    """
-    if len(values) == 0:
-        return np.zeros(count)
-    peak = int(values.max())
-    if (peak + 1) * count <= _DENSE_UNIQUE_CELLS:
-        table = np.bincount(
-            interval_ids * (peak + 1) + values.astype(np.int64),
-            minlength=count * (peak + 1),
-        ).reshape(count, peak + 1)
-        return (table > 0).sum(axis=1).astype(float)
-    value_bits = peak.bit_length()
-    interval_bits = max(1, (count - 1).bit_length())
-    if value_bits + interval_bits <= 63:
-        packed = np.sort(
-            (interval_ids << np.int64(value_bits))
-            | values.astype(np.int64)
-        )
-        first = np.ones(len(packed), dtype=bool)
-        first[1:] = packed[1:] != packed[:-1]
-        return np.bincount(
-            (packed >> np.int64(value_bits))[first], minlength=count
-        ).astype(float)
-    order = np.lexsort((values, interval_ids))
-    sorted_values = values[order]
-    sorted_ids = interval_ids[order]
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (
-        sorted_values[1:] != sorted_values[:-1]
-    )
-    return np.bincount(sorted_ids[first], minlength=count).astype(float)
-
-
 def _segmented_working_set(
     ctx: _SegmentedContext,
     block_bytes: int,
@@ -568,30 +435,29 @@ def _segmented_working_set(
 ) -> np.ndarray:
     """Per-interval working-set counts, shape ``(count, 4)``.
 
-    Each of the four columns is an independent unique count; only the
-    requested ones are computed (and the data stream is only gathered
-    when a data column needs it).  Unrequested columns stay ``NaN``.
+    One interval-keyed pass of the one-shot unique kernel per stream
+    (:func:`repro.mica.working_set._block_page_counts`) yields both its
+    block and page columns; a stream with neither column requested is
+    never gathered.  Unrequested columns stay ``NaN``.
     """
     # Table II order: D blocks, D pages, I blocks, I pages.
     result = np.full((ctx.count, 4), np.nan)
-    if wanted[0] or wanted[1]:
-        memory_mask = ctx.trace.memory_mask[: ctx.n]
-        data_addresses = ctx.column("mem_addr")[memory_mask]
-        data_intervals = ctx.interval_index[memory_mask]
-    for column, (is_data, granularity) in enumerate(
-        ((True, block_bytes), (True, page_bytes),
-         (False, block_bytes), (False, page_bytes))
-    ):
-        if not wanted[column]:
+    for column in (0, 2):
+        if not (wanted[column] or wanted[column + 1]):
             continue
-        shift = _granularity_shift(granularity)
-        addresses = data_addresses if is_data else ctx.column("pc")
-        interval_ids = (
-            data_intervals if is_data else ctx.interval_index
+        if column == 0:
+            memory_mask = ctx.trace.memory_mask[: ctx.n]
+            addresses = ctx.column("mem_addr")[memory_mask]
+            interval_ids = ctx.interval_index[memory_mask]
+        else:
+            addresses = ctx.column("pc")
+            interval_ids = ctx.interval_index
+        counts = _block_page_counts(
+            addresses, block_bytes, page_bytes, interval_ids, ctx.count
         )
-        result[:, column] = _segmented_unique_counts(
-            addresses >> shift, interval_ids, ctx.count
-        )
+        for offset, unique in enumerate(counts):
+            if wanted[column + offset]:
+                result[:, column + offset] = unique
     return result
 
 

@@ -25,8 +25,9 @@ Per-section carry design (what crosses a shard boundary):
   translation invariant, so in-shard work reuses
   :func:`~repro.mica.ilp.producer_indices` unchanged.
 * **ILP** — windows are aligned to absolute multiples of each window
-  size, so a shard closes every full window it contains
-  (:func:`~repro.mica.ilp.full_window_cycle_counts`) and carries just
+  size, so a shard closes every full window it contains (the one-shot
+  walk, :func:`~repro.mica.ilp._window_depths`, at the shard's
+  absolute origin) and carries just
   the raw first/last ``max(W) - 1`` operand rows; a merge closes at
   most one straddling window per size with a tiny scalar walk, and
   finalization closes the trailing partial window the one-shot engine
@@ -64,13 +65,14 @@ from .characteristics import (
     resolve_wanted,
     wanted_sections,
 )
-from .ilp import NO_PRODUCER, full_window_cycle_counts, producer_indices
+from .ilp import NO_PRODUCER, _window_depths, producer_indices
 from .ppm import (
     MAX_VECTOR_ORDER,
     VARIANTS,
     _history_streams,
     _prior_outcome_counts,
 )
+from .working_set import _granularity_shift
 
 #: Table II categories in vector order; a state's ``sections`` tuple is
 #: a subset of these (the sections it actually carries).
@@ -178,15 +180,6 @@ class MixState:
 
 
 # -- working set ----------------------------------------------------------
-
-
-def _granularity_shift(granularity: int) -> np.uint64:
-    shift = int(granularity).bit_length() - 1
-    if granularity != (1 << shift):
-        raise CharacterizationError(
-            f"granularity must be a power of two, got {granularity}"
-        )
-    return np.uint64(shift)
 
 
 @dataclass
@@ -625,20 +618,21 @@ class IlpState:
                 )
         sizes = tuple(sorted({int(w) for w in window_sizes}))
         n = len(chunk)
-        end = start + n
-        starts_by_size: "Dict[int, np.ndarray]" = {}
-        for window in sizes:
-            first = ((start + window - 1) // window) * window
-            count = max(0, (end - first) // window)
-            starts_by_size[window] = (
-                first - start
-                + window * np.arange(count, dtype=np.int64)
-            )
-        closed = full_window_cycle_counts(
-            producers[0], producers[1], starts_by_size, n=n
+        depths = _window_depths(
+            producers[0], producers[1], sizes, origin=start
         )
+        # Only windows wholly inside the chunk close here: the first
+        # row is partial when ``start`` is unaligned, and rows from
+        # ``(n + pad) // window`` on run past the chunk's end.
         cycles = np.array(
-            [closed[window] for window in sizes], dtype=np.int64
+            [
+                depths[window][
+                    (1 if start % window else 0)
+                    : (n + start % window) // window
+                ].sum()
+                for window in sizes
+            ],
+            dtype=np.int64,
         )
         carry = min(n, max(sizes) - 1)
         rows = _operand_rows(chunk)

@@ -166,6 +166,10 @@ def read_trace_text(source: Union[PathLike, TextIO], name: str = "") -> Trace:
 def _read_text(handle: TextIO, name: str) -> Trace:
     rows = []
     for line_no, line in enumerate(handle, start=1):
+        if not line.isascii():
+            # ``int`` would read non-ASCII digits that the file reader's
+            # ASCII decode rejects; every source must agree.
+            raise TraceFormatError(f"line {line_no}: not ASCII text")
         line = line.strip()
         if not line or line.startswith("#"):
             continue

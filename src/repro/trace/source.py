@@ -179,7 +179,7 @@ class MappedTraceSource(TraceSource):
 
     Raises:
         TraceFormatError: on a gzipped path, bad magic, or a payload
-            shorter than the header's row count promises; from
+            size other than the header's row count promises; from
             :meth:`shard`, on rows that fail validation.
     """
 
@@ -198,7 +198,7 @@ class MappedTraceSource(TraceSource):
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         payload = os.path.getsize(self.path) - _HEADER.size
         expected = count * TRACE_DTYPE.itemsize
-        if payload < expected:
+        if payload != expected:
             raise TraceFormatError(
                 f"{path}: expected {expected} payload bytes, "
                 f"found {payload}"

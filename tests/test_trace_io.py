@@ -61,6 +61,20 @@ class TestBinaryFormat:
         with pytest.raises(TraceFormatError, match="payload"):
             read_trace(path)
 
+    def test_trailing_payload_bytes_rejected_by_both_readers(
+        self, sample_trace, tmp_path
+    ):
+        from repro.trace import open_trace_source
+
+        path = tmp_path / "long.mtf"
+        write_trace(sample_trace, path)
+        assert len(sample_trace) == 7
+        path.write_bytes(path.read_bytes() + b"\x00" * 5)
+        with pytest.raises(TraceFormatError, match="payload"):
+            read_trace(path)
+        with pytest.raises(TraceFormatError, match="payload"):
+            open_trace_source(path)
+
     def test_empty_trace_round_trip(self, tmp_path):
         from repro.trace import Trace
 
@@ -121,6 +135,19 @@ class TestTextFormat:
     def test_malformed_lines_rejected(self, line):
         with pytest.raises(TraceFormatError):
             trace_from_text(line + "\n")
+
+    def test_non_ascii_digits_rejected_by_every_text_reader(
+        self, tmp_path
+    ):
+        text = "\uff11\uff10 nop - - -\n"  # Fullwidth "10".
+        path = tmp_path / "wide.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TraceFormatError):
+            trace_from_text(text)
+        with pytest.raises(TraceFormatError):
+            read_trace_text(io.StringIO(text))
+        with pytest.raises(TraceFormatError):
+            read_trace_text(path)
 
     def test_external_trace_is_characterizable(self, tmp_path):
         """End-to-end: a text trace produced by external tooling can be
