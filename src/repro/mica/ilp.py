@@ -55,18 +55,15 @@ _LIVE_SOURCE = np.ones(1 << 8, dtype=bool)
 _LIVE_SOURCE[[NO_REG, INT_ZERO_REG, FP_ZERO_REG]] = False
 
 
-def _grouped_order(group_ids: np.ndarray, domain: int) -> np.ndarray:
-    """Stable sort order by group id.
-
-    Narrow domains take one radix pass (numpy's stable sort is a radix
-    sort for 8- and 16-bit integers, an order of magnitude faster than
-    the 64-bit merge sort); wide domains fall back to the merge sort.
-    """
+def _radix_dtype(domain: int) -> type:
+    """Narrowest group-id dtype for ``domain`` ids: numpy's stable sort
+    is one radix pass for 8- and 16-bit integers, an order of magnitude
+    faster than the 64-bit merge sort it falls back to."""
     if domain <= (1 << 8):
-        return np.argsort(group_ids.astype(np.uint8), kind="stable")
+        return np.uint8
     if domain <= (1 << 16):
-        return np.argsort(group_ids.astype(np.uint16), kind="stable")
-    return np.argsort(group_ids, kind="stable")
+        return np.uint16
+    return np.int64
 
 
 def _grouped_producer_indices(
@@ -75,53 +72,66 @@ def _grouped_producer_indices(
     """Producer recovery with register state restarting every
     ``interval`` instructions (``interval >= len(dst)``: never).
 
-    Both event streams are grouped by the segmented register —
-    ``(position // interval) * TOTAL_REGS + register``, a bare register
-    number with one interval — in one radix pass over the narrow group
-    domain, never a 64-bit comparison sort, and the writes become an
-    ascending ``group * (n + 1) + position`` key array.  A slot's
-    grouped reads are key-ascending too (the stable sort keeps
-    positions ascending within each group), so the writes merge into
-    them with one sorted-query binary search, and each read's
-    preceding-write slot falls out of the insertion histogram.  The
-    producer is that write, provided it belongs to the read's group.
-    An instruction's same-register write has exactly its read's key;
-    ``side="right"`` inserts it after, keeping it invisible.
+    The writes and the reads (both slots in one position-ascending
+    stream, event ``2 * position + slot``) are grouped by the segmented
+    register — ``(position // interval) * TOTAL_REGS + register``, a
+    bare register number with one interval — in one radix pass each
+    over the narrow group domain, never a 64-bit comparison sort, and
+    become ascending ``group * (n + 1) + position`` key arrays (the
+    stable sort keeps positions ascending within each group).  The
+    writes merge into the reads with one sorted-query binary search,
+    and each read's preceding-write slot falls out of the insertion
+    histogram.  The producer is that write, provided it belongs to the
+    read's group.  An instruction's same-register write has exactly
+    its read's key; ``side="right"`` inserts it after, keeping it
+    invisible.
     """
     n = len(dst)
-    producer1 = np.full(n, NO_PRODUCER, dtype=np.int64)
-    producer2 = np.full(n, NO_PRODUCER, dtype=np.int64)
+    operands = np.stack([src1, src2], axis=1).ravel()
+    events = np.flatnonzero(_LIVE_SOURCE[operands])
     writers = np.flatnonzero(dst != NO_REG)
-    if len(writers) == 0:
-        return producer1, producer2  # No writes: nothing has a producer.
-    domain = -(-n // interval) * TOTAL_REGS
-
-    def grouped(positions: np.ndarray, registers: np.ndarray):
-        groups = registers[positions]
-        if interval < n:
-            groups = (positions // interval) * TOTAL_REGS + groups
-        order = _grouped_order(groups, domain)
-        sorted_groups = groups[order].astype(np.int64)
-        sorted_positions = positions[order]
-        keys = sorted_groups * (n + 1) + sorted_positions
-        return sorted_groups, sorted_positions, keys
-
-    write_groups, sorted_writers, write_keys = grouped(writers, dst)
-    for source, producer in ((src1, producer1), (src2, producer2)):
-        readers = np.flatnonzero(_LIVE_SOURCE[source])
-        if len(readers) == 0:
-            continue
-        read_groups, sorted_readers, read_keys = grouped(readers, source)
-        insertions = np.searchsorted(read_keys, write_keys, side="right")
-        slot = np.cumsum(
-            np.bincount(insertions, minlength=len(readers) + 1)[:-1]
-        ) - 1
-        clamped = np.maximum(slot, 0)
-        valid = (slot >= 0) & (write_groups[clamped] == read_groups)
-        producer[sorted_readers] = np.where(
-            valid, sorted_writers[clamped], NO_PRODUCER
+    producers = np.full(2 * n, NO_PRODUCER, dtype=np.int64)
+    if len(writers) and len(events):
+        count = -(-n // interval)
+        dtype = _radix_dtype(count * TOTAL_REGS)
+        # Live registers stay below TOTAL_REGS, so a group never wraps
+        # the narrow dtype.
+        offsets = np.repeat(
+            np.arange(count, dtype=dtype) * dtype(TOTAL_REGS), interval
         )
-    return producer1, producer2
+
+        # In-place steps and early ``del``s keep the peak small, so the
+        # allocator reuses its pages instead of faulting in fresh ones
+        # on every call (a third of this kernel's time at 20k).
+        def grouped(positions: np.ndarray, registers: np.ndarray):
+            groups = registers.astype(dtype)
+            groups += offsets[positions]
+            order = np.argsort(groups, kind="stable")
+            sorted_groups = groups[order]
+            keys = sorted_groups.astype(np.int64)
+            keys *= n + 1
+            keys += positions[order]
+            return sorted_groups, order, keys
+
+        write_groups, order, write_keys = grouped(writers, dst[writers])
+        sorted_writers = writers[order]
+        read_groups, order, read_keys = grouped(
+            events >> 1, operands[events]
+        )
+        insertions = np.searchsorted(read_keys, write_keys, side="right")
+        del read_keys, write_keys
+        slot = np.bincount(insertions, minlength=len(events) + 1)[:-1]
+        del insertions
+        np.cumsum(slot, out=slot)
+        slot -= 1
+        valid = slot >= 0
+        np.maximum(slot, 0, out=slot)
+        valid &= write_groups[slot] == read_groups
+        found = sorted_writers[slot]
+        del slot
+        np.copyto(found, NO_PRODUCER, where=~valid)
+        producers[events[order]] = found
+    return producers[0::2].copy(), producers[1::2].copy()
 
 
 def producer_indices(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
@@ -217,71 +227,83 @@ def _window_depths(
     producer2: np.ndarray,
     window_sizes: Sequence[int],
     origin: int = 0,
+    interval: "int | None" = None,
 ) -> Dict[int, np.ndarray]:
     """Dataflow critical path of every window of every size.
 
-    Windows are aligned at absolute multiples of their size, with local
-    index 0 at absolute position ``origin``: row ``k`` of size ``W``
-    covers local positions ``[k * W - pad, (k + 1) * W - pad)`` clipped
-    to the trace, ``pad = origin % W``, so the first row is a partial
-    window when ``pad > 0`` and the last when the trace ends inside one.
+    Windows restart every ``interval`` instructions (default: never;
+    ``interval`` must divide the trace length) and are aligned at
+    absolute multiples of their size, with each interval's index 0 at
+    absolute position ``origin``: within an interval, row ``k`` of size
+    ``W`` covers positions ``[k * W - pad, (k + 1) * W - pad)`` clipped
+    to the interval, ``pad = origin % W``, so the first row is a
+    partial window when ``pad > 0`` and the last when the interval ends
+    inside one.  Producers must lie in their consumer's interval.
 
-    Each size walks window-relative offsets: at offset ``j`` the
-    instructions at ``j`` of every window (one column of the
-    ``(windows, W)`` grid) gather their producers' already-final
-    depths.  Depths are stored *based*, as ``local window start +
-    depth``: a producer in an earlier window then holds at most the
-    consumer's window start, so ``max(based producers, window start) +
-    1`` is the consumer's based depth with no membership test
-    (``NO_PRODUCER`` reads a trailing cell below every start).  The
-    grid is padded to whole windows with producer-less rows, whose
-    depth 1 never raises a window max.
+    Each size lays its rows out as a ``(rows, W)`` grid, every row
+    padded to ``W`` cells, and walks window-relative offsets: at offset
+    ``j`` the instructions at ``j`` of every window (one grid column)
+    gather their producers' already-final depths.  Depths are stored
+    *based*, as ``window start position + depth``: a producer in an
+    earlier window then holds at most the consumer's window start, so
+    ``max(based producers, window start) + 1`` is the consumer's based
+    depth with no membership test (``NO_PRODUCER`` reads a trailing
+    cell below every start).  Padding cells have no producer, and
+    their depth 1 never raises a window max.
 
     Windows are aligned, so when ``V`` divides ``W`` the ``V``-window at
     each ``W``-window start is its prefix and offsets below ``V`` have
-    equal depths in both: each size starts from the depths of the
+    equal based depths in both: each size starts from the depths of the
     largest already-walked size dividing it and walks only offsets
     ``V..W-1`` (32/64/128/256 take 255 offset steps, not 476).  A size
     with no walked divisor walks from offset 1.
 
     Returns:
-        ``{size: per-row critical paths}`` for each distinct size.
+        ``{size: per-row critical paths}`` for each distinct size, rows
+        interval-major.
     """
     n = len(producer1)
-    walked: Dict[int, Tuple[np.ndarray, int]] = {}
+    interval = max(n, 1) if interval is None else interval
+    count = n // interval
+    bases = np.arange(count, dtype=np.int64) * interval
+    producer_rows = [
+        producer.reshape(count, interval) for producer in (producer1, producer2)
+    ]
+    live_rows = [rows >= 0 for rows in producer_rows]
+    walked: Dict[int, np.ndarray] = {}
     depths: Dict[int, np.ndarray] = {}
     for window in sorted({int(window) for window in window_sizes}):
         pad = origin % window
-        windows = -(-(n + pad) // window)
-        cells = windows * window
-        starts = np.arange(-pad, cells - pad, window, dtype=np.int64)
+        per = -(-(interval + pad) // window)  # Rows per interval.
+        block = per * window
+        cells = count * block
+        starts = (
+            bases[:, None] + np.arange(-pad, block - pad, window)
+        ).ravel()
         based = np.empty(cells + 1, dtype=np.int64)
-        grid = based[:cells].reshape(windows, window)
+        grid = based[:cells].reshape(count * per, window)
         grid[:] = starts[:, None] + 1  # Depth 1 throughout.
         based[cells] = -window  # Read by NO_PRODUCER (index -1).
+        # Position ``i * interval + o`` sits in cell ``i * block + pad + o``.
+        at_positions = based[:cells].reshape(count, block)[
+            :, pad : pad + interval
+        ]
         first = max(
             (size for size in walked if window % size == 0), default=1
         )
         if first > 1:
-            source, source_pad = walked[first]
-            based[pad : pad + n] = source[source_pad : source_pad + n]
+            at_positions[:] = walked[first]
+        shift = pad + np.arange(count, dtype=np.int64) * (block - interval)
         columns = []
-        for producer in (producer1, producer2):
-            if pad:
-                producer = np.where(
-                    producer >= 0, producer + pad, NO_PRODUCER
-                )
-            columns.append(
-                np.concatenate(
-                    [
-                        np.full(pad, NO_PRODUCER, np.int64),
-                        producer,
-                        np.full(cells - n - pad, NO_PRODUCER, np.int64),
-                    ]
-                ).reshape(windows, window)
-            )
-        depth = np.empty(windows, dtype=np.int64)
-        for offset in range(first, window):
+        for rows, live in zip(producer_rows, live_rows):
+            column = np.full(cells, NO_PRODUCER, dtype=np.int64)
+            # A producer moves to its cell; NO_PRODUCER stays put.
+            at = column.reshape(count, block)[:, pad : pad + interval]
+            np.multiply(live, shift[:, None], out=at)
+            at += rows
+            columns.append(column.reshape(count * per, window))
+        depth = np.empty(count * per, dtype=np.int64)
+        for offset in range(first, min(window, pad + interval)):
             np.maximum(
                 based[columns[0][:, offset]],
                 based[columns[1][:, offset]],
@@ -290,7 +312,7 @@ def _window_depths(
             np.maximum(depth, starts, out=depth)
             depth += 1
             grid[:, offset] = depth
-        walked[window] = (based, pad)
+        walked[window] = at_positions
         depths[window] = grid.max(axis=1) - starts
     return depths
 

@@ -26,10 +26,9 @@ analyzer family gets there differently:
   the one-shot grouped-radix producer kernel with the interval id
   *above* the architected register number in the group, so a write in
   one interval is invisible to reads in the next (exactly a per-chunk
-  producer restart); ILP windows are
-  generated per interval (including the short trailing window of each
-  chunk when ``interval % W != 0``) and walked offset-major once for
-  all intervals and window sizes together.
+  producer restart); ILP runs the one-shot nested window walk of
+  :mod:`repro.mica.ilp` with windows restarting at every interval
+  start (each chunk's short trailing window is a padded row).
 * **PPM** — the interval id is packed above the existing
   (PC rank, context) keys of the vectorized predictor and the
   global/local history streams are grouped by (interval) and
@@ -44,7 +43,7 @@ per-chunk loop is achievable and asserted
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .characteristics import (
     category_slices,
     resolve_wanted,
 )
-from .ilp import NO_PRODUCER, _grouped_producer_indices
+from .ilp import _grouped_producer_indices, _window_depths
 from .ppm import (
     MAX_VECTOR_ORDER,
     VARIANTS,
@@ -194,112 +193,6 @@ def _segmented_mix(ctx: _SegmentedContext) -> np.ndarray:
     return counts[:, order] / float(ctx.interval)
 
 
-def _segmented_window_cycles(
-    producer1: np.ndarray,
-    producer2: np.ndarray,
-    count: int,
-    interval: int,
-    window_sizes: Sequence[int],
-) -> Dict[int, np.ndarray]:
-    """Per-interval summed critical-path cycles for every window size.
-
-    Windows partition each interval from its own start (so every
-    interval ends with a short window when ``interval % W != 0``),
-    reproducing the window alignment a per-chunk run would see.  One
-    offset-major traversal updates all intervals and all window sizes
-    at once; per-window critical paths fall out of a segmented max and
-    are then summed within each interval.
-    """
-    n = count * interval
-    unique_sizes = sorted({int(window) for window in window_sizes})
-    for window in unique_sizes:
-        if window < 1:
-            raise CharacterizationError(f"invalid window size: {window}")
-    interval_base = np.arange(count, dtype=np.int64) * interval
-
-    # All window sizes share one *flat* level space of ``S`` size-lanes
-    # of ``n`` entries each, so every offset updates every size in one
-    # set of array operations (the per-(offset, size) loop of the
-    # whole-trace engine pays ~2x its work in numpy call overhead).
-    # Lane ``j`` owns [j*n, (j+1)*n); a producer outside its consumer's
-    # window (including NO_PRODUCER and cross-interval producers, which
-    # the segmented producer arrays already exclude) is redirected to a
-    # sentinel cell pinned at level 0, so the hot loop is pure
-    # gather/max/scatter with no per-offset window-membership test.
-    lanes = len(unique_sizes)
-    sentinel = lanes * n
-    level_flat = np.ones(lanes * n + 1, dtype=np.int64)
-    level_flat[sentinel] = 0
-    offset_in_interval = np.arange(n, dtype=np.int64) % interval
-    positions = np.arange(n, dtype=np.int64)
-
-    starts_all: Dict[int, np.ndarray] = {}
-    pieces = []  # (flat window starts, first inactive offset)
-    producer_lanes = []
-    for lane, window in enumerate(unique_sizes):
-        full = interval // window
-        trailing = interval % window
-        per_interval = full + (1 if trailing else 0)
-        within = np.arange(per_interval, dtype=np.int64) * window
-        starts = (interval_base[:, None] + within[None, :]).ravel()
-        starts_all[window] = starts
-        base = lane * n
-        if trailing:
-            grid = starts.reshape(count, per_interval)
-            if full:
-                # Full-width windows: an instruction exists at every
-                # offset below the window size.
-                pieces.append((grid[:, :full].ravel() + base, window))
-            # Trailing short windows: each interval's last window runs
-            # out of instructions at the remainder offset.
-            pieces.append((grid[:, full:].ravel() + base, trailing))
-        else:
-            pieces.append((starts + base, window))
-        if window & (window - 1) == 0:
-            # Power-of-two window: the remainder is one bitwise AND.
-            remainder = offset_in_interval & (window - 1)
-        else:
-            remainder = offset_in_interval % window
-        window_starts = positions - remainder
-        producer_lanes.append(tuple(
-            np.where(producer >= window_starts, producer + base, sentinel)
-            for producer in (producer1, producer2)
-        ))
-    producer1_flat = np.concatenate([lane[0] for lane in producer_lanes])
-    producer2_flat = np.concatenate([lane[1] for lane in producer_lanes])
-
-    last_offset = min(max(unique_sizes, default=1), interval)
-    boundaries = sorted({limit for _, limit in pieces if limit < last_offset})
-    segment_edges = [1] + boundaries + [last_offset]
-    for segment_start, segment_end in zip(
-        segment_edges[:-1], segment_edges[1:]
-    ):
-        if segment_end <= segment_start:
-            continue
-        indices = np.concatenate(
-            [flat for flat, limit in pieces if limit > segment_start]
-        ) + segment_start
-        for _ in range(segment_start, segment_end):
-            depth = np.maximum(
-                level_flat[producer1_flat[indices]],
-                level_flat[producer2_flat[indices]],
-            )
-            depth += 1
-            level_flat[indices] = depth
-            indices += 1
-
-    cycles: Dict[int, np.ndarray] = {}
-    for lane, window in enumerate(unique_sizes):
-        starts = starts_all[window]
-        per_window = np.maximum.reduceat(
-            level_flat[lane * n : (lane + 1) * n], starts
-        )
-        cycles[window] = per_window.reshape(
-            count, len(starts) // count
-        ).sum(axis=1)
-    return cycles
-
-
 def _segmented_ilp(
     ctx: _SegmentedContext,
     window_sizes: Sequence[int],
@@ -317,14 +210,19 @@ def _segmented_ilp(
         for position, window in enumerate(window_sizes)
         if wanted[position]
     ]
-    cycles = _segmented_window_cycles(
-        producer1, producer2, ctx.count, ctx.interval, needed
+    for window in needed:
+        if window < 1:
+            raise CharacterizationError(f"invalid window size: {window}")
+    depths = _window_depths(
+        producer1, producer2, needed, interval=ctx.interval
     )
     result = np.full((ctx.count, len(window_sizes)), np.nan)
     for position, window in enumerate(window_sizes):
         if not wanted[position]:
             continue
-        window_cycles = cycles[int(window)]
+        window_cycles = depths[int(window)].reshape(ctx.count, -1).sum(
+            axis=1
+        )
         result[:, position] = np.divide(
             ctx.interval,
             window_cycles,
@@ -378,40 +276,35 @@ def _cumulative_threshold_counts(
 def _segmented_register_traffic(
     ctx: _SegmentedContext, thresholds: Sequence[int]
 ) -> np.ndarray:
-    """Per-interval register traffic, shape ``(count, 2 + thresholds)``."""
+    """Per-interval register traffic, shape ``(count, 2 + thresholds)``.
+
+    Every count is a per-interval row count of a position-aligned mask
+    over both source slots, so no operand is gathered or keyed by
+    interval: a slot's dependency distance is ``position - producer``,
+    and ``NO_PRODUCER`` gives ``position + 1``, above any real one.
+    """
     count, interval = ctx.count, ctx.interval
-    src1 = ctx.column("src1")
-    src2 = ctx.column("src2")
-    dst = ctx.column("dst")
-    interval_index = ctx.interval_index
 
-    operand_count = (src1 != NO_REG).astype(np.int64) + (
-        src2 != NO_REG
-    ).astype(np.int64)
+    def per_interval(mask: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(
+            mask.reshape(-1, count, interval), axis=(0, 2)
+        )
+
+    operands = per_interval(
+        np.stack([ctx.column("src1"), ctx.column("src2")]) != NO_REG
+    )
+    total_writes = per_interval(ctx.column("dst") != NO_REG)
+    positions = np.arange(ctx.n, dtype=np.int64)
+    distances = positions - np.stack(ctx.producers)
+    consumed = distances <= positions
+    # A (write, read) pair exists exactly when a read has a producer.
+    total_pairs = per_interval(consumed)
+    below = np.array(
+        [per_interval(consumed & (distances <= bound)) for bound in thresholds],
+        dtype=np.int64,
+    ).reshape(len(thresholds), count).T
     result = np.zeros((count, 2 + len(thresholds)))
-    result[:, 0] = (
-        np.add.reduceat(operand_count, ctx.interval_starts)
-        / float(interval)
-    )
-
-    total_writes = np.bincount(
-        interval_index[dst != NO_REG], minlength=count
-    )
-    producer1, producer2 = ctx.producers
-    distances: List[np.ndarray] = []
-    distance_intervals: List[np.ndarray] = []
-    for producer in (producer1, producer2):
-        consumers = np.flatnonzero(producer != NO_PRODUCER)
-        distances.append(consumers - producer[consumers])
-        distance_intervals.append(interval_index[consumers])
-    all_distances = np.concatenate(distances)
-    all_intervals = np.concatenate(distance_intervals)
-
-    total_pairs, below = _cumulative_threshold_counts(
-        all_distances, all_intervals, count, thresholds
-    )
-    # A (write, read) pair exists exactly when a read has a producer,
-    # so the consumed-read counts are the distance totals.
+    result[:, 0] = operands / float(interval)
     result[:, 1] = np.divide(
         total_pairs,
         total_writes,

@@ -710,20 +710,25 @@ def _empty_table() -> CountTable:
 
 
 def _aggregate_table(
-    pcs: np.ndarray,
+    ranked_pcs: Tuple[np.ndarray, np.ndarray],
     ctxs: np.ndarray,
     outcomes: np.ndarray,
     max_order: int,
 ) -> CountTable:
-    """Count-table rows for one batch of (pc, ctx, outcome) updates."""
+    """Count-table rows for one batch of (pc, ctx, outcome) updates.
+
+    ``ranked_pcs`` is ``np.unique(pcs, return_inverse=True)`` of the
+    batch's PCs, ranked once and shared by every order's table.
+    """
     count = len(outcomes)
     if count == 0:
         return _empty_table()
-    unique_pcs, ids = np.unique(pcs, return_inverse=True)
+    unique_pcs, ids = ranked_pcs
     packed = (
         ids.astype(np.uint64) << np.uint64(max_order)
     ) | ctxs.astype(np.uint64)
-    order = np.argsort(packed, kind="stable")
+    # Integer sums per key do not depend on the order within a key.
+    order = np.argsort(packed)
     sorted_packed = packed[order]
     sorted_outcomes = outcomes[order].astype(np.int64)
     new_group = np.ones(count, dtype=bool)
@@ -779,8 +784,11 @@ def _table_lookup(
     zeros = np.zeros(count, dtype=np.int64)
     if len(table[2]) == 0:
         return zeros, zeros.copy()
-    unique_pcs = np.unique(table[0])
-    ranks = np.searchsorted(unique_pcs, table[0])
+    # Table rows are (pc, ctx)-sorted: PC ranks are run counts.
+    first = np.ones(len(table[0]), dtype=bool)
+    first[1:] = table[0][1:] != table[0][:-1]
+    unique_pcs = table[0][first]
+    ranks = np.cumsum(first) - 1
     packed = (
         ranks.astype(np.uint64) << np.uint64(max_order)
     ) | table[1]
@@ -935,12 +943,13 @@ def _ppm_cold(
             if shared
             else pcs[resolved].astype(np.uint64)
         )
+        ranked_pcs = np.unique(selected_pcs, return_inverse=True)
         for order_length in range(max_order + 1):
             context = selected_history & np.uint64(
                 (1 << order_length) - 1
             )
             state.tables[(name, order_length)] = _aggregate_table(
-                selected_pcs, context, selected_outcomes, max_order
+                ranked_pcs, context, selected_outcomes, max_order
             )
     if start == 0:
         _root_resolve(state)
@@ -970,11 +979,13 @@ def _add_resolved(
     }
     zeros = np.zeros(len(outcomes), dtype=np.uint64)
     for name in family:
-        table_pcs = zeros if shared_by_name[name] else pcs
+        ranked_pcs = np.unique(
+            zeros if shared_by_name[name] else pcs, return_inverse=True
+        )
         for order_length in range(max_order + 1):
             context = histories & np.uint64((1 << order_length) - 1)
             contribution = _aggregate_table(
-                table_pcs, context, outcomes, max_order
+                ranked_pcs, context, outcomes, max_order
             )
             state.tables[(name, order_length)] = _merge_tables(
                 state.tables[(name, order_length)], contribution

@@ -139,16 +139,13 @@ class TestKeyDrivenComputation:
         from repro.mica import segmented as segmented_module
 
         walked = []
-        original = segmented_module._segmented_window_cycles
+        original = segmented_module._window_depths
 
-        def spy(producer1, producer2, count, interval, window_sizes):
+        def spy(producer1, producer2, window_sizes, **kwargs):
             walked.extend(int(w) for w in window_sizes)
-            return original(producer1, producer2, count, interval,
-                           window_sizes)
+            return original(producer1, producer2, window_sizes, **kwargs)
 
-        monkeypatch.setattr(
-            segmented_module, "_segmented_window_cycles", spy
-        )
+        monkeypatch.setattr(segmented_module, "_window_depths", spy)
         mica_timeline(
             small_trace, interval=1000, keys=("ilp_w32",), config=CONFIG
         )
