@@ -13,11 +13,12 @@ Register dataflow is recovered with :func:`producer_indices`, which
 maps every source operand to the dynamic index of the instruction that
 produced the value (the most recent writer of that architected
 register).  One grouped-radix kernel serves it and the segmented
-engine: reads and writes are stable-sorted by a narrow group id
-(the register here, interval x register there) in one 8- or 16-bit
-radix pass, and each slot's grouped reads merge against the grouped
-writes with one binary search.  The retained per-register
-:func:`producer_indices_reference` is its executable specification.
+engine: the writes and both slots' reads (one stream) are
+stable-sorted by a narrow group id (the register here, interval x
+register there) in one 8- or 16-bit radix pass each, and the grouped
+writes merge into the grouped reads with one binary search.  The
+retained per-register :func:`producer_indices_reference` is its
+executable specification.
 
 Two critical-path implementations are provided:
 
@@ -29,7 +30,9 @@ Two critical-path implementations are provided:
   every in-window producer already has its final depth.  Window
   prefixes nest: a size starts from the depths of the largest walked
   size dividing it and walks only the offsets that size does not
-  cover.
+  cover.  The segmented and shard engines run the same walk, with
+  windows restarting at every interval start or aligned at a shard's
+  absolute origin.
 * :func:`ilp_ipc_reference` — the original per-instruction scalar loop,
   retained as the executable specification for the equivalence tests.
 """
