@@ -270,7 +270,8 @@ def _window_depths(
     count = n // interval
     bases = np.arange(count, dtype=np.int64) * interval
     producer_rows = [
-        producer.reshape(count, interval) for producer in (producer1, producer2)
+        producer.reshape(count, interval)
+        for producer in (producer1, producer2)
     ]
     live_rows = [rows >= 0 for rows in producer_rows]
     walked: Dict[int, np.ndarray] = {}

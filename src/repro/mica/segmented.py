@@ -300,7 +300,10 @@ def _segmented_register_traffic(
     # A (write, read) pair exists exactly when a read has a producer.
     total_pairs = per_interval(consumed)
     below = np.array(
-        [per_interval(consumed & (distances <= bound)) for bound in thresholds],
+        [
+            per_interval(consumed & (distances <= bound))
+            for bound in thresholds
+        ],
         dtype=np.int64,
     ).reshape(len(thresholds), count).T
     result = np.zeros((count, 2 + len(thresholds)))
