@@ -65,7 +65,7 @@ from .ppm import (
     _variant_predictions,
     ppm_predictabilities,
 )
-from .working_set import _block_page_counts
+from .working_set import _block_page_counts, _unique_counts
 
 
 def _full_interval_count(trace: Trace, interval: int) -> int:
@@ -332,9 +332,8 @@ def _segmented_working_set(
     """Per-interval working-set counts, shape ``(count, 4)``.
 
     One interval-keyed pass of the one-shot unique kernel per stream
-    (:func:`repro.mica.working_set._block_page_counts`) yields both its
-    block and page columns; a stream with neither column requested is
-    never gathered.  Unrequested columns stay ``NaN``.
+    counts the requested columns (both, or only the one asked for); a
+    stream with neither is never gathered.  Unrequested columns stay NaN.
     """
     # Table II order: D blocks, D pages, I blocks, I pages.
     result = np.full((ctx.count, 4), np.nan)
@@ -348,9 +347,16 @@ def _segmented_working_set(
         else:
             addresses = ctx.column("pc")
             interval_ids = ctx.interval_index
-        counts = _block_page_counts(
-            addresses, block_bytes, page_bytes, interval_ids, ctx.count
-        )
+        if wanted[column] and wanted[column + 1]:
+            counts = _block_page_counts(
+                addresses, block_bytes, page_bytes, interval_ids, ctx.count
+            )
+        else:
+            granularity = block_bytes if wanted[column] else page_bytes
+            unique = _unique_counts(
+                addresses, granularity, interval_ids, ctx.count
+            )
+            counts = (unique, unique)
         for offset, unique in enumerate(counts):
             if wanted[column + offset]:
                 result[:, column + offset] = unique

@@ -102,6 +102,14 @@ def _pair_counts(
     return np.bincount(interval_ids[first], minlength=count)
 
 
+def _unique_counts(
+    addresses: np.ndarray, granularity: int, interval_ids, count: int
+) -> np.ndarray:
+    """Unique ``granularity``-byte units of one address stream, per interval."""
+    units = addresses >> _granularity_shift(granularity)
+    return _pair_counts(*_unique_pairs(units, interval_ids, count), count)
+
+
 def _block_page_counts(
     addresses: np.ndarray,
     block_bytes: int,
@@ -119,16 +127,15 @@ def _block_page_counts(
     """
     block_shift = _granularity_shift(block_bytes)
     page_shift = _granularity_shift(page_bytes)
-    ids, blocks = _unique_pairs(addresses >> block_shift, interval_ids, count)
-    if page_shift >= block_shift:
-        page_ids, pages = ids, blocks >> (page_shift - block_shift)
-    else:
-        page_ids, pages = _unique_pairs(
-            addresses >> page_shift, interval_ids, count
+    if page_shift < block_shift:
+        return (
+            _unique_counts(addresses, block_bytes, interval_ids, count),
+            _unique_counts(addresses, page_bytes, interval_ids, count),
         )
+    ids, blocks = _unique_pairs(addresses >> block_shift, interval_ids, count)
     return (
         _pair_counts(ids, blocks, count),
-        _pair_counts(page_ids, pages, count),
+        _pair_counts(ids, blocks >> (page_shift - block_shift), count),
     )
 
 

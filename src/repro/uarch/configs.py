@@ -7,7 +7,7 @@ TLB reach, predictor style, issue width and representative latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigurationError
 from .branch_predictors import (
@@ -29,6 +29,15 @@ class LatencyModel:
     mispredict_penalty: int
     int_mul: int = 8
     fp_op: int = 4
+
+    def __post_init__(self) -> None:
+        # Both pipeline walks assume every stall term is >= 0.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"latency {field.name} must be >= 0, got {value}"
+                )
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ is producing realistic hardware-performance-counter IPC values.
 :func:`repro.uarch.pipeline_batch.inorder_walk`: every per-instruction
 stall term (fetch stalls, mispredict redirects, memory-port conflicts,
 result latencies) is folded into precomputed arrays by vectorized
-passes, and the remaining reduced recurrence is walked without any
-per-instruction opclass or register-validity branching.
+passes, and the remaining reduced recurrence runs as verified lockstep
+lanes over chunks of the trace, with seams that fail to verify (and
+traces too short for lanes) walked by one scalar loop.
 :meth:`InOrderModel.run_reference` retains the original scalar loop
 verbatim as the executable specification, and also runs machines wider
 than two, which the walk's fold does not cover.  The walk is pinned to

@@ -10,9 +10,10 @@ from the same event simulation the in-order model uses.
 
 **Batch engine.**  :meth:`OutOfOrderModel.run` drives
 :func:`repro.uarch.pipeline_batch.ooo_walk`: result latencies,
-mispredict flags and register streams are precomputed as arrays by
-vectorized passes, and the remaining reduced recurrence is walked with
-no per-instruction opclass or register-validity branching.
+mispredict flags and register slots are precomputed as arrays by
+vectorized passes, and the remaining recurrence is one scalar loop with
+no per-instruction opclass or register-validity branching (the window
+couples chunks of the trace too late for lanes to pay).
 :meth:`OutOfOrderModel.run_reference` retains the original scalar loop
 verbatim as the executable specification; the walk is pinned to it
 bit-for-bit on IPC by ``tests/test_uarch_pipeline_equivalence.py``.

@@ -7,15 +7,16 @@ bit, with less work per instruction.  Every per-instruction stall term
 is precomputed as an array by vectorized passes: folded chain weights
 (fetch stalls, mispredict redirects, the memory-port conflict of
 consecutive memory operations), result latencies per opclass, and
-``NO_REG``-free source/destination indices via a scratch register that
-absorbs dead reads and writes.  The remaining reduced recurrence is
-walked with no opclass branching, no front-end state machine and no
-register-validity checks.
+register slots (``NO_REG`` reads a slot that stays zero and writes a
+sink).  The remaining reduced recurrence is walked with no opclass
+branching, no front-end state machine and no register-validity checks.
 
-Both models are serial max-plus recurrences whose binding chain covers
-most of the trace, so the walk is where the remaining time goes;
-``tests/test_uarch_pipeline_equivalence.py`` pins each walk to its
-reference on IPC.
+The in-order recurrence forgets its start within a few instructions,
+so :func:`inorder_walk` runs chunks of one trace as verified lockstep
+lanes (:func:`_lockstep_walk`).  The out-of-order window couples chunks
+only after a hundred or more instructions, so :func:`ooo_walk` stays
+one scalar loop.  ``tests/test_uarch_pipeline_equivalence.py`` pins
+each walk to its reference on IPC.
 """
 
 from __future__ import annotations
@@ -28,29 +29,132 @@ from ..trace import Trace
 from .configs import MachineConfig
 from .events import MachineEvents
 
+#: Register slots: the architectural registers, a slot ``NO_REG`` reads
+#: (never written) and a slot ``NO_REG`` writes (never read).
+_SLOTS = TOTAL_REGS + 2
+
+#: In-order lockstep geometry: lane ``j`` starts cold at ``j * _LANE``,
+#: warms up over ``_WARMUP`` instructions and then owns the ``_LANE``
+#: instructions after them.  Traces with fewer than ``_MIN_LANES`` lanes
+#: run the scalar loop alone.
+_LANE = 192
+_WARMUP = 64
+_MIN_LANES = 64
+
 
 def result_latencies(
     trace: Trace, machine: MachineConfig, events: MachineEvents
 ) -> np.ndarray:
     """Per-instruction result latency (the scalar loops' ``result_latency``)."""
-    n = len(trace)
-    opclass = trace.opclass
     latencies = machine.latencies
-    rl = np.ones(n, dtype=np.int64)
+    by_class = np.ones(256, dtype=np.int64)
+    by_class[OpClass.INT_MUL] = latencies.int_mul
+    by_class[OpClass.FP] = latencies.fp_op
+    opclass = trace.opclass
     is_load = opclass == int(OpClass.LOAD)
-    rl[is_load] = events.memory_latency[is_load]
-    rl[opclass == int(OpClass.INT_MUL)] = latencies.int_mul
-    rl[opclass == int(OpClass.FP)] = latencies.fp_op
-    return rl
+    return np.where(is_load, events.memory_latency, by_class.take(opclass))
 
 
-def _scratch_register_streams(trace: Trace):
-    """Source/dest index lists with NO_REG mapped to a scratch slot."""
-    scratch = TOTAL_REGS + 1
-    s1 = np.where(trace.src1 == NO_REG, scratch, trace.src1).tolist()
-    s2 = np.where(trace.src2 == NO_REG, scratch, trace.src2).tolist()
-    dd = np.where(trace.dst == NO_REG, scratch, trace.dst).tolist()
-    return s1, s2, dd, scratch
+def _register_slots(trace: Trace):
+    """Source and destination slots of every instruction (int64 arrays)."""
+    reads = np.arange(256, dtype=np.int64)
+    writes = reads.copy()
+    reads[NO_REG] = TOTAL_REGS
+    writes[NO_REG] = TOTAL_REGS + 1
+    return (
+        reads.take(trace.src1), reads.take(trace.src2), writes.take(trace.dst)
+    )
+
+
+def _span_walk(terms, lo: int, hi: int, x: int, row: np.ndarray):
+    """Walk positions ``[lo, hi)`` of the in-order recurrence.
+
+    Starts from ``x[lo-1] = x`` and the canonical state ``row`` (see
+    :func:`_relative_state`); returns ``x[hi-1]`` and the row at ``hi``.
+    """
+    c, rl, s1, s2, dd = (column[lo:hi].tolist() for column in terms)
+    previous, pair = x, x + int(row[0])
+    ready = (row[1:] + x).tolist() + [x, x]
+    for ci, a, b, d, rli in zip(c, s1, s2, dd, rl):
+        value = previous + ci
+        if pair > value:
+            value = pair
+        r = ready[a]
+        if r > value:
+            value = r
+        r = ready[b]
+        if r > value:
+            value = r
+        ready[d] = value + rli
+        pair = previous + 1
+        previous = value
+    state = (np.array([part]) for part in (previous, pair, ready))
+    return previous, _relative_state(*state)[0]
+
+
+def _relative_state(previous, pair, ready) -> np.ndarray:
+    """Canonical in-order states: ``(pair, ready) - x[i-1]``, clamped at 0.
+
+    Every term of the next step is compared against a value of at least
+    ``x[i-1]``, and the recurrence commutes with adding a constant, so
+    two runs with equal rows stay equal up to a shift from then on.
+    """
+    absolute = np.column_stack((pair, ready[:, :TOTAL_REGS]))
+    return np.maximum(absolute - previous[:, None], 0)
+
+
+def _lockstep_walk(terms, n: int) -> int:
+    """``x[n-1]`` of the in-order recurrence, as verified lockstep lanes.
+
+    Lane ``j`` walks ``[j*L, (j+1)*L + P)``, one numpy step per position
+    across all lanes, and is exact if its state at ``j*L + P`` equals
+    lane ``j-1``'s end state.  A failed seam is re-walked scalar from the
+    true state, on into the next lane while the end states differ; the
+    tail after the last lane is walked scalar too.
+    """
+    L, P = _LANE, _WARMUP
+    lanes = (n - P) // L
+    if lanes < _MIN_LANES:
+        # x[-1] = -1, x[-2] + 1 = -1 and every register ready at 0.
+        start = np.r_[0, np.ones(TOTAL_REGS, dtype=np.int64)]
+        return _span_walk(terms, 0, n, -1, start)[0]
+    c, rl, s1, s2, dd = terms
+    base = np.arange(lanes, dtype=np.int64) * _SLOTS
+    ready = np.zeros((lanes, _SLOTS), dtype=np.int64)
+    flat = ready.ravel()
+    previous = np.zeros(lanes, dtype=np.int64)
+    pair = np.zeros(lanes, dtype=np.int64)
+    previous[0] = pair[0] = -1  # lane 0 starts from the true state
+    stop = lanes * L
+    for step in range(P + L):
+        if step == P:
+            snapshot = previous.copy(), pair.copy(), ready.copy()
+        column = slice(step, step + stop, L)
+        value = previous + c[column]
+        np.maximum(value, pair, out=value)
+        np.maximum(value, flat.take(base + s1[column]), out=value)
+        np.maximum(value, flat.take(base + s2[column]), out=value)
+        flat.put(base + dd[column], value + rl[column])
+        np.add(previous, 1, out=pair)
+        previous = value
+    end = _relative_state(previous, pair, ready)
+    coupled = (_relative_state(*snapshot)[1:] == end[:-1]).all(axis=1)
+    gains = (previous - snapshot[0]).tolist()
+    x = int(previous[0])
+    row = None  # None: the true state is the previous lane's end row
+    for lane, verified in enumerate(coupled.tolist(), start=1):
+        if row is None:
+            if verified:
+                x += gains[lane]
+                continue
+            row = end[lane - 1]
+        lo = lane * L + P
+        x, row = _span_walk(terms, lo, lo + L, x, row)
+        if np.array_equal(row, end[lane]):
+            row = None
+    if row is None:
+        row = end[-1]
+    return _span_walk(terms, stop + P, n, x, row)[0]
 
 
 def inorder_walk(
@@ -80,34 +184,12 @@ def inorder_walk(
         consecutive_mem = np.zeros(n, dtype=bool)
         consecutive_mem[1:] = is_mem[1:] & is_mem[:-1]
         np.maximum(c, consecutive_mem.astype(np.int64), out=c)
-    else:
+    else:  # one issue per cycle: the pairing floor never binds
         c[1:] = np.maximum(c[1:], 1)
-    s1, s2, dd, scratch = _scratch_register_streams(trace)
-    c_l = c.tolist()
-    rl_l = rl.tolist()
-    ready = [0] * (TOTAL_REGS + 2)
-
-    xm1 = 0  # x[i-1]; virtual source 0 makes x[0] >= c[0] the base floor
-    xm2 = 0  # x[i-2]; only read from i >= width, patched below
-    skip = width == 2
-    position = 0
-    for ci, a, b, d, rli in zip(c_l, s1, s2, dd, rl_l):
-        value = xm1 + ci
-        if skip and position >= 2:
-            other = xm2 + 1
-            if other > value:
-                value = other
-        r = ready[a]
-        if r > value:
-            value = r
-        r = ready[b]
-        if r > value:
-            value = r
-        ready[d] = value + rli
-        ready[scratch] = 0
-        xm2 = xm1
-        xm1 = value
-        position += 1
+    # The reference pairs neither position 0 nor 1 with its predecessor:
+    # the walk starts from x[-1] = -1, x[-2] = -2, and x[0] = c[0].
+    c[0] += 1
+    xm1 = _lockstep_walk((c, rl) + _register_slots(trace), n)
     # The fold shifts each redirect penalty into the next instruction's
     # chain weight; a mispredicted final branch has no next instruction,
     # but the reference still advances the cycle past its redirect.
@@ -123,39 +205,35 @@ def ooo_walk(
 
     Keeps the reference's fetch bookkeeping (width bump, I-miss stall,
     window stall, mispredict resume) but reads precomputed latencies and
-    scratch-mapped registers, dropping all per-instruction opclass and
-    validity branching.
+    register slots, dropping all per-instruction opclass and validity
+    branching.
     """
-    n = len(trace)
-    if n == 0:
+    if len(trace) == 0:
         return 1
     width = machine.issue_width
     window = machine.window_size
     pen = machine.latencies.mispredict_penalty
-    rl = result_latencies(trace, machine, events)
+    rl = result_latencies(trace, machine, events).tolist()
     mispredicted = (
         (trace.opclass == int(OpClass.BRANCH)) & events.mispredict
     ).tolist()
-    s1, s2, dd, scratch = _scratch_register_streams(trace)
-    rl_l = rl.tolist()
-    fetch_l = events.fetch_latency.tolist()
-    ready = [0] * (TOTAL_REGS + 2)
-    finish = [0] * n
+    s1, s2, dd = (slots.tolist() for slots in _register_slots(trace))
+    fetch = events.fetch_latency.tolist()
+    ready = [0] * _SLOTS
+    # finish[i] is the finish cycle of instruction i - window (0 before
+    # the window fills); the zip reads it as the list grows.
+    finish = [0] * window
     fetch_cycle = 0
     fetched = 0
-    last = 0
-    index = 0
-    for a, b, d, rli, extra, wrong in zip(
-        s1, s2, dd, rl_l, fetch_l, mispredicted
+    for a, b, d, rli, extra, wrong, oldest in zip(
+        s1, s2, dd, rl, fetch, mispredicted, finish
     ):
         if fetched >= width:
             fetch_cycle += 1
             fetched = 0
         stall_until = fetch_cycle + extra
-        if index >= window:
-            oldest = finish[index - window]
-            if oldest > stall_until:
-                stall_until = oldest
+        if oldest > stall_until:
+            stall_until = oldest
         if stall_until > fetch_cycle:
             fetch_cycle = stall_until
             fetched = 0
@@ -168,15 +246,13 @@ def ooo_walk(
         if r > value:
             value = r
         done = value + rli
-        finish[index] = done
-        if done > last:
-            last = done
+        finish.append(done)
         ready[d] = done
-        ready[scratch] = 0
         if wrong:
             resume = done + pen
             if resume > fetch_cycle:
                 fetch_cycle = resume
                 fetched = 0
-        index += 1
-    return max(last, 1)
+    # Instruction i + window is not fetched before instruction i is
+    # done, so finish cycles grow along every stride of ``window``.
+    return max(max(finish[-window:]), 1)

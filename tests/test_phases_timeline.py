@@ -150,3 +150,32 @@ class TestKeyDrivenComputation:
             small_trace, interval=1000, keys=("ilp_w32",), config=CONFIG
         )
         assert walked == [32]
+
+    def test_engine_single_working_set_column_counts_only_it(
+        self, small_trace, monkeypatch
+    ):
+        """ws_data_blocks alone counts data blocks, not pages or PCs."""
+        from repro.mica import segmented as segmented_module
+
+        counted = []
+        original = segmented_module._unique_counts
+
+        def spy(addresses, granularity, interval_ids, count):
+            counted.append(granularity)
+            return original(addresses, granularity, interval_ids, count)
+
+        def boom(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("both working-set columns were counted")
+
+        monkeypatch.setattr(segmented_module, "_unique_counts", spy)
+        monkeypatch.setattr(segmented_module, "_block_page_counts", boom)
+        timeline = mica_timeline(
+            small_trace, interval=1000, keys=("ws_data_blocks",),
+            config=CONFIG,
+        )
+        assert counted == [CONFIG.block_bytes]
+        reference = mica_timeline_reference(
+            small_trace, interval=1000, keys=("ws_data_blocks",),
+            config=CONFIG,
+        )
+        assert np.array_equal(timeline.values, reference.values)

@@ -20,6 +20,7 @@ from repro.uarch import (
     OutOfOrderModel,
     collect_hpc,
 )
+from repro.uarch.configs import LatencyModel
 from repro.uarch.events import simulate_events
 
 
@@ -171,6 +172,18 @@ class TestMachineValidation:
     def test_negative_window_rejected(self):
         with pytest.raises(ConfigurationError, match="window_size"):
             replace(EV67_CONFIG, window_size=-1)
+
+    @pytest.mark.parametrize(
+        "field", ["l1_hit", "memory", "mispredict_penalty", "fp_op"]
+    )
+    def test_negative_latency_rejected(self, field):
+        """The walks assume every stall term is >= 0."""
+        with pytest.raises(ConfigurationError, match=field):
+            replace(EV56_CONFIG.latencies, **{field: -3})
+
+    def test_zero_latencies_accepted(self):
+        zero = LatencyModel(0, 0, 0, 0, 0, int_mul=0, fp_op=0)
+        assert zero.mispredict_penalty == 0
 
     def test_fingerprints_unchanged(self):
         """Validation leaves ``repr``, and so the HPC cache keys, alone."""

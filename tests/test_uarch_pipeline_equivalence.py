@@ -7,8 +7,13 @@ population, hypothesis-drawn traces and machines, and hand-built
 adversarial traces exercising window-full stalls, memory-port
 conflicts at full issue width, back-to-back mispredicted branches,
 fetch-latency/dependence ties, length-1 traces and ``issue_width=1``
-machines.
+machines.  The in-order walk's lockstep lanes also run at tiny
+geometries, so seams fail and the scalar fix-up chain runs.
 """
+
+from contextlib import nullcontext
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from repro.uarch import (
     MachineConfig,
     OutOfOrderModel,
 )
+from repro.uarch import pipeline_batch
 from repro.uarch.configs import LatencyModel
 from repro.uarch.events import simulate_events
 from repro.workloads import all_benchmarks
@@ -330,3 +336,161 @@ class TestGeneratedProfiles:
             ooo_events=simulate_events(small_trace, EV67_CONFIG),
         )
         assert np.array_equal(plain.values, threaded.values)
+
+
+def lane_geometry(lane, warmup, min_lanes=1):
+    """Run the in-order walk's lockstep lanes at a chosen geometry."""
+    return mock.patch.multiple(
+        pipeline_batch, _LANE=lane, _WARMUP=warmup, _MIN_LANES=min_lanes
+    )
+
+
+def assert_inorder_agrees(trace, machine=EV56_CONFIG, events=None):
+    if events is None:
+        events = simulate_events(trace, machine)
+    model = InOrderModel(machine)
+    ipc_walk, _ = model.run(trace, events=events)
+    ipc_ref, _ = model.run_reference(trace, events=events)
+    assert ipc_walk == ipc_ref, "in-order walk != reference"
+    return ipc_walk
+
+
+class span_spy:
+    """Records the ``[lo, hi)`` spans the scalar loop walks."""
+
+    def __enter__(self):
+        self.spans = []
+        original = pipeline_batch._span_walk
+
+        def spy(terms, lo, hi, *state):
+            self.spans.append((lo, hi))
+            return original(terms, lo, hi, *state)
+
+        self._patch = mock.patch.object(pipeline_batch, "_span_walk", spy)
+        self._patch.__enter__()
+        return self.spans
+
+    def __exit__(self, *exc):
+        return self._patch.__exit__(*exc)
+
+
+class TestLockstepLanes:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        traces(),
+        st.integers(1, 8),
+        st.sampled_from([0, 1, 4]),
+        st.integers(1, 2),
+        st.integers(0, 6),
+    )
+    def test_tiny_geometry_matches_reference(
+        self, trace, lane, warmup, width, penalty
+    ):
+        with lane_geometry(lane, warmup):
+            assert_inorder_agrees(trace, narrow_inorder(width, penalty))
+
+    def test_pending_load_at_every_seam(self):
+        """Every seam fails and the fix-up chain reaches the tail.
+
+        Each lane of four ends with a 60-cycle load into a fresh
+        register that nothing reads, so the true state at every seam
+        holds loads a cold lane has never seen, and every re-walked end
+        state still differs from its lane's own.
+        """
+        lane, lanes = 4, 12
+        builder = TraceBuilder(name="pending-loads")
+        for index in range(lane * lanes + 3):
+            pc = 0x1000 + 4 * (index % 16)
+            if index % lane == lane - 1:
+                builder.append(pc, OpClass.LOAD, src1=NO_REG,
+                               dst=1 + (index // lane) % 20,
+                               mem_addr=0x100000 + 8 * index)
+            else:
+                builder.append(pc, OpClass.INT_ALU, src1=NO_REG,
+                               dst=30)
+        trace = builder.build()
+        events = simulate_events(trace, EV56_CONFIG)
+        loads = trace.opclass == int(OpClass.LOAD)
+        events = replace(
+            events,
+            fetch_latency=np.zeros(len(trace), dtype=np.int64),
+            memory_latency=np.where(loads, 60, 0).astype(np.int64),
+        )
+        with lane_geometry(lane, 0), span_spy() as spans:
+            assert_inorder_agrees(trace, events=events)
+        assert spans == [
+            (j * lane, (j + 1) * lane) for j in range(1, lanes)
+        ] + [(lanes * lane, len(trace))]
+
+
+def two_issue_trace(length):
+    """Independent ALU instructions, so any two may issue together."""
+    builder = TraceBuilder(name="two-issue")
+    for index in range(length):
+        builder.append(0x1000 + 4 * (index % 16), OpClass.INT_ALU,
+                       src1=NO_REG, dst=1 + index % 8)
+    return builder.build()
+
+
+def with_events(trace, machine, **columns):
+    """``simulate_events`` with some per-instruction columns replaced."""
+    events = simulate_events(trace, machine)
+    return replace(events, **{
+        name: np.asarray(column) for name, column in columns.items()
+    })
+
+
+class TestLockstepEdges:
+    @pytest.mark.parametrize("geometry", [None, (1, 0), (2, 1)])
+    def test_positions_zero_and_one_issue_together(self, geometry):
+        """With no fetch stall, the first two instructions share cycle 0:
+        a walk seeded with x[-1] = 0 would push the second to cycle 1."""
+        trace = two_issue_trace(2 if geometry is None else 9)
+        events = with_events(
+            trace, EV56_CONFIG,
+            fetch_latency=np.zeros(len(trace), dtype=np.int64),
+        )
+        scalar = geometry is None  # two instructions never fill a lane
+        with nullcontext() if scalar else lane_geometry(*geometry):
+            ipc = assert_inorder_agrees(trace, events=events)
+        assert ipc == len(trace) / ((len(trace) + 1) // 2)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_lane_threshold(self, offset, serial_profile):
+        """Traces just below, at and above the production lane minimum."""
+        threshold = (
+            pipeline_batch._MIN_LANES * pipeline_batch._LANE
+            + pipeline_batch._WARMUP
+        )
+        trace = generate_trace(serial_profile, threshold + offset)
+        with span_spy() as spans:
+            assert_inorder_agrees(trace)
+        scalar_only = spans == [(0, len(trace))]
+        assert scalar_only == (offset < 0)
+
+    def test_mispredicted_final_branch_in_the_tail(self):
+        trace = TraceBuilder(name="tail-branch")
+        for index in range(40):
+            trace.append(0x1000 + 4 * (index % 16), OpClass.INT_ALU,
+                         src1=1 + index % 3, dst=1 + (index + 1) % 3)
+        trace.append(0x2000, OpClass.BRANCH, src1=1, taken=True,
+                     target=0x1000)
+        trace = trace.build()
+        mispredict = np.zeros(len(trace), dtype=bool)
+        mispredict[-1] = True
+        events = with_events(trace, EV56_CONFIG, mispredict=mispredict)
+        with lane_geometry(8, 2), span_spy() as spans:
+            assert_inorder_agrees(trace, events=events)
+        lanes = (len(trace) - 2) // 8
+        assert spans[-1] == (lanes * 8 + 2, len(trace))
+
+    def test_issue_width_one_lockstep(self, serial_profile):
+        """Production geometry, a width-1 machine, on the lockstep path."""
+        trace = generate_trace(serial_profile, 15_000)
+        with span_spy() as spans:
+            assert_inorder_agrees(trace, narrow_inorder(1))
+        assert spans[0][0] > 0, "the walk must run lanes"
