@@ -2,7 +2,7 @@
 """CI perf gate: bench speedups must stay above the committed floors.
 
 Reads a ``BENCH_mica.json`` that ``repro bench`` wrote, checks that it
-is a ``BENCH_mica/v7`` file measured at the tier's trace length, and
+is a ``BENCH_mica/v8`` file measured at the tier's trace length, and
 compares its per-group speedups (each engine vs its retained scalar
 reference) against the floors committed in
 ``benchmarks/perf/floors.json``.  Exits 1 when any group is below its

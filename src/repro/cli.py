@@ -16,7 +16,7 @@ Subcommands::
     all                     the full report
 
 Global flags ``--jobs`` and ``--cache-dir`` control worker processes
-(dataset builds and ``characterize --shards``) and the cache location.
+(dataset builds and the service's dataset job) and the cache location.
 """
 
 from __future__ import annotations
@@ -89,24 +89,10 @@ def _load_trace(name: str, config):
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from .mica import characterize
-    from .perf import sharded_characterize
 
     config = _make_config(args)
-    if args.shards and args.shard_size:
-        raise ReproError("give at most one of --shards and --shard-size")
     trace = _load_trace(args.benchmark, config)
-    if not (args.shards or args.shard_size):
-        print(characterize(trace, config).format())
-        return 0
-    cache_dir = (
-        Path(args.cache_dir)
-        if args.cache_dir and not args.no_cache else None
-    )
-    print(sharded_characterize(
-        trace, config, shards=args.shards or None,
-        shard_size=args.shard_size or None, jobs=args.jobs or None,
-        cache_dir=cache_dir,
-    ).format())
+    print(characterize(trace, config).format())
     return 0
 
 
@@ -489,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=0, metavar="N",
-        help="worker processes for dataset builds and for sharded "
-             "characterize (default: cpu count when building the data "
-             "set, 1 for characterize and serve)",
+        help="worker processes for dataset builds (default: cpu count "
+             "when building the data set, 1 for serve)",
     )
     parser.add_argument(
         "--cache-dir", default="", metavar="DIR",
@@ -511,18 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("benchmark", help="name, e.g. 'mcf' or "
                          "'spec2000/bzip2/graphic'")
-        if name == "characterize":
-            sub.add_argument(
-                "--shards", type=int, default=0, metavar="N",
-                help="characterize through the shard-mergeable engine "
-                     "split into N contiguous shards (bit-for-bit "
-                     "identical; --jobs fans shards across processes)",
-            )
-            sub.add_argument(
-                "--shard-size", type=int, default=0, metavar="ROWS",
-                help="or split into fixed-size shards of ROWS "
-                     "instructions each (the out-of-core geometry)",
-            )
 
     dataset_parser = commands.add_parser(
         "dataset", help="build and cache the data set"
@@ -575,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
              "sweep (default: 1h)",
     )
     cache_commands.add_parser(
-        "clear", help="delete every cache entry (all five levels)"
+        "clear", help="delete every cache entry (all four levels)"
     )
 
     phases_parser = commands.add_parser(

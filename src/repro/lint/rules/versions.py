@@ -34,7 +34,7 @@ class VersionCouplingRule(Rule):
     )
     explanation = (
         "Semantic version constants (CHAR_CACHE_VERSION, "
-        "SHARD_CACHE_VERSION, HPC_SIM_VERSION, TRACE_GEN_VERSION, ...) "
+        "DATASET_CACHE_VERSION, HPC_SIM_VERSION, TRACE_GEN_VERSION, ...) "
         "exist to invalidate caches when fingerprint-shaping code "
         "changes; a constant nothing reads means some cache key quietly "
         "dropped it.  Likewise every *_reference function is the scalar "

@@ -28,16 +28,6 @@ from .segmented import (
     segmented_characterize,
     segmented_producer_indices,
 )
-from .shard import (
-    SECTION_ORDER,
-    ShardState,
-    finalize_state,
-    merge_states,
-    ppm_shard_correct,
-    shard_state,
-    state_from_arrays,
-    state_to_arrays,
-)
 
 __all__ = [
     "Characteristic",
@@ -60,12 +50,4 @@ __all__ = [
     "characterize",
     "segmented_characterize",
     "segmented_producer_indices",
-    "SECTION_ORDER",
-    "ShardState",
-    "finalize_state",
-    "merge_states",
-    "ppm_shard_correct",
-    "shard_state",
-    "state_from_arrays",
-    "state_to_arrays",
 ]

@@ -169,9 +169,3 @@ def resolve_wanted(
             wanted[int(index)] = True
     return wanted
 
-
-def wanted_sections(wanted: np.ndarray) -> Tuple[str, ...]:
-    """The Table II categories a wanted mask touches, in vector order."""
-    return tuple(
-        name for name, section in _SLICES.items() if wanted[section].any()
-    )

@@ -78,10 +78,7 @@ def characterize(
 ) -> CharacteristicVector:
     """Compute all 47 microarchitecture-independent characteristics.
 
-    One pass over an in-memory trace.  Traces too large for memory go
-    through the shard engine instead
-    (:func:`repro.perf.sharding.sharded_characterize`), which returns
-    the same bits.
+    One pass over an in-memory trace.
 
     Args:
         trace: the dynamic instruction trace to characterize.

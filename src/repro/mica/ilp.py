@@ -30,9 +30,8 @@ Two critical-path implementations are provided:
   every in-window producer already has its final depth.  Window
   prefixes nest: a size starts from the depths of the largest walked
   size dividing it and walks only the offsets that size does not
-  cover.  The segmented and shard engines run the same walk, with
-  windows restarting at every interval start or aligned at a shard's
-  absolute origin.
+  cover.  The segmented engine runs the same walk, with windows
+  restarting at every interval start.
 * :func:`ilp_ipc_reference` — the original per-instruction scalar loop,
   retained as the executable specification for the equivalence tests.
 """
@@ -229,19 +228,16 @@ def _window_depths(
     producer1: np.ndarray,
     producer2: np.ndarray,
     window_sizes: Sequence[int],
-    origin: int = 0,
     interval: "int | None" = None,
 ) -> Dict[int, np.ndarray]:
     """Dataflow critical path of every window of every size.
 
     Windows restart every ``interval`` instructions (default: never;
-    ``interval`` must divide the trace length) and are aligned at
-    absolute multiples of their size, with each interval's index 0 at
-    absolute position ``origin``: within an interval, row ``k`` of size
-    ``W`` covers positions ``[k * W - pad, (k + 1) * W - pad)`` clipped
-    to the interval, ``pad = origin % W``, so the first row is a
-    partial window when ``pad > 0`` and the last when the interval ends
-    inside one.  Producers must lie in their consumer's interval.
+    ``interval`` must divide the trace length) and tile each interval
+    from its start: row ``k`` of size ``W`` covers positions
+    ``[k * W, (k + 1) * W)`` clipped to the interval, so the last row
+    is a partial window when the interval ends inside one.  Producers
+    must lie in their consumer's interval.
 
     Each size lays its rows out as a ``(rows, W)`` grid, every row
     padded to ``W`` cells, and walks window-relative offsets: at offset
@@ -277,37 +273,34 @@ def _window_depths(
     walked: Dict[int, np.ndarray] = {}
     depths: Dict[int, np.ndarray] = {}
     for window in sorted({int(window) for window in window_sizes}):
-        pad = origin % window
-        per = -(-(interval + pad) // window)  # Rows per interval.
+        per = -(-interval // window)  # Rows per interval.
         block = per * window
         cells = count * block
         starts = (
-            bases[:, None] + np.arange(-pad, block - pad, window)
+            bases[:, None] + np.arange(0, block, window)
         ).ravel()
         based = np.empty(cells + 1, dtype=np.int64)
         grid = based[:cells].reshape(count * per, window)
         grid[:] = starts[:, None] + 1  # Depth 1 throughout.
         based[cells] = -window  # Read by NO_PRODUCER (index -1).
-        # Position ``i * interval + o`` sits in cell ``i * block + pad + o``.
-        at_positions = based[:cells].reshape(count, block)[
-            :, pad : pad + interval
-        ]
+        # Position ``i * interval + o`` sits in cell ``i * block + o``.
+        at_positions = based[:cells].reshape(count, block)[:, :interval]
         first = max(
             (size for size in walked if window % size == 0), default=1
         )
         if first > 1:
             at_positions[:] = walked[first]
-        shift = pad + np.arange(count, dtype=np.int64) * (block - interval)
+        shift = np.arange(count, dtype=np.int64) * (block - interval)
         columns = []
         for rows, live in zip(producer_rows, live_rows):
             column = np.full(cells, NO_PRODUCER, dtype=np.int64)
             # A producer moves to its cell; NO_PRODUCER stays put.
-            at = column.reshape(count, block)[:, pad : pad + interval]
+            at = column.reshape(count, block)[:, :interval]
             np.multiply(live, shift[:, None], out=at)
             at += rows
             columns.append(column.reshape(count * per, window))
         depth = np.empty(count * per, dtype=np.int64)
-        for offset in range(first, min(window, pad + interval)):
+        for offset in range(first, min(window, interval)):
             np.maximum(
                 based[columns[0][:, offset]],
                 based[columns[1][:, offset]],

@@ -4,7 +4,7 @@ The ROADMAP north star is "as fast as the hardware allows".  This
 package holds the two pieces that are about *speed* rather than paper
 semantics:
 
-* :mod:`repro.perf.cache` — the on-disk cache hierarchy, five levels
+* :mod:`repro.perf.cache` — the on-disk cache hierarchy, four levels
   (``CACHE_LEVELS``): a characterization cache keyed by the trace's
   **recipe** (profile fingerprint + length + seed + TRACE_GEN_VERSION)
   when it was generated, or its **content** hash when it was read from
@@ -14,9 +14,8 @@ semantics:
   (never re-simulated); a trace cache keyed by the recipe's parts (never
   re-generated; only char/HPC misses, phase detection and a build's
   integrity re-check read it, since recipe-keyed hits need no trace
-  bytes — see ``cached_vectors``); a
-  per-shard cold-state cache; and on top the dataset-level population
-  matrices.
+  bytes — see ``cached_vectors``); and on top the dataset-level
+  population matrices.
 * :mod:`repro.perf.integrity` — the trust layer under every cache
   level: checksum + schema metadata embedded in each ``.npz``, verified
   loads that quarantine (never re-serve) corrupt entries, and atomic
@@ -48,8 +47,6 @@ from .cache import (
     CacheVerifyReport,
     CharacterizationCache,
     HpcCache,
-    SHARD_CACHE_VERSION,
-    ShardCache,
     TraceCache,
     cached_characterize,
     cached_collect_hpc,
@@ -57,15 +54,9 @@ from .cache import (
     cached_vectors,
     is_cache_degraded,
     reset_cache_degradation,
-    shard_entry_key,
     sweep_temporaries,
     trace_fingerprint,
     verify_cache,
-)
-from .sharding import (
-    cold_state_call_count,
-    reset_cold_state_call_count,
-    sharded_characterize,
 )
 from .history import (
     append_bench_history,
@@ -88,14 +79,8 @@ __all__ = [
     "CharacterizationCache",
     "HpcCache",
     "QuarantineEvent",
-    "SHARD_CACHE_VERSION",
-    "ShardCache",
     "TraceCache",
     "cached_characterize",
-    "cold_state_call_count",
-    "reset_cold_state_call_count",
-    "shard_entry_key",
-    "sharded_characterize",
     "cached_collect_hpc",
     "cached_generate_trace",
     "cached_vectors",

@@ -1,6 +1,6 @@
-"""On-disk caches: the five levels of the characterization hierarchy.
+"""On-disk caches: the four levels of the characterization hierarchy.
 
-Five cache levels live here, one class each, listed (in scan order) by
+Four cache levels live here, one class each, listed (in scan order) by
 :data:`CACHE_LEVELS`.  Each names its entries with a public
 ``entry_path(...)`` taking the same key arguments as its ``load``:
 
@@ -53,17 +53,6 @@ Five cache levels live here, one class each, listed (in scan order) by
   :data:`~repro.synth.TRACE_GEN_VERSION` is part of the key because the
   bytes a (profile, length, seed) triple produces may legitimately
   change when the generation engine's draw protocol changes.
-
-* **Shard cache** (``shard``, finest grain).  The shard-mergeable
-  engine (:mod:`repro.mica.shard`) characterizes contiguous chunks into
-  cold mergeable states; each state is pure in the chunk's bytes and the
-  characterization config, so entries key by::
-
-      sha256(shard bytes) + config.characterization_fingerprint()
-          + sections mask + SHARD_CACHE_VERSION
-
-  and re-characterizing an extended or overlapping trace reuses every
-  warm shard whose byte range lines up.
 
 * **Dataset cache** (``dataset``, top).  The ``mica``/``hpc`` matrices
   of a whole benchmark population, keyed by
@@ -122,10 +111,6 @@ from ..uarch import (
 
 #: Bump when any analyzer changes its output for the same trace/config.
 CHAR_CACHE_VERSION = 1
-
-#: Bump when the shard-mergeable state layout or semantics change
-#: (:mod:`repro.mica.shard`), independently of the final-vector cache.
-SHARD_CACHE_VERSION = 1
 
 #: Bump when the dataset-level matrices change for the same key (the
 #: upstream versions above are already part of that key).
@@ -215,7 +200,7 @@ class _NpzCacheDirectory:
     level = ""
     #: ``{field: (expected shape | None, expected dtype | None)}`` for
     #: verification scans, where the expectation is key-independent.
-    _static_expected: "integrity.ExpectedFields" = {}
+    _static_expected: "integrity.ExpectedFields"
 
     def __init__(self, directory: "Path | str"):
         self.directory = Path(directory)
@@ -391,10 +376,7 @@ def cached_characterize(
     """:func:`repro.mica.characterize` behind the on-disk cache.
 
     With ``cache_dir=None`` this is exactly ``characterize``; otherwise
-    hits skip every analyzer and misses populate the cache.  The trace
-    is already in memory, so a miss runs the one-shot engine; the shard
-    engine (:func:`repro.perf.sharding.sharded_characterize`) is for
-    traces that are not.
+    hits skip every analyzer and misses populate the cache.
 
     Returns:
         The trace's :class:`~repro.mica.CharacteristicVector` (cached
@@ -645,68 +627,6 @@ def cached_vectors(
 
 
 # ---------------------------------------------------------------------------
-# Shard cache (per-shard mergeable states, below the characterization
-# cache)
-# ---------------------------------------------------------------------------
-
-
-def shard_entry_key(
-    shard_fingerprint: str,
-    start: int,
-    config: ReproConfig,
-    sections_mask: int,
-) -> str:
-    """Cache key for one shard's cold mergeable state.
-
-    Keys by the shard's *content* hash (so an extended or overlapping
-    trace reuses warm shards wherever the byte ranges line up), its
-    absolute start offset (ILP window alignment and register last-writer
-    positions are absolute, so the same bytes at a different offset
-    yield a different state), the characterization fingerprint, the
-    wanted-sections mask, and :data:`SHARD_CACHE_VERSION`.
-    """
-    return _digest(
-        SHARD_CACHE_VERSION, shard_fingerprint, start,
-        config.characterization_fingerprint(), sections_mask,
-    )
-
-
-class ShardCache(_NpzCacheDirectory):
-    """Directory of per-shard cold characterization states.
-
-    Each entry holds one serialized :class:`repro.mica.shard.ShardState`
-    (the *cold*, carry-independent round of the shard engine — the
-    carry-dependent PPM prediction pass is recomputed per run, so it is
-    never cached).  Entries are variable-field ``.npz`` files: the
-    fields present depend on the sections requested, so verification
-    relies on each entry's own recorded metadata and checksums rather
-    than a static shape table.
-
-    Args:
-        directory: cache root; created lazily on first store.  Shares a
-            directory with the other cache levels (distinct ``shard-``
-            file prefix).
-    """
-
-    level = "shard"
-
-    def _schema_version(self) -> object:
-        return SHARD_CACHE_VERSION
-
-    def entry_path(self, key: str) -> Path:
-        """Where the entry for this :func:`shard_entry_key` lives."""
-        return self._path(key)
-
-    def load(self, key: str) -> "Optional[Dict[str, np.ndarray]]":
-        """The entry's serialized state arrays, or None on a miss."""
-        return self._load(self.entry_path(key))
-
-    def store(self, key: str, arrays: "Dict[str, np.ndarray]") -> Path:
-        """Persist one serialized shard state; returns the entry path."""
-        return self._store(self.entry_path(key), **arrays)
-
-
-# ---------------------------------------------------------------------------
 # Dataset cache (whole-population matrices, the top of the hierarchy)
 # ---------------------------------------------------------------------------
 
@@ -753,9 +673,7 @@ class DatasetCache(_NpzCacheDirectory):
 
 
 #: Every cache level, in ``verify_cache`` scan order.
-CACHE_LEVELS = (
-    CharacterizationCache, HpcCache, TraceCache, ShardCache, DatasetCache,
-)
+CACHE_LEVELS = (CharacterizationCache, HpcCache, TraceCache, DatasetCache)
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +772,7 @@ def verify_cache(
     directory: "Path | str",
     sweep_older_than: float = 3600.0,
 ) -> CacheVerifyReport:
-    """Scan all five cache levels; quarantine entries that fail.
+    """Scan all four cache levels; quarantine entries that fail.
 
     Runs :meth:`~_NpzCacheDirectory.verify` for each of the
     :data:`CACHE_LEVELS`, replays every ``journal-*.jsonl`` write-ahead journal (repairing

@@ -54,7 +54,7 @@ import os
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -111,11 +111,6 @@ def drain_quarantine_log() -> Tuple[QuarantineEvent, ...]:
     events = tuple(_QUARANTINE_LOG)
     _QUARANTINE_LOG.clear()
     return events
-
-
-def record_quarantines(events: "Sequence[QuarantineEvent]") -> None:
-    """Append events (e.g. returned by a worker process) to the log."""
-    _QUARANTINE_LOG.extend(events)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Executors shared by the dataset builder and the shard fold.
+"""Executors for the dataset builder.
 
-:func:`new_executor` is the one way either caller gets an executor, so
+:func:`new_executor` is the one way a build gets an executor, so
 ``jobs=1`` and ``jobs=N`` differ only in the object it returns:
 
 * ``worker_count <= 1``: an :class:`InlineExecutor` that runs each call

@@ -10,18 +10,17 @@ by one best-of-N loop.  End-to-end and per-layer times live in
 ``e2e_bench/``, not here.
 
 :func:`run_bench` returns a :class:`BenchResult`, serialized to
-``BENCH_mica.json`` (schema ``BENCH_mica/v7``):
+``BENCH_mica.json`` (schema ``BENCH_mica/v8``):
 
 * ``meta`` — trace length, profile, repeats, the phase ``interval``
-  and ``shards`` count the rows used, Python version and machine.
+  the timeline rows used, Python version and machine.
 * ``engines.<row>`` — ``seconds`` (best-of-N engine time),
   ``reference_seconds`` (best-of-N reference time on the same inputs),
   ``speedup`` (their ratio) and the row's floor ``group`` (``null``
   for rows that are reported but not gated).
 * ``speedups.<group>`` — Σ reference seconds / Σ engine seconds over
   the group's rows; these are the keys ``benchmarks/perf/floors.json``
-  gates.  ``sharded`` times the sequential shard+merge fold against
-  one-shot ``characterize``, so it is below one by the merge overhead.
+  gates.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..errors import ConfigurationError
-from ..mica import characterize
 from ..mica.ilp import ilp_ipc, ilp_ipc_reference, producer_indices
 from ..mica.ilp import producer_indices_reference
 from ..mica.ppm import ppm_predictabilities, ppm_predictabilities_reference
@@ -61,19 +59,15 @@ from ..uarch import (
 )
 from ..uarch.events import simulate_events
 from ..workloads import get_benchmark
-from .sharding import sharded_characterize
 
 #: Schema tag of ``BENCH_mica.json``.
-BENCH_SCHEMA = "BENCH_mica/v7"
+BENCH_SCHEMA = "BENCH_mica/v8"
 
 #: Default benchmark workload: a registry profile with a typical mix.
 DEFAULT_BENCH_PROFILE = "spec2000/vpr/place"
 
 #: Instructions per interval of the timeline rows (shrunk on short traces).
 PHASE_INTERVAL = 5_000
-
-#: Contiguous shards of the ``sharded_stream`` row.
-SHARDS = 4
 
 #: Busy-wait before the first timed run: a cold core never reaches steady
 #: clocks inside the short engine runs, which would bias every ratio
@@ -273,11 +267,6 @@ ROWS: Tuple[BenchRow, ...] = (
         lambda w: w.timeline(w.trace, w.interval, config=w.config),
         lambda w: w.timeline_reference(w.trace, w.interval, config=w.config),
     ),
-    BenchRow(
-        "sharded_stream", "sharded",
-        lambda w: sharded_characterize(w.trace, w.config, shards=SHARDS),
-        lambda w: characterize(w.trace, w.config),
-    ),
 )
 
 _GROUP_OF: Dict[str, Optional[str]] = {row.name: row.group for row in ROWS}
@@ -324,7 +313,6 @@ class BenchResult:
                 "profile": self.profile,
                 "repeats": self.repeats,
                 "interval": _phase_interval(self.trace_length),
-                "shards": SHARDS,
                 "python": platform.python_version(),
                 "machine": platform.machine(),
             },

@@ -11,26 +11,12 @@ from .trace import Trace
 from .builder import TraceBuilder
 from .io import read_trace, write_trace, read_trace_text, write_trace_text
 from .filters import head, sample_interval, sample_random, split_windows
-from .source import (
-    MappedTraceSource,
-    MemoryTraceSource,
-    TraceSource,
-    as_trace_source,
-    open_trace_source,
-    shard_bounds,
-)
 from .stats import TraceSummary, summarize
 from .validate import validate_trace
 
 __all__ = [
     "Trace",
     "TraceBuilder",
-    "TraceSource",
-    "MemoryTraceSource",
-    "MappedTraceSource",
-    "as_trace_source",
-    "open_trace_source",
-    "shard_bounds",
     "read_trace",
     "write_trace",
     "read_trace_text",

@@ -113,9 +113,8 @@ class TestBenchResult:
 
     def test_payload_layout(self):
         payload = _result().as_dict()
-        assert payload["schema"] == "BENCH_mica/v7"
+        assert payload["schema"] == "BENCH_mica/v8"
         assert payload["meta"]["interval"] == 5_000
-        assert payload["meta"]["shards"] == 4
         assert payload["engines"]["ppm"] == {
             "group": "ppm", "seconds": 1.0, "reference_seconds": 12.0,
             "speedup": 12.0,
@@ -177,19 +176,13 @@ class TestFloorGate:
             # Every floor group the registry defines is gated, and only
             # those: a floor no row feeds could never be measured.
             assert set(floors) == set(FLOOR_GROUPS)
-            # "sharded" gates a merge-overhead ratio (< 1 by
-            # construction); every other floor is a speedup (>= 1).
-            assert all(
-                float(value) >= (1.0 if engine != "sharded" else 0.0)
-                for engine, value in floors.items()
-            )
-            assert 0.0 < float(floors["sharded"]) < 1.0
+            # Every floor is a speedup (>= 1).
+            assert all(float(value) >= 1.0 for value in floors.values())
         # The documented acceptance floors from the bench harness.
         full = payload["full"]["floors"]
         assert full["ppm"] >= 10 and full["generation"] >= 10
         assert full["ilp"] >= 5 and full["events"] >= 5
         assert full["phases"] >= 5 and full["pipelines"] >= 1
-        assert full["sharded"] >= 0.4
 
 
 def _gate():
@@ -228,10 +221,10 @@ class TestGateScript:
     @pytest.mark.parametrize("payload, message", [
         (None, "cannot read"),
         ("{", "cannot read"),
-        ({"schema": "BENCH_mica/v6"}, "is not a BENCH_mica/v7 file"),
-        ({"schema": "BENCH_mica/v7", "meta": {"trace_length": 100_000},
+        ({"schema": "BENCH_mica/v6"}, "is not a BENCH_mica/v8 file"),
+        ({"schema": "BENCH_mica/v8", "meta": {"trace_length": 100_000},
           "speedups": {}}, "measured at trace_length 100000"),
-        ({"schema": "BENCH_mica/v7", "meta": {"trace_length": 20_000}},
+        ({"schema": "BENCH_mica/v8", "meta": {"trace_length": 20_000}},
          "has no speedups map"),
     ])
     def test_unusable_file_is_a_one_line_error(

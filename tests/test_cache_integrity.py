@@ -32,7 +32,6 @@ from repro.perf import (
     faults,
     integrity,
     reset_cache_degradation,
-    sharded_characterize,
     sweep_temporaries,
     verify_cache,
 )
@@ -49,14 +48,13 @@ def tiny_trace():
 
 
 #: Entries ``_populate_all_levels`` writes per level.
-POPULATED = {"char": 1, "hpc": 1, "trace": 1, "shard": 2, "dataset": 1}
+POPULATED = {"char": 1, "hpc": 1, "trace": 1, "dataset": 1}
 
 
 def _populate_all_levels(trace, directory) -> None:
     cached_generate_trace(PROFILE, 2_000, cache_dir=directory)
     mica = cached_characterize(trace, SMALL_CONFIG, directory).values
     hpc = cached_collect_hpc(trace, cache_dir=directory).values
-    sharded_characterize(trace, SMALL_CONFIG, shards=2, cache_dir=directory)
     DatasetCache(directory).store("population", mica[None], hpc[None])
 
 
@@ -326,7 +324,7 @@ class TestVerifyCache:
         faults.corrupt_entry(bad, "bitflip", seed=1)
         report = verify_cache(tmp_path, sweep_older_than=0.0)
         assert list(report.scanned) == [
-            "char", "hpc", "trace", "shard", "dataset", "journal",
+            "char", "hpc", "trace", "dataset", "journal",
         ]
         assert report.scanned == {**POPULATED, "journal": 0}
         assert len(report.quarantined) == 1
@@ -382,6 +380,29 @@ class TestVerifyCache:
         assert replay_journal(path).truncation is None
         clean = verify_cache(tmp_path, sweep_older_than=0.0)
         assert clean.journal_truncations == ()
+
+    def test_legacy_shard_entries_are_left_alone(
+        self, tiny_trace, tmp_path, capsys
+    ):
+        # Older builds wrote a per-shard level; its leftover files are
+        # neither scanned, quarantined nor counted under any level.
+        from repro.cli import main
+
+        _populate_all_levels(tiny_trace, tmp_path)
+        legacy = integrity.write_entry(
+            tmp_path / "shard-0123456789abcdef.npz", level="shard",
+            version=1, fields={"ops": np.arange(4, dtype=np.int64)},
+        )
+        data = legacy.read_bytes()
+        report = verify_cache(tmp_path, sweep_older_than=0.0)
+        assert report.scanned == {**POPULATED, "journal": 0}
+        assert report.quarantined == ()
+        assert main(["--cache-dir", str(tmp_path), "cache", "verify"]) == 0
+        out = capsys.readouterr().out
+        assert "scanned 1 char, 1 hpc, 1 trace, 1 dataset, 0 journal (" in out
+        assert ", 0 quarantined," in out
+        assert legacy.read_bytes() == data
+        assert not list(tmp_path.glob("*.quarantined"))
 
     def test_verify_entry_raises_typed_error(self, tiny_trace, tmp_path):
         cache = CharacterizationCache(tmp_path)

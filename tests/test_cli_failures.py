@@ -270,99 +270,6 @@ class TestServeParser:
             assert "Traceback" not in err
 
 
-class TestShardFlagExitCodes:
-    """Satellite: the sharded characterization CLI surface fails
-    loudly — conflicting or nonsensical geometry flags exit 1 with a
-    one-line ``error:``, and ``repro cache verify`` covers the shard
-    cache level."""
-
-    def test_shards_and_shard_size_conflict(self, capsys):
-        code = main([
-            "--trace-length", "2000", "characterize", "mcf",
-            "--shards", "2", "--shard-size", "100",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(
-            "error: give at most one of --shards and --shard-size"
-        )
-        assert "Traceback" not in err
-
-    def test_negative_shards_exits_one(self, capsys):
-        code = main([
-            "--trace-length", "2000", "characterize", "mcf",
-            "--shards", "-1",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "shards must be" in err
-        assert "Traceback" not in err
-
-    def test_negative_shard_size_exits_one(self, capsys):
-        code = main([
-            "--trace-length", "2000", "characterize", "mcf",
-            "--shard-size", "-5",
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "shard_size must be" in err
-
-    def test_sharded_report_matches_one_shot_report(self, capsys):
-        assert main([
-            "--trace-length", "2000", "characterize", "mcf",
-        ]) == 0
-        one_shot = capsys.readouterr().out
-        assert main([
-            "--trace-length", "2000", "characterize", "mcf",
-            "--shards", "4",
-        ]) == 0
-        assert capsys.readouterr().out == one_shot
-
-    def test_corrupted_shard_entry_exits_one(self, tmp_path, capsys):
-        from repro.config import ReproConfig as _Config
-        from repro.perf import sharded_characterize
-        from repro.synth import generate_trace
-        from repro.workloads import get_benchmark as _get
-
-        trace = generate_trace(_get(SMALL_POPULATION[0]).profile, 2_000)
-        cache_dir = tmp_path / "cache"
-        sharded_characterize(
-            trace, _Config(trace_length=2_000), shards=3,
-            cache_dir=cache_dir,
-        )
-        victim = sorted(cache_dir.glob("shard-*.npz"))[0]
-        faults.corrupt_entry(victim, "bitflip", seed=7)
-        code = main(["--cache-dir", str(cache_dir), "cache", "verify"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "3 shard" in captured.out  # per-level scan count
-        assert captured.err.splitlines() == [
-            "error: 1 cache entry failed verification and were "
-            "quarantined"
-        ]
-        assert "Traceback" not in captured.err
-
-    def test_clean_shard_entries_verify_green(self, tmp_path, capsys):
-        from repro.config import ReproConfig as _Config
-        from repro.perf import sharded_characterize
-        from repro.synth import generate_trace
-        from repro.workloads import get_benchmark as _get
-
-        trace = generate_trace(_get(SMALL_POPULATION[1]).profile, 2_000)
-        cache_dir = tmp_path / "cache"
-        sharded_characterize(
-            trace, _Config(trace_length=2_000), shards=4,
-            cache_dir=cache_dir,
-        )
-        code = main(["--cache-dir", str(cache_dir), "cache", "verify"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "4 shard" in out
-        assert "0 quarantined" in out
-
-
 class TestLintCommand:
     """``repro lint`` exit-code and ``--format json`` semantics."""
 

@@ -1,10 +1,10 @@
 """The lint gate against the real repository, and the baseline model.
 
-Three contracts from ISSUE 10: the repo itself lints clean against the
-committed baseline; the baseline round-trips (an entry matching no
-finding fails the gate as *stale*); and reverting a seed true-positive
-fix — the vectorized ``RegisterState.finalize`` in
-``repro.mica.shard`` — makes the gate fail again.
+Three contracts: the repo itself lints clean against the committed
+baseline; the baseline round-trips (an entry matching no finding fails
+the gate as *stale*); and reverting a vectorized block — the
+register-traffic fractions in ``repro.mica.segmented`` — back to a
+per-element loop makes the gate fail again.
 """
 
 from __future__ import annotations
@@ -69,36 +69,32 @@ class TestRepositoryIsClean:
 
 
 class TestRevertDetection:
-    """Reverting the shard.py vectorization fix must trip the gate."""
+    """Reverting a segmented.py vectorized block must trip the gate."""
 
-    SHARD = "src/repro/mica/shard.py"
-    FIXED = (
-        "            values[2:] = (\n"
-        "                np.asarray(self.dist_counts, dtype=float) / total\n"
-        "            )\n"
-    )
+    SEGMENTED = "src/repro/mica/segmented.py"
+    FIXED = "    result[:, 0] = operands / float(interval)\n"
     REVERTED = (
-        "            for position in range(len(self.dist_counts)):\n"
-        "                values[2 + position] = (\n"
-        "                    float(self.dist_counts[position]) / total\n"
-        "                )\n"
+        "    for row in range(len(operands)):\n"
+        "        result[row, 0] = operands[row] / float(interval)\n"
     )
 
     def test_current_source_is_quiet(self):
-        text = (REPO_ROOT / self.SHARD).read_text(encoding="utf-8")
-        assert self.FIXED in text, "fixed block drifted; update test"
-        project = LintProject.from_sources({self.SHARD: text})
+        text = (REPO_ROOT / self.SEGMENTED).read_text(encoding="utf-8")
+        assert text.count(self.FIXED) == 1, "fixed block drifted; update test"
+        project = LintProject.from_sources({self.SEGMENTED: text})
         report = run_lint(project=project, rules=[VectorizationRule()])
         assert report.new == []
+        assert report.exit_code == 0
 
     def test_reverted_fix_fails_the_gate(self):
-        text = (REPO_ROOT / self.SHARD).read_text(encoding="utf-8")
+        text = (REPO_ROOT / self.SEGMENTED).read_text(encoding="utf-8")
         reverted = text.replace(self.FIXED, self.REVERTED)
         assert reverted != text
-        project = LintProject.from_sources({self.SHARD: reverted})
+        project = LintProject.from_sources({self.SEGMENTED: reverted})
         report = run_lint(project=project, rules=[VectorizationRule()])
         assert len(report.new) == 1
         assert report.new[0].rule == "vectorization"
+        assert report.exit_code == 1
         assert report.exit_code == 1
 
 

@@ -37,7 +37,6 @@ from repro.mica import (
 )
 from repro.mica.ilp import (
     _window_critical_paths_reference,
-    _window_depths,
     producer_indices_reference,
     window_cycle_counts,
 )
@@ -164,30 +163,6 @@ class TestWindowCycleCounts:
             for size in sizes
         ]
         assert window_cycle_counts(*producers, sizes) == expected
-
-    @_SETTINGS
-    @given(producer_streams(), _SIZE_SETS, st.integers(0, 10_000))
-    def test_full_windows_aligned_at_an_origin(
-        self, producers, sizes, origin
-    ):
-        """The shard engine's use: windows at absolute multiples of
-        each size, local index 0 at ``origin``; the rows wholly inside
-        the trace are its full windows."""
-        n = len(producers[0])
-        depths = _window_depths(*producers, sizes, origin=origin)
-        for size in sizes:
-            pad = origin % size
-            rows = depths[size][(1 if pad else 0) : (n + pad) // size]
-            first = (size - pad) % size
-            expected = [
-                _window_critical_paths_reference(
-                    *(producer[start : start + size] - start
-                      for producer in producers),
-                    size,
-                )
-                for start in range(first, n - size + 1, size)
-            ]
-            assert rows.tolist() == expected
 
     @_SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(1, 31))

@@ -192,7 +192,7 @@ class TestMicaBenchHarness:
     def test_bench_json_round_trip(self, tiny_bench, tmp_path):
         path = write_bench_json(tiny_bench, tmp_path / "BENCH_mica.json")
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "BENCH_mica/v7"
+        assert payload["schema"] == "BENCH_mica/v8"
         assert payload["meta"]["trace_length"] == 2_000
         assert payload["meta"]["profile"] == "spec2000/vpr/place"
         assert list(payload["engines"]) == [row.name for row in ROWS]
@@ -265,10 +265,6 @@ class TestPhasesBenchSection:
         assert tiny_bench.speedups["phases"] == _group_ratio(
             tiny_bench, ("mica_timeline",)
         )
-        assert tiny_bench.speedups["sharded"] == _group_ratio(
-            tiny_bench, ("sharded_stream",)
-        )
-        assert tiny_bench.as_dict()["meta"]["shards"] == 4
 
     def test_small_trace_shrinks_interval(self, tiny_bench):
         assert tiny_bench.as_dict()["meta"]["interval"] == 500  # 2000 // 4

@@ -3,9 +3,8 @@
 Byte-level mutations of a valid binary ``.mtf`` file (plain and
 gzipped) and of a valid text trace (flipped, overwritten, inserted and
 deleted bytes, and truncation) are fed to every trace reader:
-:func:`read_trace`, :func:`read_trace_text`, :func:`trace_from_text`
-and :func:`open_trace_source` (whose shards are read and digested).  A
-reader may return a trace only if it passes :func:`validate_trace`;
+:func:`read_trace`, :func:`read_trace_text` and :func:`trace_from_text`.
+A reader may return a trace only if it passes :func:`validate_trace`;
 anything else must raise a :class:`repro.errors.ReproError`.
 """
 
@@ -20,10 +19,8 @@ from hypothesis import strategies as st
 from repro.errors import ReproError
 from repro.trace import (
     TraceBuilder,
-    open_trace_source,
     read_trace,
     read_trace_text,
-    shard_bounds,
     validate_trace,
     write_trace_text,
 )
@@ -111,14 +108,6 @@ class TestMalformedTraces:
         path = tmp_path / "t.mtf"
         path.write_bytes(data)
         _only_valid_or_typed(lambda: [read_trace(path)])
-
-        def shards():
-            source = open_trace_source(path)
-            source.content_digest()
-            bounds = shard_bounds(len(source), shards=2)
-            return [shard for _, shard in source.iter_shards(bounds)]
-
-        _only_valid_or_typed(shards)
 
     @_SETTINGS
     @given(data=mutations(_text()))

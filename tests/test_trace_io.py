@@ -61,19 +61,13 @@ class TestBinaryFormat:
         with pytest.raises(TraceFormatError, match="payload"):
             read_trace(path)
 
-    def test_trailing_payload_bytes_rejected_by_both_readers(
-        self, sample_trace, tmp_path
-    ):
-        from repro.trace import open_trace_source
-
+    def test_trailing_payload_bytes_rejected(self, sample_trace, tmp_path):
         path = tmp_path / "long.mtf"
         write_trace(sample_trace, path)
         assert len(sample_trace) == 7
         path.write_bytes(path.read_bytes() + b"\x00" * 5)
         with pytest.raises(TraceFormatError, match="payload"):
             read_trace(path)
-        with pytest.raises(TraceFormatError, match="payload"):
-            open_trace_source(path)
 
     def test_empty_trace_round_trip(self, tmp_path):
         from repro.trace import Trace
@@ -202,30 +196,3 @@ class TestReadersValidate:
     def test_binary_rows_are_validated(self, bad_binary):
         with pytest.raises(TraceFormatError, match="bad.mtf"):
             read_trace(bad_binary)
-
-    def test_mapped_shards_are_validated(self, bad_binary):
-        from repro.trace import open_trace_source
-
-        source = open_trace_source(bad_binary)
-        assert len(source.shard(2, 7)) == 5
-        with pytest.raises(TraceFormatError, match=r"\[0:3\]"):
-            source.shard(0, 3)
-
-    def test_a_mapped_shard_reads_only_its_rows(
-        self, sample_trace, tmp_path, monkeypatch
-    ):
-        from repro.trace import MappedTraceSource, open_trace_source
-
-        path = tmp_path / "trace.mtf"
-        write_trace(sample_trace, path)
-        reads = []
-        original = MappedTraceSource._rows
-
-        def counting_rows(self, start, end):
-            reads.append((start, end))
-            return original(self, start, end)
-
-        monkeypatch.setattr(MappedTraceSource, "_rows", counting_rows)
-        shard = open_trace_source(path).shard(2, 4)
-        assert reads == [(2, 4)]
-        assert np.array_equal(shard.data, sample_trace.data[2:4])

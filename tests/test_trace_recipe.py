@@ -49,7 +49,6 @@ from repro.synth import generator as generator_module
 from repro.trace import (
     TraceBuilder,
     head,
-    open_trace_source,
     read_trace,
     read_trace_text,
     sample_interval,
@@ -98,7 +97,6 @@ class TestWhichTracesCarryARecipe:
             "builder": builder.build(),
             "read_trace": read_trace(binary),
             "read_trace_text": read_trace_text(text),
-            "source shard": open_trace_source(binary).shard(0, 100),
         }
         for label, trace in derived.items():
             assert trace.recipe is None, label
