@@ -9,10 +9,12 @@ instrumentation pass observes when a benchmark executes:
 * the effective data memory address for loads/stores (``mem_addr``),
 * the taken/not-taken outcome and target for branches.
 
-Traces store millions of these records, so the canonical representation
-is a numpy structured array with dtype :data:`TRACE_DTYPE`;
-:class:`InstructionRecord` is a convenience view of a single row used by
-builders, tests and pretty-printers.
+Traces store millions of these records.  Their byte representation (on
+disk, in the trace cache and under every content hash) is packed rows of
+dtype :data:`TRACE_DTYPE`; in memory a :class:`repro.trace.Trace` holds
+one contiguous array per field.  :class:`InstructionRecord` is a
+convenience view of a single row used by builders, tests and
+pretty-printers.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class InstructionRecord:
         return " ".join(parts)
 
 
-def record_from_row(row: np.void) -> InstructionRecord:
-    """Build an :class:`InstructionRecord` from a structured-array row."""
+def record_from_row(row) -> InstructionRecord:
+    """Build an :class:`InstructionRecord` from a structured-array row
+    (or any mapping of :data:`TRACE_DTYPE` field names to values)."""
     return InstructionRecord(
         pc=int(row["pc"]),
         opclass=OpClass(int(row["opclass"])),

@@ -24,7 +24,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .model import (
     Baseline,
@@ -389,7 +389,3 @@ def run_lint(
                     for rule in rules),
     )
 
-
-def iter_suppression_lines(module: ModuleSource) -> "Iterable[int]":
-    """Line numbers carrying at least one ``lint-ok`` comment."""
-    return sorted(module.suppressions)

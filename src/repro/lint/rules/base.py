@@ -67,17 +67,6 @@ class Rule:
         )
 
 
-def iter_scoped_modules(
-    project: "LintProject", rule: Rule
-) -> "List[ModuleSource]":
-    """The parseable modules of ``project`` inside ``rule``'s scope."""
-    return [
-        module
-        for module in project.modules
-        if module.tree is not None and rule.applies_to(module)
-    ]
-
-
 def rule_ids(rules: "Sequence[Rule]") -> "List[str]":
     """The ids of ``rules`` in order (for reports and ``--explain``)."""
     return [rule.id for rule in rules]

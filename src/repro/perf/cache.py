@@ -213,18 +213,22 @@ class _NpzCacheDirectory:
         return self.directory / f"{self.level}-{key}.npz"
 
     def _load(
-        self, path: Path, expected: "integrity.ExpectedFields | None" = None
+        self,
+        path: Path,
+        expected: "integrity.ExpectedFields | None" = None,
+        columns: bool = False,
     ) -> "Optional[integrity.VerifiedFields]":
         """Verified arrays of one entry, or None on a (verified) miss.
 
         ``expected`` defaults to the static expectations; an entry
-        lacking an expected field is a miss too.
+        lacking an expected field is a miss too.  ``columns`` is
+        :func:`integrity.verify_entry`'s.
         """
         if expected is None:
             expected = self._static_expected
         arrays = integrity.load_entry(
             path, level=self.level, version=self._schema_version(),
-            expected=expected,
+            expected=expected, columns=columns,
         )
         if arrays is None or not set(expected) <= set(arrays):
             return None
@@ -518,15 +522,16 @@ class TraceCache(_NpzCacheDirectory):
 
         The trace carries its :class:`~repro.synth.TraceRecipe`, like
         the :func:`~repro.synth.generate_trace` output it stands for,
-        and its content digest is the checksum its verification just
-        matched (not a second hash).  Wrong-dtype or wrong-length
-        entries are verified misses (the file is quarantined, not
-        re-served).
+        holds columns split from the records as they stream in (the
+        packed bytes are never held whole), and its content digest is
+        the checksum its verification just matched (not a second
+        hash).  Wrong-dtype or wrong-length entries are verified misses
+        (the file is quarantined, not re-served).
         """
-        arrays = self._verified(profile, length, seed)
+        arrays = self._verified(profile, length, seed, columns=True)
         if arrays is None:
             return None
-        trace = Trace(
+        trace = Trace.from_columns(
             arrays["data"], name=profile.name,
             recipe=TraceRecipe.of(profile, length, seed),
         )
@@ -544,11 +549,15 @@ class TraceCache(_NpzCacheDirectory):
         return self._verified(profile, length, seed) is not None
 
     def _verified(
-        self, profile: WorkloadProfile, length: int, seed: int
+        self,
+        profile: WorkloadProfile,
+        length: int,
+        seed: int,
+        columns: bool = False,
     ) -> "Optional[integrity.VerifiedFields]":
         return self._load(
             self.entry_path(profile, length, seed),
-            {"data": ((length,), TRACE_DTYPE)},
+            {"data": ((length,), TRACE_DTYPE)}, columns,
         )
 
     def store(
@@ -558,7 +567,8 @@ class TraceCache(_NpzCacheDirectory):
         seed: int,
         trace: Trace,
     ) -> Path:
-        """Persist one generated trace; returns the entry path."""
+        """Persist one generated trace (its packed records, assembled
+        for the write); returns the entry path."""
         return self._store(
             self.entry_path(profile, length, seed), data=trace.data
         )

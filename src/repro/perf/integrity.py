@@ -219,21 +219,19 @@ def write_entry(
 
 
 def _check_expected(
-    name: str, array: np.ndarray, expected: ExpectedFields
+    name: str, shape: tuple, dtype: np.dtype, expected: ExpectedFields
 ) -> None:
     if name not in expected:
         return
     expected_shape, expected_dtype = expected[name]
-    if expected_shape is not None and tuple(array.shape) != tuple(
-        expected_shape
-    ):
+    if expected_shape is not None and shape != tuple(expected_shape):
         raise CacheIntegrityError(
-            f"field {name!r} has shape {tuple(array.shape)}, "
+            f"field {name!r} has shape {shape}, "
             f"expected {tuple(expected_shape)}"
         )
-    if expected_dtype is not None and array.dtype != np.dtype(expected_dtype):
+    if expected_dtype is not None and dtype != np.dtype(expected_dtype):
         raise CacheIntegrityError(
-            f"field {name!r} has dtype {array.dtype}, "
+            f"field {name!r} has dtype {dtype}, "
             f"expected {np.dtype(expected_dtype)}"
         )
 
@@ -259,6 +257,13 @@ def _parse_npy_header(raw: bytes) -> "Tuple[tuple, bool, np.dtype]":
     return _NPY_HEADER_READERS[version](stream)
 
 
+def _header_end(prefix: bytes) -> int:
+    """End of the ``.npy`` header ``prefix`` opens: magic (6 bytes),
+    version (2), then its length (2 bytes little-endian; 4 in 2.0)."""
+    width = 4 if prefix[6:8] == b"\x02\x00" else 2
+    return 8 + width + int.from_bytes(prefix[8 : 8 + width], "little")
+
+
 def _read_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     """One ``.npy`` member as a read-only array over its bytes.
 
@@ -268,23 +273,53 @@ def _read_member(archive: zipfile.ZipFile, member: str) -> np.ndarray:
     size disagrees with its header.
     """
     data = archive.read(member)
-    # Magic (6 bytes) and version (2), then the header length: 2 bytes
-    # little-endian in format 1.0, 4 in 2.0.
-    width = 4 if data[6:8] == b"\x02\x00" else 2
-    offset = 8 + width + int.from_bytes(data[8 : 8 + width], "little")
+    offset = _header_end(data)
     shape, fortran_order, dtype = _parse_npy_header(data[:offset])
     if dtype.hasobject:
         raise CacheIntegrityError(f"member {member!r} holds object arrays")
     count = int(np.prod(shape, dtype=np.int64))
-    if len(data) - offset != count * dtype.itemsize:
-        raise CacheIntegrityError(
-            f"member {member!r} holds {len(data) - offset} payload bytes, "
-            f"its header promises {count * dtype.itemsize}"
-        )
+    _check_size(member, len(data) - offset, count * dtype.itemsize)
     array = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
     if fortran_order:
         return array.reshape(shape[::-1]).transpose()
     return array.reshape(shape)
+
+
+def _stream_columns(archive: zipfile.ZipFile, member: str):
+    """A one-dimensional structured member as ``({field: contiguous
+    array}, shape, dtype, sha256)``, split while it streams in, so its
+    packed bytes are never held whole (the zip layer checks the CRC at
+    the end of the stream); None for any other member."""
+    with archive.open(member) as stream:
+        raw = stream.read(12)
+        raw += stream.read(max(0, _header_end(raw) - len(raw)))
+        shape, _, dtype = _parse_npy_header(raw)
+        if not dtype.names or dtype.hasobject or len(shape) != 1:
+            return None
+        columns = {name: np.empty(shape, dtype[name]) for name in dtype.names}
+        digest = array_hasher(dtype, shape)
+        step = max(1, (1 << 18) // dtype.itemsize)  # rows per read
+        received = 0
+        for start in range(0, shape[0], step):
+            chunk = stream.read(min(step, shape[0] - start) * dtype.itemsize)
+            received += len(chunk)
+            if len(chunk) % dtype.itemsize:
+                break
+            digest.update(chunk)
+            rows = np.frombuffer(chunk, dtype=dtype)
+            for name, column in columns.items():
+                column[start : start + len(rows)] = rows[name]
+        received += len(stream.read())
+    _check_size(member, received, shape[0] * dtype.itemsize)
+    return columns, shape, dtype, digest.hexdigest()
+
+
+def _check_size(member: str, received: int, promised: int) -> None:
+    if received != promised:
+        raise CacheIntegrityError(
+            f"member {member!r} holds {received} payload bytes, "
+            f"its header promises {promised}"
+        )
 
 
 def verify_entry(
@@ -293,6 +328,7 @@ def verify_entry(
     level: str,
     version: object,
     expected: "ExpectedFields | None" = None,
+    columns: bool = False,
 ) -> VerifiedFields:
     """Read one entry, verifying metadata and payload checksums.
 
@@ -300,7 +336,8 @@ def verify_entry(
         The payload arrays (metadata field excluded) with the checksums
         they matched, fully materialized — the archive handle is closed
         before returning.  They are read-only views of the verified
-        bytes.
+        bytes; with ``columns``, a one-dimensional structured field is
+        a ``{field: array}`` dict instead, split while it streams in.
 
     Raises:
         CacheIntegrityError: on any violation — unreadable/truncated
@@ -346,23 +383,29 @@ def verify_entry(
             arrays = VerifiedFields()
             arrays.checksums = {}
             for name, spec in recorded.items():
-                array = _read_member(archive, members[name])
-                if list(array.shape) != list(spec.get("shape", [])):
+                streamed = columns and _stream_columns(archive, members[name])
+                if streamed:
+                    value, shape, dtype, digest = streamed
+                else:
+                    value = _read_member(archive, members[name])
+                    shape, dtype = tuple(value.shape), value.dtype
+                    digest = _array_digest(value)
+                if list(shape) != list(spec.get("shape", [])):
                     raise CacheIntegrityError(
-                        f"field {name!r} has shape {tuple(array.shape)}, "
+                        f"field {name!r} has shape {shape}, "
                         f"metadata recorded {tuple(spec.get('shape', []))}"
                     )
-                if str(array.dtype) != spec.get("dtype"):
+                if str(dtype) != spec.get("dtype"):
                     raise CacheIntegrityError(
-                        f"field {name!r} has dtype {array.dtype}, "
+                        f"field {name!r} has dtype {dtype}, "
                         f"metadata recorded {spec.get('dtype')!r}"
                     )
-                if _array_digest(array) != spec.get("sha256"):
+                if digest != spec.get("sha256"):
                     raise CacheIntegrityError(
                         f"field {name!r} failed its payload checksum"
                     )
-                _check_expected(name, array, expected or {})
-                arrays[name] = array
+                _check_expected(name, shape, dtype, expected or {})
+                arrays[name] = value
                 arrays.checksums[name] = spec["sha256"]
             return arrays
     except (CacheIntegrityError, OSError):
@@ -395,8 +438,10 @@ def load_entry(
     level: str,
     version: object,
     expected: "ExpectedFields | None" = None,
+    columns: bool = False,
 ) -> "Optional[VerifiedFields]":
-    """Verified load: the payload arrays, or None on a (verified) miss.
+    """Verified load: the payload arrays (split into columns as
+    :func:`verify_entry` describes), or None on a (verified) miss.
 
     A missing file is a plain miss.  A file that fails verification is
     a *verified miss*: it is quarantined, the event is recorded on the
@@ -408,7 +453,8 @@ def load_entry(
         return None
     try:
         return verify_entry(
-            path, level=level, version=version, expected=expected
+            path, level=level, version=version, expected=expected,
+            columns=columns,
         )
     except CacheIntegrityError as error:
         quarantined = quarantine_entry(path)

@@ -17,6 +17,9 @@ Generation proceeds in four phases:
    executes).
 4. **Assign registers** with a vectorized recent-producer scheme whose
    geometric age distribution shapes dependency distances and ILP.
+   Classes are addressed by position arrays, and each pool keeps one
+   ``int32`` producers-before count.  The finished columns become the
+   trace's storage as they are (:meth:`~repro.trace.Trace.from_columns`).
 
 Phases 2 and 3 are batch engines with no per-visit Python loops; the
 scalar originals are retained as :func:`_interpret_reference` and
@@ -58,7 +61,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..errors import ProfileError
-from ..isa import NO_REG, OpClass, TRACE_DTYPE
+from ..isa import NO_REG, OpClass
 from ..isa.instruction import INSTRUCTION_BYTES
 from ..isa.registers import NUM_INT_REGS
 from ..trace import Trace
@@ -209,12 +212,9 @@ def generate_trace(
     columns = _expand(rng, code, visits, outcomes, length)
     _assign_registers(rng, columns, profile.registers)
 
-    data = np.empty(length, dtype=TRACE_DTYPE)
-    for name in data.dtype.names:
-        data[name] = columns[name][:length]
-    return Trace(
-        data, name=profile.name,
-        recipe=TraceRecipe.of(profile, length, seed),
+    return Trace.from_columns(
+        {field: column[:length] for field, column in columns.items()},
+        name=profile.name, recipe=TraceRecipe.of(profile, length, seed),
     )
 
 
@@ -835,105 +835,90 @@ def _assign_registers(
     Producers rotate through a register pool; consumers read the value
     written ``k`` producers ago with ``k`` geometric (mean
     ``spec.dep_mean``), clipped so the named register still holds that
-    value.  Integer and FP dataflow use disjoint pools.
+    value.  Integer and FP dataflow use disjoint pools.  Every class is
+    addressed by its ascending position array, so each draw lines up
+    with its instructions in program order.
     """
     opclass = columns["opclass"]
+    src1 = columns["src1"]
+    src2 = columns["src2"]
 
-    int_producer = np.isin(
-        opclass,
-        [int(OpClass.LOAD), int(OpClass.INT_ALU), int(OpClass.INT_MUL)],
-    )
-    fp_producer = opclass == int(OpClass.FP)
+    def is_class(op: OpClass) -> np.ndarray:
+        return opclass == int(op)
 
+    is_int_compute = is_class(OpClass.INT_ALU) | is_class(OpClass.INT_MUL)
     int_pool = _PoolState(
-        producer_mask=int_producer,
-        pool_base=INT_POOL_BASE,
-        pool_size=spec.int_pool,
+        is_int_compute | is_class(OpClass.LOAD), INT_POOL_BASE, spec.int_pool
     )
-    fp_pool = _PoolState(
-        producer_mask=fp_producer,
-        pool_base=FP_POOL_BASE,
-        pool_size=spec.fp_pool,
-    )
+    fp_pool = _PoolState(is_class(OpClass.FP), FP_POOL_BASE, spec.fp_pool)
+    for pool in (int_pool, fp_pool):
+        columns["dst"][pool.positions] = pool.destinations
 
-    columns["dst"][int_pool.positions] = int_pool.destinations
-    columns["dst"][fp_pool.positions] = fp_pool.destinations
+    def int_source(at: np.ndarray) -> np.ndarray:
+        return int_pool.sample_sources(rng, at, spec.geometric_p)
 
-    geometric_p = spec.geometric_p
-
-    def int_source(mask: np.ndarray) -> np.ndarray:
-        return int_pool.sample_sources(rng, mask, geometric_p)
-
-    def fp_source(mask: np.ndarray) -> np.ndarray:
-        return fp_pool.sample_sources(rng, mask, geometric_p)
-
-    is_load = opclass == int(OpClass.LOAD)
-    is_store = opclass == int(OpClass.STORE)
-    is_branch = opclass == int(OpClass.BRANCH)
-    is_int_compute = np.isin(
-        opclass, [int(OpClass.INT_ALU), int(OpClass.INT_MUL)]
-    )
-    is_fp = fp_producer
+    def fp_source(at: np.ndarray) -> np.ndarray:
+        return fp_pool.sample_sources(rng, at, spec.geometric_p)
 
     # Loads: src1 is the address register.
-    columns["src1"][is_load] = int_source(is_load)
+    loads = np.flatnonzero(is_class(OpClass.LOAD))
+    src1[loads] = int_source(loads)
     # Stores: src1 is the value, src2 the address register.
-    columns["src1"][is_store] = int_source(is_store)
-    columns["src2"][is_store] = int_source(is_store)
+    stores = np.flatnonzero(is_class(OpClass.STORE))
+    src1[stores] = int_source(stores)
+    src2[stores] = int_source(stores)
     # Branches: src1 is the condition register.
-    columns["src1"][is_branch] = int_source(is_branch)
+    branches = np.flatnonzero(is_class(OpClass.BRANCH))
+    src1[branches] = int_source(branches)
 
     # Integer compute: immediate forms skip src1; two-operand forms add src2.
-    compute_positions = np.flatnonzero(is_int_compute)
-    has_src1 = rng.random(len(compute_positions)) >= spec.imm_fraction
-    src1_mask = np.zeros(len(opclass), dtype=bool)
-    src1_mask[compute_positions[has_src1]] = True
-    columns["src1"][src1_mask] = int_source(src1_mask)
-    has_src2 = has_src1 & (
-        rng.random(len(compute_positions)) < spec.two_op_fraction
-    )
-    src2_mask = np.zeros(len(opclass), dtype=bool)
-    src2_mask[compute_positions[has_src2]] = True
-    columns["src2"][src2_mask] = int_source(src2_mask)
+    compute = np.flatnonzero(is_int_compute)
+    has_src1 = rng.random(len(compute)) >= spec.imm_fraction
+    src1_at = compute[has_src1]
+    src1[src1_at] = int_source(src1_at)
+    has_src2 = has_src1 & (rng.random(len(compute)) < spec.two_op_fraction)
+    src2_at = compute[has_src2]
+    src2[src2_at] = int_source(src2_at)
 
     # FP compute: src1 always, src2 with the two-operand probability.
-    columns["src1"][is_fp] = fp_source(is_fp)
-    fp_positions = np.flatnonzero(is_fp)
-    fp_two = rng.random(len(fp_positions)) < spec.two_op_fraction
-    fp_src2_mask = np.zeros(len(opclass), dtype=bool)
-    fp_src2_mask[fp_positions[fp_two]] = True
-    columns["src2"][fp_src2_mask] = fp_source(fp_src2_mask)
+    fp = fp_pool.positions
+    src1[fp] = fp_source(fp)
+    fp_two = rng.random(len(fp)) < spec.two_op_fraction
+    fp_src2_at = fp[fp_two]
+    src2[fp_src2_at] = fp_source(fp_src2_at)
 
 
 class _PoolState:
     """Vectorized bookkeeping for one register rotation pool."""
 
     def __init__(self, producer_mask: np.ndarray, pool_base: int, pool_size: int):
-        self.pool_base = pool_base
         self.pool_size = pool_size
         self.positions = np.flatnonzero(producer_mask)
         # Number of producers strictly before each instruction.
-        self.producers_before = np.cumsum(producer_mask) - producer_mask
-        self.destinations = (
-            pool_base + (np.arange(len(self.positions)) % pool_size)
-        ).astype(np.uint8)
+        self.producers_before = np.cumsum(producer_mask, dtype=np.int32)
+        self.producers_before -= producer_mask
+        # The register each producer writes, by ordinal, then NO_REG at
+        # ordinal -1 (read by sources with no earlier producer).
+        count = len(self.positions)
+        rotation = np.arange(pool_base, pool_base + pool_size, dtype=np.uint8)
+        self._written = np.append(
+            np.tile(rotation, -(-count // pool_size))[:count], np.uint8(NO_REG)
+        )
+        self.destinations = self._written[:-1]
 
     def sample_sources(
         self,
         rng: np.random.Generator,
-        mask: np.ndarray,
+        at: np.ndarray,
         geometric_p: float,
     ) -> np.ndarray:
-        """Registers read by the masked instructions (NO_REG when the
-        pool has produced nothing yet)."""
-        count = int(mask.sum())
-        if count == 0:
+        """Registers read by the instructions at positions ``at``
+        (NO_REG where the pool has produced nothing yet)."""
+        if len(at) == 0:
             return np.empty(0, dtype=np.uint8)
-        ages = rng.geometric(geometric_p, size=count)
-        available = self.producers_before[mask]
+        ages = rng.geometric(geometric_p, size=len(at))
+        available = self.producers_before[at]
         ages = np.minimum(ages, np.minimum(available, self.pool_size))
         producer_ordinal = available - ages
-        registers = (
-            self.pool_base + (producer_ordinal % self.pool_size)
-        ).astype(np.uint8)
-        return np.where(ages > 0, registers, NO_REG).astype(np.uint8)
+        producer_ordinal[ages == 0] = -1
+        return self._written[producer_ordinal]

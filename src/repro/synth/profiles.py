@@ -30,8 +30,6 @@ from ..isa import OpClass
 from .code import CodeSpec
 from .memory import BEHAVIOR_KINDS
 
-_MIX_TOLERANCE = 1e-6
-
 #: Version tag mixed into profile fingerprints; bump when the knob
 #: schema changes in a way that should invalidate keyed caches.
 _FINGERPRINT_SCHEMA = "WorkloadProfile/v1"

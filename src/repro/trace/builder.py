@@ -118,6 +118,7 @@ class TraceBuilder:
         """Finalize into an immutable :class:`Trace`.
 
         The builder may continue to be used after calling ``build``; the
-        returned trace holds a copy of the accumulated records.
+        returned trace holds its own columns, split from the accumulated
+        records.
         """
-        return Trace(self._buffer[: self._size].copy(), name=self.name)
+        return Trace(self._buffer[: self._size], name=self.name)

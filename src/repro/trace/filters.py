@@ -16,11 +16,19 @@ from ..errors import TraceError
 from .trace import Trace
 
 
+def _rows(trace: Trace, rows: np.ndarray, name: str) -> Trace:
+    """``trace``'s ``rows`` (positions or a mask) as a trace owning its
+    columns (fancy indexing copies), so a short result never pins a
+    long parent in memory."""
+    columns = {f: c[rows] for f, c in trace.columns.items()}
+    return Trace.from_columns(columns, name=name)
+
+
 def head(trace: Trace, count: int) -> Trace:
     """The first ``count`` instructions (all of them if shorter)."""
     if count < 0:
         raise TraceError("count must be non-negative")
-    return Trace(trace.data[:count].copy(), name=trace.name)
+    return _rows(trace, np.arange(min(count, len(trace))), trace.name)
 
 
 def sample_interval(trace: Trace, period: int, length: int) -> Trace:
@@ -38,7 +46,7 @@ def sample_interval(trace: Trace, period: int, length: int) -> Trace:
         raise TraceError("period must be >= sample length")
     offsets = np.arange(len(trace))
     keep = (offsets % period) < length
-    return Trace(trace.data[keep].copy(), name=trace.name)
+    return _rows(trace, keep, trace.name)
 
 
 def sample_random(trace: Trace, fraction: float, seed: int = 0) -> Trace:
@@ -55,7 +63,7 @@ def sample_random(trace: Trace, fraction: float, seed: int = 0) -> Trace:
         raise TraceError("fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(len(trace)) < fraction
-    return Trace(trace.data[keep].copy(), name=trace.name)
+    return _rows(trace, keep, trace.name)
 
 
 def split_windows(trace: Trace, window: int, drop_last: bool = True) -> List[Trace]:
@@ -73,8 +81,8 @@ def split_windows(trace: Trace, window: int, drop_last: bool = True) -> List[Tra
         raise TraceError("window must be positive")
     windows = []
     for start in range(0, len(trace), window):
-        chunk = trace.data[start : start + window]
-        if len(chunk) < window and drop_last:
+        if len(trace) - start < window and drop_last:
             break
-        windows.append(Trace(chunk.copy(), name=f"{trace.name}[{start}]"))
+        rows = np.arange(start, min(start + window, len(trace)))
+        windows.append(_rows(trace, rows, f"{trace.name}[{start}]"))
     return windows

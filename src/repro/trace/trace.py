@@ -1,24 +1,26 @@
 """Columnar trace container.
 
-A :class:`Trace` wraps a numpy structured array of dynamic instruction
-records (dtype :data:`repro.isa.TRACE_DTYPE`).  All MICA analyzers and
-microarchitecture simulators operate on this container.  The wrapper adds
-convenient column views, class masks, and cheap derived streams (load
-addresses, branch outcomes) that several analyzers share.
+A :class:`Trace` holds the dynamic instruction stream as one
+C-contiguous, aligned, read-only numpy array per field of
+:data:`repro.isa.TRACE_DTYPE`, so every MICA analyzer and
+microarchitecture simulator runs over plain contiguous columns, not
+29-byte-strided views into packed records.  The packed records remain
+the trace's byte identity: :attr:`Trace.data` assembles them on demand
+(for the writers and the trace cache) without keeping them, and the
+content hashes cover exactly those bytes.  Slices view their parent's
+columns.
 
-The underlying array is immutable, so every column view, class mask and
-derived stream is computed once and memoized: analyzers that read the
-same column repeatedly (or mix mask-derived streams) never re-slice the
-structured array.  Bulk record iteration goes through
-:meth:`Trace.records`, which converts each column to Python scalars once
-and skips per-row re-validation of data that was validated when the
-trace was built.
+The columns are immutable, so every class mask and derived stream
+(load addresses, branch outcomes) is computed once and memoized.  Bulk
+record iteration goes through :meth:`Trace.records`, which converts
+each column to Python scalars once and skips per-row re-validation of
+data that was validated when the trace was built.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Mapping
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from ..isa import (
 #: Hex digits of :meth:`Trace.content_digest`.
 DIGEST_LENGTH = 16
 
+#: Column names, in :data:`TRACE_DTYPE` (on-disk) order.
+FIELDS = TRACE_DTYPE.names
+
 
 def array_hasher(dtype, shape):
     """A sha256 fed an array's dtype and shape: fed its bytes next, the
@@ -45,11 +50,16 @@ def array_hasher(dtype, shape):
     return hasher
 
 
+def _column(field: str) -> property:
+    return property(lambda self: self._columns[field])
+
+
 class Trace:
     """An immutable dynamic instruction trace.
 
     Args:
-        data: structured array with dtype :data:`TRACE_DTYPE`.
+        data: structured array with dtype :data:`TRACE_DTYPE`; it is
+            split into columns once (and not kept).
         name: optional label (usually ``suite/program/input``).
         recipe: the :class:`repro.synth.TraceRecipe` the bytes were
             generated from, or None.  Only the generator and the trace
@@ -57,7 +67,7 @@ class Trace:
             builders, file readers) carries none, so cache keys fall
             back to the content fingerprint.
 
-    The underlying array is marked read-only; build modified traces through
+    The columns are marked read-only; build modified traces through
     :class:`repro.trace.TraceBuilder` or the filter utilities.
     """
 
@@ -68,12 +78,48 @@ class Trace:
             )
         if data.ndim != 1:
             raise TraceError("trace data must be one-dimensional")
-        self._data = data
-        self._data.setflags(write=False)
+        self._adopt(
+            {field: data[field].copy() for field in FIELDS}, name, recipe
+        )
+
+    @classmethod
+    def from_columns(
+        cls, columns: Mapping[str, np.ndarray], name: str = "", recipe=None
+    ) -> "Trace":
+        """A trace over one array per :data:`TRACE_DTYPE` field.
+
+        Arrays already of the field's dtype, contiguous and aligned are
+        adopted without a copy and marked read-only.
+
+        Raises:
+            TraceError: unless the fields are exactly those of
+                :data:`TRACE_DTYPE`, as 1-D arrays of one length.
+        """
+        if sorted(columns) != sorted(FIELDS):
+            raise TraceError(
+                f"trace columns must be {FIELDS}, got {tuple(columns)}"
+            )
+        arrays = {
+            field: np.require(columns[field], TRACE_DTYPE[field], "CA")
+            for field in FIELDS
+        }
+        shapes = {array.shape for array in arrays.values()}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise TraceError("trace columns must be 1-D and of one length")
+        trace = cls.__new__(cls)
+        trace._adopt(arrays, name, recipe)
+        return trace
+
+    def _adopt(
+        self, columns: Dict[str, np.ndarray], name: str, recipe
+    ) -> None:
+        for column in columns.values():
+            column.setflags(write=False)
+        self._columns = columns
         self.name = name
         self.recipe = recipe
-        # Memoized column views / masks / derived streams; safe because
-        # the backing array is read-only for the trace's lifetime.
+        # Memoized masks / derived streams; safe because the columns
+        # are read-only for the trace's lifetime.
         self._derived: Dict[str, np.ndarray] = {}
         self._digest: "str | None" = None
         self._fingerprint: "str | None" = None
@@ -85,13 +131,10 @@ class Trace:
             self._derived[key] = array
         return array
 
-    def _column(self, field: str) -> np.ndarray:
-        return self._cached(field, lambda: self._data[field])
-
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._columns["pc"])
 
     def __iter__(self) -> Iterator[InstructionRecord]:
         return self.records()
@@ -99,6 +142,7 @@ class Trace:
     #: Rows converted to Python scalars per batch during iteration —
     #: large enough to amortize the columnar tolist(), small enough
     #: that early-exiting consumers never materialize a whole trace.
+    #: Also the rows packed per hash update by the content hashes.
     _RECORD_CHUNK = 8192
 
     def records(self) -> Iterator[InstructionRecord]:
@@ -106,10 +150,10 @@ class Trace:
 
         The bulk path: columns are converted to Python scalars one
         chunk at a time and records are built without per-row
-        validation (the array was validated on construction), which is
-        several times faster than row-wise structured-array access.
+        validation (the columns were validated on construction), which
+        is several times faster than row-wise structured-array access.
         """
-        for start in range(0, len(self._data), self._RECORD_CHUNK):
+        for start in range(0, len(self), self._RECORD_CHUNK):
             stop = start + self._RECORD_CHUNK
             opclasses = [
                 OpClass(value)
@@ -133,8 +177,19 @@ class Trace:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(self._data[index], name=self.name)
-        return record_from_row(self._data[int(index)])
+            # A unit-step slice views every column (no copy, no record
+            # assembly, no re-validation); a strided one is copied.
+            view = index.step in (None, 1)
+            trace = Trace.__new__(Trace)
+            trace._adopt({
+                field: column[index] if view else column[index].copy()
+                for field, column in self._columns.items()
+            }, self.name, None)
+            return trace
+        position = int(index)
+        return record_from_row(
+            {field: column[position] for field, column in self._columns.items()}
+        )
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -143,41 +198,42 @@ class Trace:
     # -- column access -------------------------------------------------------
 
     @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The read-only column arrays by field, in :data:`TRACE_DTYPE`
+        order (a new dict; the arrays are the trace's own)."""
+        return dict(self._columns)
+
+    @property
     def data(self) -> np.ndarray:
-        """The raw structured array (read-only)."""
-        return self._data
+        """The packed :data:`TRACE_DTYPE` records (read-only).
 
-    @property
-    def pc(self) -> np.ndarray:
-        return self._column("pc")
+        Assembled from the columns on every access and not kept: read it
+        once per write, and read the columns everywhere else.
+        """
+        return self._packed(0, len(self))
 
-    @property
-    def opclass(self) -> np.ndarray:
-        return self._column("opclass")
+    def _packed(self, start: int, stop: int) -> np.ndarray:
+        stop = min(stop, len(self))
+        records = np.empty(stop - start, dtype=TRACE_DTYPE)
+        for field, column in self._columns.items():
+            records[field] = column[start:stop]
+        records.setflags(write=False)
+        return records
 
-    @property
-    def src1(self) -> np.ndarray:
-        return self._column("src1")
+    def _hash_records(self, hasher) -> None:
+        """Feed ``hasher`` the packed record bytes, one chunk at a time
+        (never the whole trace packed at once)."""
+        for start in range(0, len(self), self._RECORD_CHUNK):
+            hasher.update(self._packed(start, start + self._RECORD_CHUNK))
 
-    @property
-    def src2(self) -> np.ndarray:
-        return self._column("src2")
-
-    @property
-    def dst(self) -> np.ndarray:
-        return self._column("dst")
-
-    @property
-    def mem_addr(self) -> np.ndarray:
-        return self._column("mem_addr")
-
-    @property
-    def taken(self) -> np.ndarray:
-        return self._column("taken")
-
-    @property
-    def target(self) -> np.ndarray:
-        return self._column("target")
+    pc = _column("pc")
+    opclass = _column("opclass")
+    src1 = _column("src1")
+    src2 = _column("src2")
+    dst = _column("dst")
+    mem_addr = _column("mem_addr")
+    taken = _column("taken")
+    target = _column("target")
 
     # -- class masks ----------------------------------------------------------
 
@@ -238,24 +294,23 @@ class Trace:
         """Short content hash of the instruction stream (name-blind).
 
         The cache's payload checksum (:func:`array_hasher` over the
-        records) truncated, so a trace the cache loads is seeded with
-        the checksum its verification matched.  Memoized (the backing
-        array is immutable).  Used by analysis results that must later
-        verify they are being applied to the trace they were computed
-        from — e.g.
+        packed records) truncated, so a trace the cache loads is seeded
+        with the checksum its verification matched.  Memoized (the
+        columns are immutable).  Used by analysis results that must
+        later verify they are being applied to the trace they were
+        computed from — e.g.
         :class:`repro.phases.PhaseResult` — where equal length alone
         would let a wrong trace pass silently.
         """
         if self._digest is None:
-            hasher = array_hasher(self._data.dtype, self._data.shape)
-            # The buffer itself, not a ``tobytes`` copy (only a strided
-            # slice is made contiguous first).
-            hasher.update(np.ascontiguousarray(self._data))
+            hasher = array_hasher(TRACE_DTYPE, (len(self),))
+            self._hash_records(hasher)
             self._digest = hasher.hexdigest()[:DIGEST_LENGTH]
         return self._digest
 
     def fingerprint(self) -> str:
-        """Cache-key content hash: sha256 over the dtype and the bytes.
+        """Cache-key content hash: sha256 over the dtype and the packed
+        record bytes.
 
         Memoized like :meth:`content_digest`, so the several cache keys
         one characterization derives from a trace hash its bytes once.
@@ -263,8 +318,8 @@ class Trace:
         """
         if self._fingerprint is None:
             hasher = hashlib.sha256()
-            hasher.update(str(self._data.dtype).encode())
-            hasher.update(np.ascontiguousarray(self._data))
+            hasher.update(str(TRACE_DTYPE).encode())
+            self._hash_records(hasher)
             self._fingerprint = hasher.hexdigest()[:32]
         return self._fingerprint
 
@@ -289,5 +344,10 @@ class Trace:
 
     def concat(self, other: "Trace") -> "Trace":
         """Concatenate two traces (self first)."""
-        joined = np.concatenate([self._data, other._data])
-        return Trace(joined, name=self.name or other.name)
+        return Trace.from_columns(
+            {
+                field: np.concatenate([column, other._columns[field]])
+                for field, column in self._columns.items()
+            },
+            name=self.name or other.name,
+        )

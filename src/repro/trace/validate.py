@@ -12,8 +12,14 @@ import numpy as np
 
 from ..errors import TraceError
 from ..isa import NO_REG, OpClass
+from ..isa.opclass import MEMORY_CLASSES
 from ..isa.registers import TOTAL_REGS
 from .trace import Trace
+
+
+#: Lookup tables over every ``uint8`` opclass value.
+_VALID_CLASS = np.isin(np.arange(256), list(OpClass))
+_MEMORY_CLASS = np.isin(np.arange(256), list(MEMORY_CLASSES))
 
 
 def validate_trace(trace: Trace) -> None:
@@ -29,34 +35,32 @@ def validate_trace(trace: Trace) -> None:
     * only control transfers are marked taken;
     * taken control transfers carry a nonzero target.
     """
-    data = trace.data
-    if len(data) == 0:
+    if len(trace) == 0:
         return
+    opclass = trace.opclass
 
-    valid_classes = np.array([int(op) for op in OpClass], dtype=np.uint8)
-    if not np.isin(data["opclass"], valid_classes).all():
-        bad = data["opclass"][~np.isin(data["opclass"], valid_classes)][0]
+    invalid = ~_VALID_CLASS[opclass]
+    if invalid.any():
+        bad = opclass[invalid][0]
         raise TraceError(f"invalid opclass value: {int(bad)}")
 
     for field in ("src1", "src2", "dst"):
-        column = data[field]
+        column = getattr(trace, field)
         bad_mask = (column != NO_REG) & (column >= TOTAL_REGS)
         if bad_mask.any():
             raise TraceError(
                 f"invalid {field} register index: {int(column[bad_mask][0])}"
             )
 
-    memory_mask = np.isin(
-        data["opclass"], [int(OpClass.LOAD), int(OpClass.STORE)]
-    )
-    if (data["mem_addr"][memory_mask] == 0).any():
+    memory_mask = _MEMORY_CLASS[opclass]
+    if (trace.mem_addr[memory_mask] == 0).any():
         raise TraceError("memory instruction with zero address")
-    if (data["mem_addr"][~memory_mask] != 0).any():
+    if (trace.mem_addr[~memory_mask] != 0).any():
         raise TraceError("non-memory instruction with nonzero address")
 
-    branch_mask = data["opclass"] == int(OpClass.BRANCH)
-    if (data["taken"][~branch_mask] != 0).any():
+    branch_mask = opclass == int(OpClass.BRANCH)
+    if (trace.taken[~branch_mask] != 0).any():
         raise TraceError("non-branch instruction marked taken")
-    taken_branches = branch_mask & (data["taken"] != 0)
-    if (data["target"][taken_branches] == 0).any():
+    taken_branches = branch_mask & (trace.taken != 0)
+    if (trace.target[taken_branches] == 0).any():
         raise TraceError("taken branch with zero target")

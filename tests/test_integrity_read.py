@@ -117,3 +117,50 @@ def test_header_memo_keeps_every_check(tmp_path):
         with pytest.raises(CacheIntegrityError, match="object arrays"):
             _verify(objects)
     assert np.array_equal(_verify(healthy)["values"], values)
+
+
+_RECORDS = np.dtype([("a", np.uint64), ("b", np.uint8), ("c", np.uint32)])
+
+
+def _records(count):
+    rows = np.zeros(count, dtype=_RECORDS)
+    rows["a"] = np.arange(count) * 7
+    rows["b"] = np.arange(count) % 251
+    rows["c"] = np.arange(count) ^ 0x5A5A
+    return rows
+
+
+def _verify_columns(path):
+    return integrity.verify_entry(
+        path, level="test", version=1, columns=True
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, 100_000])
+def test_structured_fields_stream_in_as_columns(tmp_path, count):
+    rows = _records(count)
+    values = np.arange(6.0).reshape(2, 3)
+    path = _write(tmp_path / "e.npz", rows=rows, values=values)
+    arrays = _verify_columns(path)
+    assert sorted(arrays["rows"]) == ["a", "b", "c"]
+    for name, column in arrays["rows"].items():
+        assert column.flags.c_contiguous and column.flags.aligned
+        assert np.array_equal(column, rows[name])
+    assert np.array_equal(arrays["values"], values)
+    assert arrays.checksums == _verify(path).checksums
+
+
+def test_streamed_columns_keep_the_crc_and_size_checks(tmp_path):
+    path = _write(tmp_path / "e.npz", rows=_records(50_000))
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("rows.npy")
+    raw = bytearray(path.read_bytes())
+    raw[info.header_offset + 30 + len(info.filename) + 300_000] ^= 0x10
+    damaged = tmp_path / "damaged.npz"
+    damaged.write_bytes(bytes(raw))
+    with pytest.raises(CacheIntegrityError, match="CRC|checksum"):
+        _verify_columns(damaged)
+    for cut in (13, 8):  # on a record boundary (13 bytes), then inside one
+        _rewrite_member(path, "rows.npy", lambda data: data[:-cut])
+        with pytest.raises(CacheIntegrityError, match="payload bytes"):
+            _verify_columns(path)
