@@ -1,5 +1,5 @@
 """The *dead-code* rule: no unused imports, no dead ``__all__``
-entries.
+entries, no unreferenced private definitions.
 
 An import nothing reads is noise that rots into a false dependency; an
 ``__all__`` entry naming nothing confuses both ``import *`` and the
@@ -8,6 +8,12 @@ appears in any Load context, in a string annotation (quoted forward
 references are parsed), or as a string inside ``__all__`` (re-export).
 Package ``__init__`` modules are exempt from the unused-import check —
 their imports *are* the public re-export surface.
+
+A module-level private function, class or constant (one leading
+underscore) that nothing under ``src`` references is a helper its last
+caller left behind.  Any module's Name load, attribute, ``from ...
+import`` name or string constant equal to the name counts as a
+reference; tests do not, since code only tests use is a liability too.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ class DeadCodeRule(Rule):
     """Flag unused imports and ``__all__`` entries naming nothing."""
 
     id = "dead-code"
-    summary = "no unused imports or dead __all__ entries"
+    summary = (
+        "no unused imports, dead __all__ entries or unreferenced "
+        "private definitions"
+    )
     explanation = (
         "An import never referenced in the module (including inside "
         "quoted string annotations and __all__ re-export lists) is "
@@ -32,9 +41,34 @@ class DeadCodeRule(Rule):
         "that names no module-level binding breaks 'from m import *' "
         "and the docs contract.  Package __init__.py files are exempt "
         "from the unused-import check because their imports define the "
-        "re-export surface."
+        "re-export surface.  A module-level private function, class or "
+        "constant that no module under src references (Name load, "
+        "attribute, from-import name or string constant) is a helper "
+        "left behind by its last caller; delete it."
     )
     severity = "warning"
+
+    def check_project(self, project: LintProject) -> "Iterable[Finding]":
+        referenced: "Set[str]" = set()
+        for module in project.modules:
+            if module.tree is not None:
+                referenced |= _referenced_names(module.tree)
+        findings: "List[Finding]" = []
+        for module in project.modules:
+            if module.tree is None:
+                continue
+            for name, (line, col) in _private_definitions(module.tree):
+                if name not in referenced:
+                    findings.append(
+                        self.finding(
+                            module,
+                            line,
+                            col,
+                            f"private definition {name} is never "
+                            "referenced under src; delete it",
+                        )
+                    )
+        return findings
 
     def check_module(
         self, module: ModuleSource, project: LintProject
@@ -135,6 +169,45 @@ def _used_names(tree: ast.Module) -> "Set[str]":
             if isinstance(sub, ast.Name):
                 used.add(sub.id)
     return used
+
+
+def _private_definitions(
+    tree: ast.Module,
+) -> "List[Tuple[str, Tuple[int, int]]]":
+    """Module-level ``_name`` functions, classes and assigned names
+    (dunders excluded), with their locations."""
+    definitions: "List[Tuple[str, Tuple[int, int]]]" = []
+    for node in tree.body:
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names = {node.name}
+        elif isinstance(node, ast.Assign):
+            names = set().union(*map(_target_names, node.targets))
+        elif isinstance(node, ast.AnnAssign):
+            names = _target_names(node.target)
+        else:
+            continue
+        for name in sorted(names):
+            if name.startswith("_") and not name.startswith("__"):
+                definitions.append((name, (node.lineno, node.col_offset)))
+    return definitions
+
+
+def _referenced_names(tree: ast.Module) -> "Set[str]":
+    """Names a module reads: Name loads, attributes, ``from ... import``
+    names and string constants."""
+    names: "Set[str]" = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
 
 
 def _toplevel_bindings(tree: ast.Module) -> "Set[str]":

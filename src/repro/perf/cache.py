@@ -568,10 +568,22 @@ class TraceCache(_NpzCacheDirectory):
         trace: Trace,
     ) -> Path:
         """Persist one generated trace (its packed records, assembled
-        for the write); returns the entry path."""
-        return self._store(
-            self.entry_path(profile, length, seed), data=trace.data
+        for the write); returns the entry path.
+
+        The trace's content digest is seeded from the checksum the
+        entry metadata records, as :meth:`load` seeds it from the
+        checksum it verifies, so the records are hashed once.
+        """
+        fields = {"data": trace.data}
+        metadata = integrity.build_metadata(
+            self.level, self._schema_version(), fields
         )
+        path = integrity.write_entry(
+            self.entry_path(profile, length, seed), level=self.level,
+            version=self._schema_version(), fields=fields, metadata=metadata,
+        )
+        trace._digest = metadata["fields"]["data"]["sha256"][:DIGEST_LENGTH]
+        return path
 
 
 def cached_generate_trace(

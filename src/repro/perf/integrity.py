@@ -172,6 +172,7 @@ def write_entry(
     level: str,
     version: object,
     fields: Mapping[str, np.ndarray],
+    metadata: "dict | None" = None,
 ) -> Path:
     """Atomically write one integrity-stamped entry.
 
@@ -181,15 +182,19 @@ def write_entry(
     A writer that dies mid-write (ENOSPC, kill) leaves no temporary
     behind — it is unlinked before the error propagates.
 
+    ``metadata`` is the :func:`build_metadata` document of exactly
+    these arguments when the caller built it first to read its
+    checksums (built here otherwise), so no payload is hashed twice.
+
     Raises:
         OSError: when the directory is unwritable or the disk is full
             (callers degrade to compute-without-cache).
     """
     arrays = {name: np.asarray(array) for name, array in fields.items()}
+    if metadata is None:
+        metadata = build_metadata(level, version, arrays)
     payload: Dict[str, np.ndarray] = dict(arrays)
-    payload[METADATA_FIELD] = np.array(
-        json.dumps(build_metadata(level, version, arrays))
-    )
+    payload[METADATA_FIELD] = np.array(json.dumps(metadata))
     path.parent.mkdir(parents=True, exist_ok=True)
     # The tmp- prefix keeps half-written files out of the entry glob;
     # the .npz suffix stops np.savez renaming the file.

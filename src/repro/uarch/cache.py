@@ -23,19 +23,26 @@ direct-mapped fast path left LRU ages stale; a recency stack cannot).
 access stream without per-access Python loops, and only where the
 outcome is not already known.  An access to the same line as the access
 before it is an MRU hit that leaves the stack unchanged, so only the
-heads of such runs are simulated (statistics still count every access).
-The heads are stable-sorted by set (current residents are prepended as
-virtual warm-up accesses in LRU-to-MRU order, so warm starts are just a
-longer stream); set ids, and line ids spanning at most 2**16 values,
+heads of such runs are simulated (statistics still count every access);
+a :class:`LineRuns` holds them, and :meth:`SetAssociativeCache.simulate_runs`
+takes one cut already.  The heads are stable-sorted by set (a warm
+cache prepends its residents as virtual warm-up accesses in LRU-to-MRU
+order, so warm starts are just a longer stream; a single-set cache
+skips the sort); set ids, and line ids spanning at most 2**16 values,
 are sorted as ``uint16`` keys, which numpy radix-sorts.  Direct-mapped
-hits are one previous-same-line compare; small associativities walk a
-"last A distinct lines" pointer recurrence bounded by the (small,
-static) associativity; large associativities (the fully-associative
-TLB) use exact LRU stack distances behind a reuse-gap filter: by LRU
-inclusion, a line reused after fewer than ``ways`` other accesses hits,
-and so does every reuse in a stream of at most ``ways`` distinct lines.
-Only the remaining reuses are counted, blockwise under a fixed element
-budget (``_ELEMENT_BUDGET``).  :meth:`SetAssociativeCache.simulate_reference`
+hits are one previous-same-line compare, and each set ends holding its
+last access's line, so no previous-occurrence links are built.  Small
+associativities walk a "last A distinct lines" pointer recurrence
+bounded by the (small, static) associativity; large associativities
+(the fully-associative TLB) use exact LRU stack distances behind a
+reuse-gap filter: by LRU inclusion, a line reused after fewer than
+``ways`` other accesses hits, and so does every reuse in a stream of at
+most ``ways`` distinct lines.  Only the remaining reuses are counted,
+blockwise under a fixed element budget (``_ELEMENT_BUDGET``).  A fresh
+single-set cache takes its links and stack distances from its
+:class:`LineRuns`, where they are kept: distances counted for ``ways``
+answer every larger associativity, so TLBs sharing one stream share
+one pass.  :meth:`SetAssociativeCache.simulate_reference`
 retains the scalar per-access loop as the executable specification the
 equivalence tests pin the engine against, bit for bit — including the
 final stack state.
@@ -65,6 +72,9 @@ _BLOCKS = (256, 16)
 
 #: Elements of the largest exact stack-distance temporary (int64: 512 KiB).
 _ELEMENT_BUDGET = 1 << 16
+
+#: Stack distance of a first access: a miss at any associativity.
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -118,9 +128,9 @@ class CacheStats:
 
 
 def _run_firsts(keys: np.ndarray) -> np.ndarray:
-    """True at the first element of each run of equal keys (non-empty)."""
+    """True at the first element of each run of equal keys."""
     first = np.empty(len(keys), dtype=bool)
-    first[0] = True
+    first[:1] = True
     first[1:] = keys[1:] != keys[:-1]
     return first
 
@@ -137,35 +147,52 @@ def _stable_order(keys: np.ndarray, domain: int, base: int = 0) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _stack_distance_hits(previous_same: np.ndarray, ways: int) -> np.ndarray:
-    """Hit mask via exact LRU stack distances (any associativity).
+def _previous_occurrences(lines: np.ndarray) -> np.ndarray:
+    """Position of the previous access of the same line (-1 if none).
+
+    One line-keyed stable sort: within a run of equal lines in sorted
+    order, each access links to the one before it.
+    """
+    lowest = int(lines.min())
+    order = _stable_order(lines, int(lines.max()) - lowest + 1, lowest)
+    repeats = np.flatnonzero(~_run_firsts(lines[order]))
+    previous = np.full(len(lines), -1, dtype=np.int64)
+    previous[order[repeats]] = order[repeats - 1]
+    return previous
+
+
+def _stack_distances(previous_same: np.ndarray, floor: int) -> np.ndarray:
+    """Exact LRU stack distances where they are at least ``floor``.
 
     The stack distance of an access is the number of distinct lines
     touched in its set since the previous access of the same line: the
     reuse gap (accesses in between) minus the in-window repeats, i.e.
     accesses whose own previous occurrence also lies inside the window.
-    A gap below ``ways`` is a hit whatever the window holds, and a
-    stream of at most ``ways`` distinct lines hits on every reuse, so
-    only the other reuses are counted.  For an access at ``i`` whose
-    previous occurrence is ``l``, the repeats are the positions
-    ``p < i`` with ``previous_same[p] > l`` (every ``p <= l`` points
-    below ``l``).  They are counted by binary search in the sorted
-    pointers of each whole block inside the window (``_BLOCKS``: blocks,
-    then sub-blocks of the block holding ``i``) and by direct compare in
-    the sub-block of ``i``, ``_ELEMENT_BUDGET`` elements at a time.
-    Groups never contaminate each other: a foreign access's pointer
-    always falls outside the window's position range.
+    Every distance below ``floor`` comes back as some value below
+    ``floor``, and a first access as :data:`_NEVER`, so for any
+    ``ways >= floor`` an access hits iff its value is below ``ways``.
+    A gap below ``floor`` bounds the distance, and a stream of at most
+    ``floor`` distinct lines keeps every distance below it, so only the
+    other reuses are counted.  For an access at ``i`` whose previous
+    occurrence is ``l``, the repeats are the positions ``p < i`` with
+    ``previous_same[p] > l`` (every ``p <= l`` points below ``l``).
+    They are counted by binary search in the sorted pointers of each
+    whole block inside the window (``_BLOCKS``: blocks, then sub-blocks
+    of the block holding ``i``) and by direct compare in the sub-block
+    of ``i``, ``_ELEMENT_BUDGET`` elements at a time.  Groups never
+    contaminate each other: a foreign access's pointer always falls
+    outside the window's position range.
     """
     m = len(previous_same)
     reused = previous_same >= 0
-    if m - np.count_nonzero(reused) <= ways:
-        return reused
+    distances = np.where(reused, 0, _NEVER)
+    if m - np.count_nonzero(reused) <= floor:
+        return distances
     positions = np.arange(m, dtype=np.int64)
     gap = positions - previous_same - 1
-    hits = reused & (gap < ways)
-    queries = np.flatnonzero(reused & ~hits)
+    queries = np.flatnonzero(reused & (gap >= floor))
     if len(queries) == 0:
-        return hits
+        return distances
     # Per block size, block-major and pointer-minor keys: block c fills
     # sorted slots [c*size, c*size + size).
     span = m + 1
@@ -203,8 +230,52 @@ def _stack_distance_hits(previous_same: np.ndarray, ways: int) -> np.ndarray:
             & (window < query[:, None]),
             axis=1,
         )
-        hits[query] = gap[query] - repeats < ways
-    return hits
+        distances[query] = gap[query] - repeats
+    return distances
+
+
+class LineRuns:
+    """One access stream at one line size, cut into runs of one line.
+
+    An access to the line of the access before it is an MRU hit that
+    leaves any LRU state as it is, so caches resolve only the run
+    heads.  The heads' previous-occurrence links and, per floor, their
+    stack distances are computed on first use and kept: caches of one
+    line size over one stream (the two Alpha machines' 8 KB-page TLBs)
+    share them.
+
+    Attributes:
+        line_bytes: the line size the stream is cut at.
+        accesses: number of accesses in the stream.
+        heads: position of each run's first access.
+        lines: line id of each run.
+    """
+
+    def __init__(self, addresses: np.ndarray, line_bytes: int):
+        self.line_bytes = line_bytes
+        self.accesses = len(addresses)
+        lines = addresses.astype(np.int64) >> (line_bytes.bit_length() - 1)
+        self.heads = np.flatnonzero(_run_firsts(lines))
+        self.lines = lines[self.heads]
+        self._previous: "np.ndarray | None" = None
+        self._distances: "tuple[int, np.ndarray] | None" = None
+
+    @property
+    def previous(self) -> np.ndarray:
+        """Previous run of the same line, per run (-1 for the first)."""
+        if self._previous is None:
+            self._previous = _previous_occurrences(self.lines)
+        return self._previous
+
+    def lru_hits(self, ways: int) -> np.ndarray:
+        """Hit mask of the runs in a cold fully-associative LRU cache.
+
+        One stack-distance pass at the smallest ``ways`` asked so far
+        answers every larger one (LRU inclusion).
+        """
+        if self._distances is None or ways < self._distances[0]:
+            self._distances = ways, _stack_distances(self.previous, ways)
+        return self._distances[1] < ways
 
 
 class SetAssociativeCache:
@@ -270,87 +341,98 @@ class SetAssociativeCache:
         Returns:
             Boolean miss mask, one entry per address (True = miss).
         """
-        n = len(addresses)
+        return self.simulate_runs(LineRuns(addresses, self.config.line_bytes))
+
+    def simulate_runs(self, runs: "LineRuns") -> np.ndarray:
+        """:meth:`simulate` over an access stream already cut into runs.
+
+        ``runs`` must be at this cache's line size; a fresh single-set
+        cache reads its previous-occurrence links and stack distances
+        from ``runs``, so caches sharing one :class:`LineRuns` share
+        that work.
+
+        Returns:
+            Boolean miss mask, one entry per access (True = miss).
+        """
+        if runs.line_bytes != self.config.line_bytes:
+            raise SimulationError(f"{self.config.name}: wrong line size")
+        n = runs.accesses
         if n == 0:
             return np.zeros(0, dtype=bool)
         ways = self.config.associativity
-        lines = addresses.astype(np.int64) >> self._line_shift
-        # A repeat of the previous access's line is an MRU hit that
-        # leaves the stack as it is: only run heads are resolved.
-        heads = np.flatnonzero(_run_firsts(lines))
-        lines = lines[heads]
-        sets = lines & self._set_mask
-
         # Prepend the current residents as virtual accesses (LRU to MRU
         # per set), turning warm starts into plain longer streams.
         resident = self._stack >= 0
-        virtual_counts = resident.sum(axis=1)
-        virtual_lines = self._stack[:, ::-1][resident[:, ::-1]]
-        virtual_sets = np.repeat(
-            np.arange(self.config.num_sets, dtype=np.int64), virtual_counts
-        )
-        n_virtual = len(virtual_sets)
-        all_sets = np.concatenate([virtual_sets, sets])
-        all_lines = np.concatenate([virtual_lines, lines])
+        fresh = not resident.any()
+        lines = runs.lines
+        if not fresh:
+            lines = np.concatenate(
+                [self._stack[:, ::-1][resident[:, ::-1]], lines]
+            )
+        n_virtual = len(lines) - len(runs.lines)
+        m = len(lines)
 
-        # Stable sort by set: virtuals lead each group, then the batch
-        # accesses in program order.
-        order = _stable_order(all_sets, self.config.num_sets)
-        group_sets = all_sets[order]
-        group_lines = all_lines[order]
-        m = len(order)
+        # Group by set with one stable sort (none for a single set):
+        # virtuals lead each group, then the batch accesses in order.
+        order = None
+        group_lines = lines
+        group_sets = lines & self._set_mask
+        if self.config.num_sets > 1:
+            order = _stable_order(group_sets, self.config.num_sets)
+            group_lines = lines[order]
+            group_sets = group_sets[order]
         new_group = _run_firsts(group_sets)
 
-        # Previous occurrence of the same line (equal lines share a
-        # set, so one line-keyed stable sort covers every group).
-        lowest = int(group_lines.min())
-        line_order = _stable_order(
-            group_lines, int(group_lines.max()) - lowest + 1, lowest
-        )
-        ordered_lines = group_lines[line_order]
-        same_as_previous = ~_run_firsts(ordered_lines)
-        previous_same = np.full(m, -1, dtype=np.int64)
-        repeat_positions = np.flatnonzero(same_as_previous)
-        previous_same[line_order[repeat_positions]] = line_order[
-            repeat_positions - 1
-        ]
-
+        self._stack.fill(-1)
         if ways == 1:
-            # Direct-mapped: one previous-same-line compare.
+            # Direct-mapped: one previous-same-line compare, and each
+            # set ends holding the line of its last access.
             hits = np.empty(m, dtype=bool)
             hits[0] = False
             hits[1:] = group_lines[1:] == group_lines[:-1]
             hits &= ~new_group
-        elif ways <= _SMALL_WAYS:
-            hits = self._small_ways_hits(
-                group_lines, new_group, previous_same, ways
-            )
+            last = np.flatnonzero(np.append(new_group[1:], True))
+            self._stack[group_sets[last], 0] = group_lines[last]
         else:
-            hits = _stack_distance_hits(previous_same, ways)
+            # Equal lines share a set, so links within the groups are
+            # links within the stream.
+            shared = fresh and order is None
+            previous = (
+                runs.previous if shared else _previous_occurrences(group_lines)
+            )
+            if ways <= _SMALL_WAYS:
+                hits = self._small_ways_hits(
+                    group_lines, new_group, previous, ways
+                )
+            elif shared:
+                hits = runs.lru_hits(ways)
+            else:
+                hits = _stack_distances(previous, ways) < ways
+            # Final state: the last `ways` distinct lines per set, MRU
+            # first, from each line's final occurrence.
+            is_final = np.ones(m, dtype=bool)
+            is_final[previous[previous >= 0]] = False
+            final_positions = np.flatnonzero(is_final)[::-1]  # Descending.
+            final_sets = group_sets[final_positions]
+            mru_order = _stable_order(final_sets, self.config.num_sets)
+            rows = final_sets[mru_order]
+            row_first = _run_firsts(rows)
+            depth = np.arange(len(rows), dtype=np.int64)
+            depth -= np.maximum.accumulate(np.where(row_first, depth, 0))
+            keep = depth < ways
+            self._stack[rows[keep], depth[keep]] = group_lines[
+                final_positions[mru_order[keep]]
+            ]
 
         # Scatter the query results back to program order.
+        if order is not None:
+            in_order = np.empty(m, dtype=bool)
+            in_order[order] = hits
+            hits = in_order
         misses = np.zeros(n, dtype=bool)
-        query = order >= n_virtual
-        misses[heads[order[query] - n_virtual]] = ~hits[query]
+        misses[runs.heads] = ~hits[n_virtual:]
         self.stats.accesses += n
         self.stats.misses += int(misses.sum())
-
-        # Final state: the last `ways` distinct lines per set, MRU
-        # first — reconstructed from each line's final occurrence.
-        is_final = np.ones(m, dtype=bool)
-        is_final[line_order[:-1]] = ~same_as_previous[1:]
-        final_positions = np.flatnonzero(is_final)[::-1]  # Descending.
-        final_sets = group_sets[final_positions]
-        mru_order = _stable_order(final_sets, self.config.num_sets)
-        rows = final_sets[mru_order]
-        row_first = _run_firsts(rows)
-        depth = np.arange(len(rows), dtype=np.int64)
-        depth -= np.maximum.accumulate(np.where(row_first, depth, 0))
-        keep = depth < ways
-        self._stack.fill(-1)
-        self._stack[rows[keep], depth[keep]] = group_lines[
-            final_positions[mru_order[keep]]
-        ]
         return misses
 
     def _small_ways_hits(
@@ -406,7 +488,7 @@ class SetAssociativeCache:
                     break
                 passes += 1
                 if passes > _MAX_JUMP_PASSES:
-                    return _stack_distance_hits(previous_same, ways)
+                    return _stack_distances(previous_same, ways) < ways
                 candidate[duplicate] = different_previous[
                     np.maximum(candidate[duplicate], 0)
                 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..trace import Trace
 from .configs import EV56_CONFIG, EV67_CONFIG, MachineConfig
-from .events import MachineEvents
+from .events import EventStreams, MachineEvents
 from .inorder import InOrderModel
 from .ooo import OutOfOrderModel
 
@@ -115,14 +115,19 @@ def collect_hpc(
             :func:`~repro.uarch.events.simulate_events` results for the
             matching machine, so callers holding them (the perf harness,
             experiment pipelines) never re-simulate caches, TLB and
-            predictors; simulated on demand otherwise.
+            predictors; simulated on demand otherwise, each machine in
+            its own :func:`~repro.uarch.events.simulate_events` call
+            over one shared :class:`~repro.uarch.events.EventStreams`.
     """
     global _hpc_calls
     _hpc_calls += 1
+    streams = EventStreams(trace, (inorder_machine, ooo_machine))
     inorder = InOrderModel(inorder_machine)
-    ipc_ev56, events = inorder.run(trace, events=inorder_events)
+    ipc_ev56, events = inorder.run(
+        trace, events=inorder_events, streams=streams
+    )
     ooo = OutOfOrderModel(ooo_machine)
-    ipc_ev67, _ = ooo.run(trace, events=ooo_events)
+    ipc_ev67, _ = ooo.run(trace, events=ooo_events, streams=streams)
 
     values = np.array(
         [

@@ -28,7 +28,7 @@ from ..isa import NO_REG, OpClass
 from ..isa.registers import TOTAL_REGS
 from ..trace import Trace
 from .configs import MachineConfig
-from .events import MachineEvents, simulate_events
+from .events import EventStreams, MachineEvents, simulate_events
 from .pipeline_batch import inorder_walk
 
 
@@ -43,7 +43,10 @@ class InOrderModel:
         self.machine = machine
 
     def run(
-        self, trace: Trace, events: "MachineEvents | None" = None
+        self,
+        trace: Trace,
+        events: "MachineEvents | None" = None,
+        streams: "EventStreams | None" = None,
     ) -> "tuple[float, MachineEvents]":
         """Execute the trace on the batch engine.
 
@@ -51,6 +54,9 @@ class InOrderModel:
             trace: dynamic instruction trace.
             events: precomputed :func:`simulate_events` result for this
                 machine (computed on demand otherwise).
+            streams: the trace's :class:`EventStreams`, which the
+                on-demand :func:`simulate_events` call shares with
+                other machines.
 
         Returns:
             ``(ipc, events)``; bit-identical to :meth:`run_reference`.
@@ -58,7 +64,7 @@ class InOrderModel:
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         if events is None:
-            events = simulate_events(trace, self.machine)
+            events = simulate_events(trace, self.machine, streams=streams)
         if self.machine.issue_width > 2:
             return self.run_reference(trace, events)
         total_cycles = inorder_walk(trace, self.machine, events)

@@ -13,7 +13,10 @@ from the same event simulation the in-order model uses.
 mispredict flags and register slots are precomputed as arrays by
 vectorized passes, and the remaining recurrence is one scalar loop with
 no per-instruction opclass or register-validity branching (the window
-couples chunks of the trace too late for lanes to pay).
+couples chunks of the trace too late for lanes to pay); the loop
+iterates ``bytes`` rather than lists when its inputs fit in 0..255.
+Events computed on demand go through :func:`simulate_events` with the
+trace's shared :class:`~repro.uarch.events.EventStreams`, when given.
 :meth:`OutOfOrderModel.run_reference` retains the original scalar loop
 verbatim as the executable specification; the walk is pinned to it
 bit-for-bit on IPC by ``tests/test_uarch_pipeline_equivalence.py``.
@@ -26,7 +29,7 @@ from ..isa import NO_REG, OpClass
 from ..isa.registers import TOTAL_REGS
 from ..trace import Trace
 from .configs import MachineConfig
-from .events import MachineEvents, simulate_events
+from .events import EventStreams, MachineEvents, simulate_events
 from .pipeline_batch import ooo_walk
 
 
@@ -41,7 +44,10 @@ class OutOfOrderModel:
         self.machine = machine
 
     def run(
-        self, trace: Trace, events: "MachineEvents | None" = None
+        self,
+        trace: Trace,
+        events: "MachineEvents | None" = None,
+        streams: "EventStreams | None" = None,
     ) -> "tuple[float, MachineEvents]":
         """Execute the trace on the batch engine.
 
@@ -49,6 +55,9 @@ class OutOfOrderModel:
             trace: dynamic instruction trace.
             events: precomputed :func:`simulate_events` result for this
                 machine (computed on demand otherwise).
+            streams: the trace's :class:`EventStreams`, which the
+                on-demand :func:`simulate_events` call shares with
+                other machines.
 
         Returns:
             ``(ipc, events)``; bit-identical to :meth:`run_reference`.
@@ -56,7 +65,7 @@ class OutOfOrderModel:
         if len(trace) == 0:
             raise SimulationError("cannot simulate an empty trace")
         if events is None:
-            events = simulate_events(trace, self.machine)
+            events = simulate_events(trace, self.machine, streams=streams)
         total_cycles = ooo_walk(trace, self.machine, events)
         return len(trace) / total_cycles, events
 

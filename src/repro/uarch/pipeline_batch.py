@@ -15,7 +15,10 @@ The in-order recurrence forgets its start within a few instructions,
 so :func:`inorder_walk` runs chunks of one trace as verified lockstep
 lanes (:func:`_lockstep_walk`).  The out-of-order window couples chunks
 only after a hundred or more instructions, so :func:`ooo_walk` stays
-one scalar loop.  ``tests/test_uarch_pipeline_equivalence.py`` pins
+one scalar loop; it iterates its six per-instruction inputs as
+``bytes`` whenever every value fits in 0..255 (every production
+machine), which skips building lists of int objects, and as lists
+otherwise.  ``tests/test_uarch_pipeline_equivalence.py`` pins
 each walk to its reference on IPC.
 """
 
@@ -64,6 +67,15 @@ def _register_slots(trace: Trace):
     return (
         reads.take(trace.src1), reads.take(trace.src2), writes.take(trace.dst)
     )
+
+
+def _walk_input(values: np.ndarray):
+    """``values`` (never negative) as ``bytes`` when every value fits in
+    0..255, else as a list: iterating either yields the same ints, and
+    ``bytes`` skips building a list of int objects."""
+    if len(values) and values.max() > 255:
+        return values.tolist()
+    return values.astype(np.uint8).tobytes()
 
 
 def _span_walk(terms, lo: int, hi: int, x: int, row: np.ndarray):
@@ -213,12 +225,11 @@ def ooo_walk(
     width = machine.issue_width
     window = machine.window_size
     pen = machine.latencies.mispredict_penalty
-    rl = result_latencies(trace, machine, events).tolist()
-    mispredicted = (
-        (trace.opclass == int(OpClass.BRANCH)) & events.mispredict
-    ).tolist()
-    s1, s2, dd = (slots.tolist() for slots in _register_slots(trace))
-    fetch = events.fetch_latency.tolist()
+    mispredicted = (trace.opclass == int(OpClass.BRANCH)) & events.mispredict
+    rl, wrongs, s1, s2, dd, fetch = map(_walk_input, (
+        result_latencies(trace, machine, events), mispredicted,
+        *_register_slots(trace), events.fetch_latency,
+    ))
     ready = [0] * _SLOTS
     # finish[i] is the finish cycle of instruction i - window (0 before
     # the window fills); the zip reads it as the list grows.
@@ -226,7 +237,7 @@ def ooo_walk(
     fetch_cycle = 0
     fetched = 0
     for a, b, d, rli, extra, wrong, oldest in zip(
-        s1, s2, dd, rl, fetch, mispredicted, finish
+        s1, s2, dd, rl, fetch, wrongs, finish
     ):
         if fetched >= width:
             fetch_cycle += 1

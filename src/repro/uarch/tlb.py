@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import CacheConfig, SetAssociativeCache
+from .cache import CacheConfig, LineRuns, SetAssociativeCache
 
 
 class TLB:
@@ -52,6 +52,11 @@ class TLB:
         hits via the reuse-gap filter and exact LRU stack distances.
         """
         return self._cache.simulate(addresses)
+
+    def simulate_runs(self, runs: LineRuns) -> np.ndarray:
+        """:meth:`simulate` over a stream cut into page runs; a fresh
+        TLB shares the runs' stack distances with any other TLB."""
+        return self._cache.simulate_runs(runs)
 
     def simulate_reference(self, addresses: np.ndarray) -> np.ndarray:
         """Scalar per-access translation — the executable specification."""

@@ -463,6 +463,32 @@ class TestDeadCodeRule:
         source = "from __future__ import annotations\n\nX = 1\n"
         assert findings_for(DeadCodeRule(), {PERF_PATH: source}) == []
 
+    def test_fires_on_unreferenced_private_definitions(self):
+        source = (
+            "_LIMIT = 4\n_UNUSED = 5\n\n"
+            "def _helper():\n    return _LIMIT\n\n"
+            "def _orphan():\n    return 1\n\n"
+            "class _Gone:\n    pass\n\n"
+            "def _by_string():\n    return 2\n\n"
+            "def _by_attribute():\n    return 3\n"
+        )
+        users = (
+            "from repro.perf.snippet import _helper\n"
+            "from repro.perf import snippet\n\n"
+            "def f():\n"
+            "    return _helper() + getattr(snippet, '_by_string')() + "
+            "snippet._by_attribute()\n"
+        )
+        found = findings_for(
+            DeadCodeRule(),
+            {PERF_PATH: source, ENGINE_PATH: users,
+             "tests/test_snippet.py": "from x import _orphan\n_orphan()\n"},
+        )
+        assert sorted(
+            (f.path, f.message.split()[2]) for f in found
+        ) == [(PERF_PATH, "_Gone"), (PERF_PATH, "_UNUSED"),
+              (PERF_PATH, "_orphan")]
+
 
 class TestSuppressions:
     def test_trailing_comment_suppresses(self):

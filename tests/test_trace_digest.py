@@ -3,10 +3,12 @@
 :meth:`Trace.content_digest` is the cache integrity layer's payload
 checksum (sha256 over dtype, shape and bytes) truncated, so a trace
 read through :meth:`repro.perf.TraceCache.load` takes its digest from
-the checksum its verification just matched instead of hashing the
-bytes a second time.  These tests pin the formula, the single hash,
-the equality of seeded and computed digests, and that a phase result
-still refuses a different trace of the same length.
+the checksum its verification just matched, and a trace written by
+:meth:`repro.perf.TraceCache.store` from the checksum its metadata
+records, instead of hashing the bytes a second time.  These tests pin
+the formula, the single hash on both paths, the equality of seeded and
+computed digests, and that a phase result still refuses a different
+trace of the same length.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 import repro.trace.trace as trace_module
 from repro.errors import AnalysisError
-from repro.perf import TraceCache, integrity
+from repro.perf import TraceCache, cached_generate_trace, integrity
 from repro.phases import detect_phases, phase_homogeneity
 from repro.synth import generate_trace
 from repro.trace import Trace
@@ -39,9 +41,9 @@ def test_digest_is_the_truncated_integrity_checksum(profile):
     )
 
 
-def test_a_loaded_trace_is_hashed_once(profile, tmp_path, monkeypatch):
-    cache = TraceCache(tmp_path)
-    cache.store(profile, LENGTH, 0, generate_trace(profile, LENGTH))
+def count_hashes(monkeypatch):
+    """Record the shape of every checksum the trace and cache layers
+    start, until ``monkeypatch.undo()``."""
     calls = []
     original = trace_module.array_hasher
 
@@ -51,12 +53,31 @@ def test_a_loaded_trace_is_hashed_once(profile, tmp_path, monkeypatch):
 
     monkeypatch.setattr(trace_module, "array_hasher", counting)
     monkeypatch.setattr(integrity, "array_hasher", counting)
+    return calls
+
+
+def test_a_loaded_trace_is_hashed_once(profile, tmp_path, monkeypatch):
+    cache = TraceCache(tmp_path)
+    cache.store(profile, LENGTH, 0, generate_trace(profile, LENGTH))
+    calls = count_hashes(monkeypatch)
     loaded = cache.load(profile, LENGTH, 0)
     digest = loaded.content_digest()
     assert calls == [(LENGTH,)]  # the verification's checksum only
     monkeypatch.undo()
     assert digest == Trace(np.array(loaded.data)).content_digest()
     assert digest == generate_trace(profile, LENGTH).content_digest()
+
+
+def test_a_stored_trace_is_hashed_once(profile, tmp_path, monkeypatch):
+    """A cold generate + store (a cold phases job) hashes the records
+    for the entry metadata only; the digest reuses that checksum."""
+    length = 100_000
+    calls = count_hashes(monkeypatch)
+    stored = cached_generate_trace(profile, length, cache_dir=tmp_path)
+    digest = stored.content_digest()
+    assert calls == [(length,)]
+    monkeypatch.undo()
+    assert digest == generate_trace(profile, length).content_digest()
 
 
 def test_phase_results_still_refuse_a_same_length_trace(profile, tmp_path):

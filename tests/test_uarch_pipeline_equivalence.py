@@ -494,3 +494,36 @@ class TestLockstepEdges:
         with span_spy() as spans:
             assert_inorder_agrees(trace, narrow_inorder(1))
         assert spans[0][0] > 0, "the walk must run lanes"
+
+
+def slow_memory_ooo(memory: int) -> MachineConfig:
+    """EV67 with a chosen memory latency."""
+    return replace(
+        EV67_CONFIG, name=f"ooo-mem{memory}",
+        latencies=replace(EV67_CONFIG.latencies, memory=memory),
+    )
+
+
+class TestOooWalkInputs:
+    @pytest.mark.parametrize("machine,containers", [
+        (EV67_CONFIG, {bytes}),
+        (slow_memory_ooo(300), {bytes, list}),
+    ], ids=["byte-inputs", "list-fallback"])
+    def test_walk_matches_reference(self, machine, containers, serial_profile):
+        """Latencies past 255 cannot ride in ``bytes``: the result and
+        fetch latencies fall back to lists, with the same cycles."""
+        trace = generate_trace(serial_profile, 3_000)
+        events = simulate_events(trace, machine)
+        original = pipeline_batch._walk_input
+        seen = []
+
+        def spy(values):
+            converted = original(values)
+            seen.append(type(converted))
+            return converted
+
+        model = OutOfOrderModel(machine)
+        with mock.patch.object(pipeline_batch, "_walk_input", spy):
+            ipc_walk, _ = model.run(trace, events=events)
+        assert set(seen) == containers
+        assert ipc_walk == model.run_reference(trace, events=events)[0]
