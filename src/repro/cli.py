@@ -407,13 +407,7 @@ def _lint_root(argument: str) -> Path:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from .lint import (
-        LintUsageError,
-        load_baseline,
-        run_lint,
-        rule_by_id,
-        write_baseline,
-    )
+    from .lint import LintUsageError, run_lint, rule_by_id
 
     try:
         if args.explain:
@@ -422,27 +416,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print()
             print(rule.explanation)
             return 0
-        root = _lint_root(args.root)
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline
-            else root / "lint-baseline.json"
-        )
-        if args.update_baseline:
-            report = run_lint(root=root)
-            write_baseline(baseline_path, report.findings)
-            print(
-                f"wrote {len(report.findings)} baseline entr"
-                f"{'y' if len(report.findings) == 1 else 'ies'} to "
-                f"{baseline_path}"
-            )
-            return 0
-        baseline = None
-        if args.baseline or baseline_path.is_file():
-            # An explicitly named baseline must exist (usage error if
-            # not); the default one is optional.
-            baseline = load_baseline(baseline_path)
-        report = run_lint(root=root, baseline=baseline)
+        report = run_lint(root=_lint_root(args.root))
         if args.format == "json":
             print(
                 json_module.dumps(
@@ -699,14 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--explain", default="", metavar="RULE",
         help="print one rule's rationale and exit",
-    )
-    lint_parser.add_argument(
-        "--baseline", default="", metavar="PATH",
-        help="baseline file (default: <root>/lint-baseline.json)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="grandfather every current finding into the baseline",
     )
     lint_parser.add_argument(
         "--root", default="", metavar="DIR",

@@ -7,44 +7,30 @@ with retained scalar references, atomic cache durability, lock-guarded
 service state, typed errors, and version-stamped cache keys.
 ``repro.lint`` turns each into a CI-gated check: a stdlib-``ast`` rule
 engine (one parse per module), typed :class:`~repro.lint.model.Finding`
-dataclasses, inline ``# repro: lint-ok[RULE] reason`` suppressions, and
-a committed JSON baseline so the gate fails only on *new* violations
-(and on stale baseline entries, so the baseline can only shrink).
+dataclasses, and inline ``# repro: lint-ok[RULE] reason`` waivers — the
+only way to accept a finding (a waiver that silences nothing is itself
+a finding).
 
-Run it as ``repro lint``; exit codes are 0 (clean), 1 (new findings or
-stale baseline entries), 2 (usage error).  ``repro lint --explain RULE``
-prints a rule's full rationale.
+Run it as ``repro lint``; exit codes are 0 (clean), 1 (findings),
+2 (usage error).  ``repro lint --explain RULE`` prints a rule's full
+rationale.
 """
 
 from __future__ import annotations
 
 from .engine import LintProject, ModuleSource, run_lint, run_rules
-from .model import (
-    Baseline,
-    BaselineEntry,
-    Finding,
-    LintReport,
-    LintUsageError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from .model import Finding, LintReport, LintUsageError
 from .rules import Rule, default_rules, rule_by_id
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintProject",
     "LintReport",
     "LintUsageError",
     "ModuleSource",
     "Rule",
-    "apply_baseline",
     "default_rules",
-    "load_baseline",
     "rule_by_id",
     "run_lint",
     "run_rules",
-    "write_baseline",
 ]

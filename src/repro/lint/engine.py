@@ -4,8 +4,7 @@
 module under ``tests/``, for cross-tree rules like *version-coupling*)
 exactly once — one :func:`ast.parse` per file, shared by every rule.
 :func:`run_lint` runs the rule set, drops findings covered by inline
-``# repro: lint-ok[RULE] reason`` suppressions, and applies the
-committed baseline.
+``# repro: lint-ok[RULE] reason`` suppressions, and reports the rest.
 
 Suppressions are deliberate and visible: the comment must name the rule
 it silences, sits on the offending line (or the line directly above),
@@ -26,13 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .model import (
-    Baseline,
-    Finding,
-    LintReport,
-    LintUsageError,
-    apply_baseline,
-)
+from .model import Finding, LintReport, LintUsageError
 
 #: Inline suppression syntax — the comment itself must *start* with the
 #: directive, so prose merely mentioning the syntax never suppresses.
@@ -288,7 +281,6 @@ def run_rules(
             findings.append(
                 Finding(
                     rule=PARSE_RULE,
-                    severity="error",
                     path=module.path,
                     line=module.parse_error.lineno or 1,
                     col=0,
@@ -327,7 +319,6 @@ def run_rules(
                     findings.append(
                         Finding(
                             rule=UNUSED_SUPPRESSION_RULE,
-                            severity="warning",
                             path=module.path,
                             line=line,
                             col=0,
@@ -353,15 +344,13 @@ def _module_for(
 def run_lint(
     root: "Path | str | None" = None,
     rules: "Sequence[object] | None" = None,
-    baseline: "Baseline | None" = None,
     project: "LintProject | None" = None,
 ) -> LintReport:
-    """Lint the repository (or a prebuilt project) and apply a baseline.
+    """Lint the repository (or a prebuilt project).
 
     Args:
         root: repository root; required unless ``project`` is given.
         rules: rule instances to run (default: every registered rule).
-        baseline: grandfathered findings; None means everything gates.
         project: a prebuilt :class:`LintProject` (tests use
             :meth:`LintProject.from_sources`).
 
@@ -377,13 +366,8 @@ def run_lint(
         if root is None:
             raise LintUsageError("run_lint needs a root or a project")
         project = LintProject.load(root)
-    findings = run_rules(project, rules)
-    new, matched, stale = apply_baseline(findings, baseline)
     return LintReport(
-        findings=findings,
-        new=new,
-        baselined=matched,
-        stale=stale,
+        findings=run_rules(project, rules),
         modules=len(project.modules),
         rules=tuple(getattr(rule, "id", type(rule).__name__)
                     for rule in rules),

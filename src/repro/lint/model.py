@@ -1,39 +1,25 @@
-"""Typed findings, the committed baseline, and the lint report.
+"""Typed findings and the lint report.
 
-A :class:`Finding` is one rule violation at one source location.  The
-*baseline* (``lint-baseline.json`` at the repository root) holds
-grandfathered findings: the gate only fails on findings **not** in the
-baseline (*new*), and on baseline entries that no longer match any
-current finding (*stale*) — so the baseline can only shrink, never rot.
-
-Baseline entries match findings on ``(rule, path, message)`` with
-multiset semantics; line numbers are recorded for humans but ignored
-for matching, so unrelated edits that shift a grandfathered finding do
-not break the gate.
+A :class:`Finding` is one rule violation at one source location.  Every
+finding gates: the only way to accept one is an inline
+``# repro: lint-ok[RULE] reason`` waiver on the offending line, and a
+waiver that silences nothing is itself a finding.
 """
 
 from __future__ import annotations
 
-import json
+from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..errors import ReproError
 
-#: Schema tag of the committed baseline file.
-BASELINE_SCHEMA = "repro-lint-baseline/1"
-
 #: Schema tag of ``repro lint --format json`` output.
-REPORT_SCHEMA = "repro-lint/1"
-
-#: Finding severities (informational only; every new finding gates).
-ERROR = "error"
-WARNING = "warning"
+REPORT_SCHEMA = "repro-lint/2"
 
 
 class LintUsageError(ReproError):
-    """The lint invocation itself is wrong (unknown rule, bad baseline).
+    """The lint invocation itself is wrong (unknown rule, bad root).
 
     ``repro lint`` maps this to exit code 2, distinguishing a misused
     gate from a failing one (exit 1).
@@ -46,7 +32,6 @@ class Finding:
 
     Attributes:
         rule: rule id (e.g. ``determinism``).
-        severity: :data:`ERROR` or :data:`WARNING`.
         path: repository-relative posix path of the offending file.
         line: 1-based line of the offending node.
         col: 0-based column of the offending node.
@@ -54,15 +39,10 @@ class Finding:
     """
 
     rule: str
-    severity: str
     path: str
     line: int
     col: int
     message: str
-
-    def key(self) -> "Tuple[str, str, str]":
-        """The baseline-matching key: ``(rule, path, message)``."""
-        return (self.rule, self.path, self.message)
 
     def format(self) -> str:
         """One ``path:line:col: [rule] message`` line."""
@@ -72,10 +52,9 @@ class Finding:
         )
 
     def to_json(self) -> dict:
-        """JSON-ready dict (``--format json`` and baseline entries)."""
+        """JSON-ready dict (one ``findings`` entry of ``--format json``)."""
         return {
             "rule": self.rule,
-            "severity": self.severity,
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -83,201 +62,48 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class BaselineEntry:
-    """One grandfathered finding in the committed baseline.
-
-    Attributes:
-        rule / path / message: the matching key.
-        line: where the finding sat when baselined (informational).
-        justification: why it was grandfathered instead of fixed.
-    """
-
-    rule: str
-    path: str
-    message: str
-    line: int = 0
-    justification: str = ""
-
-    def key(self) -> "Tuple[str, str, str]":
-        """The baseline-matching key: ``(rule, path, message)``."""
-        return (self.rule, self.path, self.message)
-
-    def to_json(self) -> dict:
-        """JSON-ready dict for the baseline file."""
-        payload = {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
-        if self.justification:
-            payload["justification"] = self.justification
-        return payload
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """The committed set of grandfathered findings."""
-
-    entries: "Tuple[BaselineEntry, ...]" = ()
-
-    def to_json(self) -> dict:
-        """The baseline-file document."""
-        return {
-            "schema": BASELINE_SCHEMA,
-            "entries": [entry.to_json() for entry in self.entries],
-        }
-
-
-def load_baseline(path: "Path | str") -> Baseline:
-    """Parse a baseline file.
-
-    Raises:
-        LintUsageError: missing file, unparsable JSON, wrong schema or
-            malformed entries — a broken baseline must fail loudly
-            (exit 2), never silently admit new findings.
-    """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise LintUsageError(f"cannot read baseline {path}: {error}")
-    try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as error:
-        raise LintUsageError(f"baseline {path} is not valid JSON: {error}")
-    if not isinstance(document, dict) or document.get(
-        "schema"
-    ) != BASELINE_SCHEMA:
-        raise LintUsageError(
-            f"baseline {path} does not carry schema "
-            f"{BASELINE_SCHEMA!r}"
-        )
-    entries = document.get("entries")
-    if not isinstance(entries, list):
-        raise LintUsageError(f"baseline {path}: 'entries' must be a list")
-    parsed: "List[BaselineEntry]" = []
-    for index, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(field_name), str)
-            for field_name in ("rule", "path", "message")
-        ):
-            raise LintUsageError(
-                f"baseline {path}: entry {index} must be an object "
-                "with string 'rule', 'path' and 'message'"
-            )
-        parsed.append(
-            BaselineEntry(
-                rule=entry["rule"],
-                path=entry["path"],
-                message=entry["message"],
-                line=int(entry.get("line", 0)),
-                justification=str(entry.get("justification", "")),
-            )
-        )
-    return Baseline(entries=tuple(parsed))
-
-
-def write_baseline(
-    path: "Path | str", findings: "Sequence[Finding]",
-    justification: str = "grandfathered by --update-baseline",
-) -> Path:
-    """Write every current finding as a baseline entry.
-
-    Used by ``repro lint --update-baseline``; the resulting file makes
-    the current state the gate's zero point.
-    """
-    baseline = Baseline(
-        entries=tuple(
-            BaselineEntry(
-                rule=finding.rule,
-                path=finding.path,
-                message=finding.message,
-                line=finding.line,
-                justification=justification,
-            )
-            for finding in findings
-        )
-    )
-    target = Path(path)
-    target.write_text(
-        json.dumps(baseline.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
-
-
 @dataclass
 class LintReport:
-    """The outcome of one lint run against an optional baseline.
+    """The outcome of one lint run.
 
     Attributes:
-        findings: every unsuppressed finding, sorted by location.
-        new: findings not covered by the baseline (these gate).
-        baselined: findings matched (consumed) by baseline entries.
-        stale: baseline entries matching no current finding (these
-            gate too — the baseline must round-trip).
+        findings: every unwaived finding, sorted by location; any one
+            fails the gate.
         modules: number of modules analyzed.
         rules: ids of the rules that ran.
     """
 
     findings: "List[Finding]" = field(default_factory=list)
-    new: "List[Finding]" = field(default_factory=list)
-    baselined: "List[Finding]" = field(default_factory=list)
-    stale: "List[BaselineEntry]" = field(default_factory=list)
     modules: int = 0
     rules: "Tuple[str, ...]" = ()
 
     @property
     def clean(self) -> bool:
-        """True when nothing gates: no new findings, no stale entries."""
-        return not self.new and not self.stale
+        """True when there are no findings."""
+        return not self.findings
 
     @property
     def exit_code(self) -> int:
-        """0 clean, 1 when new findings or stale baseline entries."""
+        """0 clean, 1 when there are findings."""
         return 0 if self.clean else 1
 
     def format(self) -> str:
         """Human-readable report (the ``--format text`` output)."""
-        lines: "List[str]" = []
-        for finding in self.new:
-            lines.append(finding.format())
-        for entry in self.stale:
-            lines.append(
-                f"{entry.path}: [baseline] stale entry for rule "
-                f"{entry.rule!r}: {entry.message!r} no longer matches "
-                "any finding — remove it from the baseline"
-            )
-        counts: "Dict[str, int]" = {}
-        for finding in self.new:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
+        lines = [finding.format() for finding in self.findings]
         summary = (
             f"repro lint: {self.modules} modules, "
             f"{len(self.rules)} rules: "
         )
         if self.clean:
-            detail = "clean"
-            if self.baselined:
-                detail += f" ({len(self.baselined)} baselined)"
-            lines.append(summary + detail)
+            lines.append(summary + "clean")
         else:
-            parts = []
-            if self.new:
-                by_rule = ", ".join(
-                    f"{rule} x{count}"
-                    for rule, count in sorted(counts.items())
-                )
-                parts.append(
-                    f"{len(self.new)} new finding(s) [{by_rule}]"
-                )
-            if self.stale:
-                parts.append(
-                    f"{len(self.stale)} stale baseline entr"
-                    f"{'y' if len(self.stale) == 1 else 'ies'}"
-                )
-            lines.append(summary + ", ".join(parts))
+            counts = Counter(finding.rule for finding in self.findings)
+            by_rule = ", ".join(
+                f"{rule} x{count}" for rule, count in sorted(counts.items())
+            )
+            lines.append(
+                summary + f"{len(self.findings)} finding(s) [{by_rule}]"
+            )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -288,43 +114,4 @@ class LintReport:
             "modules": self.modules,
             "rules": list(self.rules),
             "findings": [finding.to_json() for finding in self.findings],
-            "new": [finding.to_json() for finding in self.new],
-            "baselined": len(self.baselined),
-            "stale": [entry.to_json() for entry in self.stale],
         }
-
-
-def apply_baseline(
-    findings: "Sequence[Finding]", baseline: "Optional[Baseline]"
-) -> "Tuple[List[Finding], List[Finding], List[BaselineEntry]]":
-    """Split findings into (new, baselined) and find stale entries.
-
-    Matching is a multiset on ``(rule, path, message)``: two identical
-    findings need two baseline entries, so the baseline cannot hide a
-    *second* occurrence of a grandfathered violation.
-    """
-    if baseline is None:
-        return list(findings), [], []
-    budget: "Dict[Tuple[str, str, str], int]" = {}
-    for entry in baseline.entries:
-        budget[entry.key()] = budget.get(entry.key(), 0) + 1
-    new: "List[Finding]" = []
-    matched: "List[Finding]" = []
-    for finding in findings:
-        remaining = budget.get(finding.key(), 0)
-        if remaining > 0:
-            budget[finding.key()] = remaining - 1
-            matched.append(finding)
-        else:
-            new.append(finding)
-    # For each key, the last `budget[key]` entries with that key were
-    # never consumed by a finding — those are stale.
-    stale: "List[BaselineEntry]" = []
-    leftover = dict(budget)
-    for entry in reversed(baseline.entries):
-        key = entry.key()
-        if leftover.get(key, 0) > 0:
-            leftover[key] -= 1
-            stale.append(entry)
-    stale.reverse()
-    return new, matched, stale

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List
 
 from ..model import LintUsageError
-from .base import Rule, rule_ids
+from .base import Rule
 from .dead_code import DeadCodeRule
 from .determinism import DeterminismRule
 from .durability import DurabilityRule
@@ -22,7 +22,6 @@ from .versions import VersionCouplingRule
 
 __all__ = [
     "Rule",
-    "rule_ids",
     "DeadCodeRule",
     "DeterminismRule",
     "DurabilityRule",

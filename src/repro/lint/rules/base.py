@@ -11,9 +11,9 @@ rules override only the hook they need.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
-from ..model import ERROR, Finding
+from ..model import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..engine import LintProject, ModuleSource
@@ -24,17 +24,15 @@ class Rule:
 
     Attributes:
         id: stable rule identifier used in findings, suppressions and
-            the baseline (e.g. ``determinism``).
+            waivers (e.g. ``determinism``).
         summary: one-line description shown in rule listings.
         explanation: multi-line rationale shown by ``--explain``.
-        severity: default severity attached to this rule's findings.
         scopes: path prefixes this rule applies to (empty = whole tree).
     """
 
     id: str = "rule"
     summary: str = ""
     explanation: str = ""
-    severity: str = ERROR
     scopes: "Tuple[str, ...]" = ()
 
     def applies_to(self, module: "ModuleSource") -> bool:
@@ -59,14 +57,9 @@ class Rule:
         """Build a finding for this rule at a location in ``module``."""
         return Finding(
             rule=self.id,
-            severity=self.severity,
             path=module.path,
             line=line,
             col=col,
             message=message,
         )
 
-
-def rule_ids(rules: "Sequence[Rule]") -> "List[str]":
-    """The ids of ``rules`` in order (for reports and ``--explain``)."""
-    return [rule.id for rule in rules]

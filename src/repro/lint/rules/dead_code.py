@@ -46,7 +46,6 @@ class DeadCodeRule(Rule):
         "attribute, from-import name or string constant) is a helper "
         "left behind by its last caller; delete it."
     )
-    severity = "warning"
 
     def check_project(self, project: LintProject) -> "Iterable[Finding]":
         referenced: "Set[str]" = set()

@@ -64,7 +64,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -243,6 +243,30 @@ def inject_io_faults(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _armed_plan(variable: str, faults: "Sequence", state_dir: "Path | str"):
+    """Publish a fault plan through ``variable`` inside the context.
+
+    The plan is ``{"state_dir", "faults"}`` JSON, one ``faults`` entry
+    per fault dataclass; the variable's previous value (or absence) is
+    restored on exit.
+    """
+    state = Path(state_dir)
+    state.mkdir(parents=True, exist_ok=True)
+    previous = os.environ.get(variable)
+    os.environ[variable] = json.dumps({
+        "state_dir": str(state),
+        "faults": [asdict(fault) for fault in faults],
+    })
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(variable, None)
+        else:
+            os.environ[variable] = previous
+
+
 @dataclass(frozen=True)
 class WorkerFault:
     """One armed fault for a dataset worker.
@@ -273,25 +297,8 @@ def inject_worker_faults(
     tokens; use a fresh directory per experiment so counts start at
     zero.
     """
-    state = Path(state_dir)
-    state.mkdir(parents=True, exist_ok=True)
-    plan = json.dumps({
-        "state_dir": str(state),
-        "faults": [
-            {"benchmark": fault.benchmark, "mode": fault.mode,
-             "times": fault.times}
-            for fault in faults
-        ],
-    })
-    previous = os.environ.get(WORKER_FAULTS_ENV)
-    os.environ[WORKER_FAULTS_ENV] = plan
-    try:
+    with _armed_plan(WORKER_FAULTS_ENV, faults, state_dir):
         yield
-    finally:
-        if previous is None:
-            os.environ.pop(WORKER_FAULTS_ENV, None)
-        else:
-            os.environ[WORKER_FAULTS_ENV] = previous
 
 
 def _claim_trigger(
@@ -354,25 +361,8 @@ def inject_service_faults(
     apart from worker-fault tokens), so "fail the first N attempts,
     then succeed" holds across the service's retry rounds.
     """
-    state = Path(state_dir)
-    state.mkdir(parents=True, exist_ok=True)
-    plan = json.dumps({
-        "state_dir": str(state),
-        "faults": [
-            {"benchmark": fault.benchmark, "mode": fault.mode,
-             "times": fault.times, "seconds": fault.seconds}
-            for fault in faults
-        ],
-    })
-    previous = os.environ.get(SERVICE_FAULTS_ENV)
-    os.environ[SERVICE_FAULTS_ENV] = plan
-    try:
+    with _armed_plan(SERVICE_FAULTS_ENV, faults, state_dir):
         yield
-    finally:
-        if previous is None:
-            os.environ.pop(SERVICE_FAULTS_ENV, None)
-        else:
-            os.environ[SERVICE_FAULTS_ENV] = previous
 
 
 def maybe_fail_service_job(benchmark: str) -> None:
@@ -481,31 +471,14 @@ def inject_kill_faults(
     ``finally`` — which is the point: the surviving on-disk state is
     exactly what the durability machinery must recover from.
     """
-    state = Path(state_dir)
-    state.mkdir(parents=True, exist_ok=True)
     for fault in faults:
         if fault.seam not in KILL_SEAMS:
             raise ValueError(
                 f"unknown kill seam {fault.seam!r}; pick one of "
                 f"{KILL_SEAMS}"
             )
-    plan = json.dumps({
-        "state_dir": str(state),
-        "faults": [
-            {"seam": fault.seam, "after": fault.after,
-             "times": fault.times}
-            for fault in faults
-        ],
-    })
-    previous = os.environ.get(KILL_FAULTS_ENV)
-    os.environ[KILL_FAULTS_ENV] = plan
-    try:
+    with _armed_plan(KILL_FAULTS_ENV, faults, state_dir):
         yield
-    finally:
-        if previous is None:
-            os.environ.pop(KILL_FAULTS_ENV, None)
-        else:
-            os.environ[KILL_FAULTS_ENV] = previous
 
 
 def _claim_hit_index(state_dir: str, seam: str) -> int:

@@ -97,20 +97,17 @@ def load_bench_history(path: "Path | str") -> "List[dict]":
 
 
 def check_bench_floors(
-    row: dict,
-    floors: "Dict[str, float]",
-    require_all: bool = True,
+    row: dict, floors: "Dict[str, float]"
 ) -> "Tuple[str, ...]":
     """Compare one history row against per-group speedup floors.
 
     Args:
         row: a :func:`bench_history_row` dict (or anything with a
             ``speedups`` mapping, such as a ``BENCH_mica.json`` payload).
-        floors: group -> minimum acceptable speedup ratio.
-        require_all: treat a floor whose group the row did not measure
-            as a violation (CI must not pass on a file that lacks one).
-            A measured value that is not a finite number is always a
-            violation.
+        floors: group -> minimum acceptable speedup ratio.  A floor
+            whose group the row did not measure is a violation (CI
+            must not pass on a file that lacks one), and so is a
+            measured value that is not a finite number.
 
     Returns:
         Human-readable violation strings; empty means the row passes.
@@ -121,12 +118,10 @@ def check_bench_floors(
         floor = float(floors[group])
         measured = speedups.get(group)
         if measured is None:
-            if require_all:
-                violations.append(
-                    f"{group}: no speedup measured (floor {floor:g}x)"
-                )
-            continue
-        if (
+            violations.append(
+                f"{group}: no speedup measured (floor {floor:g}x)"
+            )
+        elif (
             isinstance(measured, bool)
             or not isinstance(measured, numbers.Real)
             or not math.isfinite(measured)

@@ -1,4 +1,4 @@
-"""Characterization-as-a-service over the five-level cache.
+"""Characterization-as-a-service over the four-level cache.
 
 The ROADMAP's top open item: a long-running HTTP service (stdlib
 ``ThreadingHTTPServer``, no new dependencies) exposing

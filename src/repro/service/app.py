@@ -198,7 +198,7 @@ def dataset_payload(dataset) -> dict:
 
 
 class CharacterizationService:
-    """Characterization-as-a-service over the five-level cache.
+    """Characterization-as-a-service over the four-level cache.
 
     Args:
         config: trace length, seeds and characterization parameters

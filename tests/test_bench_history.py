@@ -145,12 +145,6 @@ class TestFloorGate:
         assert any("pipelines: no speedup measured" in v
                    for v in violations)
 
-    def test_missing_engine_tolerated_when_not_required(self):
-        row = bench_history_row(_result(include_hpc=False))
-        assert check_bench_floors(
-            row, self.FLOORS, require_all=False
-        ) == ()
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_speedup_is_named(self, bad):
         row = bench_history_row(_result(ppm=bad))
@@ -217,6 +211,22 @@ class TestGateScript:
         payload = _result(ppm=9.0, trace_length=20_000).as_dict()
         assert self._run(tmp_path, payload) == 1
         assert "ppm: 9.00x is below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ppm, message", [
+        (None, "ppm: no speedup measured (floor 10x)"),
+        (math.nan, "ppm: nan is not a finite speedup (floor 10x)"),
+        (math.inf, "ppm: inf is not a finite speedup (floor 10x)"),
+    ])
+    def test_missing_or_non_finite_group_exits_one(
+        self, tmp_path, capsys, ppm, message
+    ):
+        payload = _result(trace_length=20_000).as_dict()
+        if ppm is None:
+            del payload["speedups"]["ppm"]
+        else:
+            payload["speedups"]["ppm"] = ppm
+        assert self._run(tmp_path, payload) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload, message", [
         (None, "cannot read"),

@@ -307,22 +307,18 @@ class TestLintCommand:
         code = main(["lint", "--root", str(root), "--format", "json"])
         assert code == 1
         document = json.loads(capsys.readouterr().out)
-        assert document["schema"] == "repro-lint/1"
+        assert document["schema"] == "repro-lint/2"
         assert document["clean"] is False
-        assert len(document["new"]) == 1
-        assert document["new"][0]["rule"] == "determinism"
-        assert document["new"][0]["path"].endswith("bad.py")
+        assert len(document["findings"]) == 1
+        assert document["findings"][0]["rule"] == "determinism"
+        assert document["findings"][0]["path"].endswith("bad.py")
+        assert set(document) == {
+            "schema", "clean", "modules", "rules", "findings",
+        }
 
-    def test_update_baseline_then_clean(self, tmp_path, capsys):
-        root = self._violating_repo(tmp_path)
-        assert main(["lint", "--root", str(root),
-                     "--update-baseline"]) == 0
-        capsys.readouterr()
-        code = main(["lint", "--root", str(root)])
-        assert code == 0
-        assert "baselined" in capsys.readouterr().out
-
-    def test_stale_baseline_entry_exits_one(self, tmp_path, capsys):
+    def test_baseline_file_does_not_hide_a_finding(self, tmp_path, capsys):
+        # A lint-baseline.json listing the finding is just a file: only
+        # an inline waiver accepts a finding.
         import json
 
         root = self._violating_repo(tmp_path)
@@ -336,26 +332,27 @@ class TestLintCommand:
                     "determinism; thread an explicit timestamp in "
                     "from the caller",
                 },
-                {
-                    "rule": "dead-code",
-                    "path": "src/repro/mica/removed.py",
-                    "message": "import os is never used in this "
-                    "module; remove it",
-                },
             ],
         }
         (root / "lint-baseline.json").write_text(json.dumps(baseline))
         code = main(["lint", "--root", str(root)])
         assert code == 1
-        assert "stale" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[determinism]" in out
+        assert "bad.py" in out
 
-    def test_missing_explicit_baseline_exits_two(self, tmp_path, capsys):
-        code = main(["lint", "--root", self.REPO_ROOT,
-                     "--baseline", str(tmp_path / "absent.json")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "lint-baseline.json"],
+        ["--update-baseline"],
+    ])
+    def test_baseline_flags_are_usage_errors(
+        self, flags, tmp_path, capsys
+    ):
+        root = self._violating_repo(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["lint", "--root", str(root)] + flags)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_rule_explain_exits_two(self, capsys):
         code = main(["lint", "--explain", "no-such-rule"])
