@@ -9,7 +9,6 @@ the canonical representation throughout this library.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from ..errors import AnalysisError
 
@@ -29,11 +28,15 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
         raise AnalysisError("need a 2-D matrix with at least two rows")
     if data.shape[1] == 0:
         raise AnalysisError("need at least one characteristic column")
+    # scipy is imported per call so that importing repro.analysis (the
+    # dataset builder, the CLI, the service) does not load it.
+    from scipy.spatial.distance import pdist
     return pdist(data, metric="euclidean")
 
 
 def distance_matrix(condensed: np.ndarray) -> np.ndarray:
     """Square symmetric matrix from a condensed distance vector."""
+    from scipy.spatial.distance import squareform
     return squareform(condensed)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.cluster.hierarchy import dendrogram, fcluster, linkage
 
 from ..errors import AnalysisError
 
@@ -46,6 +45,7 @@ class HierarchicalResult:
             raise AnalysisError(
                 f"k must be in [1, {len(self.names)}], got {k}"
             )
+        from scipy.cluster.hierarchy import fcluster
         labels = fcluster(self.linkage_matrix, k, criterion="maxclust")
         groups: Dict[int, List[str]] = {}
         for name, label in zip(self.names, labels):
@@ -64,6 +64,7 @@ class HierarchicalResult:
         position of each leaf's connector encodes the height at which
         it merges into the tree (deeper = more dissimilar).
         """
+        from scipy.cluster.hierarchy import dendrogram
         order = dendrogram(self.linkage_matrix, no_plot=True)["leaves"]
         heights = self._leaf_merge_heights()
         peak = max(float(heights.max()), 1e-12)
@@ -110,6 +111,7 @@ def hierarchical_cluster(
             f"unknown linkage method {method!r}; "
             f"expected one of {LINKAGE_METHODS}"
         )
+    from scipy.cluster.hierarchy import linkage
     matrix = linkage(data, method=method, metric="euclidean")
     return HierarchicalResult(
         linkage_matrix=matrix, names=tuple(names), method=method

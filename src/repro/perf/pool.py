@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -45,14 +46,15 @@ class InlineExecutor(Executor):
         return future
 
 
-def _exit_with_parent() -> None:
-    """Pool-worker initializer: exit once the parent process is gone.
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: exit once process ``parent`` is gone.
 
     A dead parent re-parents the worker, so its ``getppid()`` changes;
-    a daemon thread polls for that and ends the process.
+    a daemon thread polls for that and ends the process.  ``parent``
+    comes from the orchestrator: one killed before this call runs has
+    already re-parented the worker, so ``getppid()`` here would not do.
+    The orchestrator must be the worker's parent, hence the pool forks.
     """
-    parent = os.getppid()
-
     def watch() -> None:
         while os.getppid() == parent:
             time.sleep(_PARENT_POLL_SECONDS)
@@ -66,7 +68,9 @@ def new_executor(worker_count: int) -> Executor:
     if worker_count <= 1:
         return InlineExecutor()
     return ProcessPoolExecutor(
-        max_workers=worker_count, initializer=_exit_with_parent
+        max_workers=worker_count,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_exit_with_parent, initargs=(os.getpid(),),
     )
 
 

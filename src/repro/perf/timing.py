@@ -113,8 +113,8 @@ def _phase_interval(length: int) -> int:
 
 
 def _workload(config: ReproConfig, profile_name: str) -> _Workload:
-    # Imported here, not at the top: repro.phases pulls in scipy, which a
-    # bare ``import repro.perf`` should not pay for.
+    # Imported here, not at the top: repro.phases pulls in repro.analysis
+    # (~30 ms), which a bare ``import repro.perf`` should not pay for.
     from ..phases import mica_timeline, mica_timeline_reference
 
     profile = get_benchmark(profile_name).profile

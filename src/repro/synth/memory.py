@@ -222,7 +222,7 @@ class PointerChase(AccessBehavior):
     def __init__(self, base: int, footprint: int, seed: int = 0):
         super().__init__(base, footprint)
         perm_rng = np.random.default_rng(seed)
-        self._order = perm_rng.permutation(self._slots).astype(np.int64)
+        self._order = perm_rng.permutation(self._slots)
         self._cursor = 0
 
     def generate(self, rng: np.random.Generator, count: int) -> np.ndarray:

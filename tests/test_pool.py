@@ -3,11 +3,15 @@
 A ``jobs=2`` dataset build runs in a session of its own; once both of
 its pool workers are up, the orchestrator alone is SIGKILLed.  The
 workers must notice and exit by themselves: no live process of that
-session may remain.
+session may remain.  Two direct checks of the worker initializer pin
+down the parts of that without timing: a worker handed the pid of an
+orchestrator that died before it started exits, and a pool's workers
+are children of the orchestrator and stay up while it lives.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -17,6 +21,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from repro.perf.pool import _exit_with_parent, new_executor
 
 CHILD = textwrap.dedent("""
     import sys
@@ -57,6 +63,37 @@ def _wait_for(predicate, timeout: float) -> bool:
     return predicate()
 
 
+def _watch_then_idle(parent: int) -> None:
+    try:
+        _exit_with_parent(parent)
+    except BaseException:
+        os._exit(2)
+    time.sleep(60)
+    os._exit(0)
+
+
+def test_a_worker_whose_orchestrator_died_before_it_started_exits():
+    # The worker's own parent (this process) is alive; only the pid it
+    # is handed, of a process that has already exited, is gone.
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    worker = multiprocessing.get_context("fork").Process(
+        target=_watch_then_idle, args=(dead.pid,)
+    )
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        worker.kill()
+        worker.join()
+    assert worker.exitcode == 1
+
+
+def test_pool_workers_are_children_that_outlast_several_polls():
+    with new_executor(2) as pool:
+        pool.submit(time.sleep, 1.0).result()
+        assert pool.submit(os.getppid).result() == os.getpid()
+
+
 @pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
 )
@@ -73,20 +110,28 @@ def test_workers_exit_when_the_orchestrator_is_killed(tmp_path):
             env=env, stdout=log, stderr=subprocess.STDOUT,
             start_new_session=True,
         )
+
+        def state(problem: str) -> str:
+            # Read by path: seeking ``log`` would move the child's offset.
+            return (
+                f"{problem}; live session members: "
+                f"{_live_session_members(proc.pid)}; child.log:\n"
+                f"{(tmp_path / 'child.log').read_text()}"
+            )
+
         try:
             assert _wait_for(
                 lambda: len(_live_session_members(proc.pid)) >= 3, 60
-            ), "the build never started both pool workers"
-            assert proc.poll() is None, "the build finished too early"
+            ), state("the build never started both pool workers")
+            assert proc.poll() is None, state("the build finished too early")
             os.kill(proc.pid, signal.SIGKILL)
-            assert proc.wait(timeout=10) == -signal.SIGKILL
+            assert proc.wait(timeout=10) == -signal.SIGKILL, state(
+                "the orchestrator did not die of SIGKILL"
+            )
             gone = _wait_for(
                 lambda: not _live_session_members(proc.pid), 10
             )
-            assert gone, (
-                "pool workers outlived their killed parent: "
-                f"{_live_session_members(proc.pid)}"
-            )
+            assert gone, state("pool workers outlived their killed parent")
         finally:
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -94,4 +139,6 @@ def test_workers_exit_when_the_orchestrator_is_killed(tmp_path):
                 pass
             proc.wait()
         log.seek(0)
-        assert "BUILD-FINISHED" not in log.read()
+        assert "BUILD-FINISHED" not in log.read(), state(
+            "the killed build still finished"
+        )
