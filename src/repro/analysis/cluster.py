@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from .kmeans import KMeansResult, bic_score, lockstep_kmeans
+from .kmeans import KMeansResult, bic_scores, lockstep_kmeans
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,9 @@ def choose_k(
         )
 
     ks = range(low, high + 1)
-    solutions: Dict[int, KMeansResult] = dict(zip(ks, lockstep_kmeans(
-        data, ks, [seed + k for k in ks], restarts
-    )))
-    scores = {k: bic_score(data, solutions[k]) for k in ks}
+    runs = lockstep_kmeans(data, ks, [seed + k for k in ks], restarts)
+    solutions: Dict[int, KMeansResult] = dict(zip(ks, runs))
+    scores = dict(zip(ks, bic_scores(data, runs).tolist()))
 
     values = np.array([scores[k] for k in sorted(scores)])
     finite = values[np.isfinite(values)]
@@ -126,7 +125,8 @@ def cluster_benchmarks(
 
     Returns:
         ``(clustering, members)`` where ``members[c]`` lists the names
-        in cluster ``c`` (clusters ordered by descending size).
+        in cluster ``c`` in row order, for every cluster index ``c``
+        in ascending order (an empty cluster lists none).
     """
     if len(names) != len(data):
         raise AnalysisError("names must match the number of rows")

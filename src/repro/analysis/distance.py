@@ -34,12 +34,6 @@ def pairwise_distances(data: np.ndarray) -> np.ndarray:
     return pdist(data, metric="euclidean")
 
 
-def distance_matrix(condensed: np.ndarray) -> np.ndarray:
-    """Square symmetric matrix from a condensed distance vector."""
-    from scipy.spatial.distance import squareform
-    return squareform(condensed)
-
-
 def condensed_index(i: int, j: int, n: int) -> int:
     """Index of pair ``(i, j)`` in a condensed distance vector of ``n``
     items.

@@ -22,12 +22,21 @@ every (K, restart) run of a :func:`~repro.analysis.choose_k` together
   over the contiguous last axis of its own row, the reduction (pairwise
   blocks included) numpy applies to one run alone.  For ``d >= 2``
   numpy reduces ``members.mean(axis=0)`` row by row from ``+0.0``, so
-  one ``np.add.at`` into zeroed sums, divided by the counts, gives the
-  same bits (signed zeros too).  One column is reduced pairwise, which
-  no scatter-add replays, so it keeps the per-cluster ``mean``.
+  one ``bincount`` over (cluster, column) cells, which adds in input
+  order into zeroed sums, divided by the counts, gives the same bits
+  (signed zeros too).  One column is reduced pairwise, which no
+  scatter-add replays, so it keeps the per-cluster ``mean``
+  (``np.add.reduceat`` over sorted members does not replay it either).
+  :func:`bic_scores` sums each cluster's residual as one block and
+  adds clusters up in order, as :func:`bic_score` always has.
 * *Memory.* Runs are bucketed by K (little padding) and every array of
-  a bucket or distance block holds at most ``_ELEMENT_BUDGET`` elements
-  unless one run or point needs more: no all-runs tensor, no ``n x n``.
+  a bucket, distance block or BIC pass holds at most
+  ``_ELEMENT_BUDGET`` elements unless one run or point needs more: no
+  all-runs tensor.  Seeding only measures distances to data rows, so
+  a call keeps one row memo that seeding and the Lloyd starts read:
+  the ``n x n`` table, each row computed on first use, while it fits
+  the budget (``n <= 181``); past it, each request recomputes its
+  distinct rows.
 """
 
 from __future__ import annotations
@@ -76,8 +85,33 @@ def _sq_distances(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_distances(data: np.ndarray):
+    """``rows -> _sq_distances(data, data[rows])`` with each data row's
+    distances computed once per call while the ``n x n`` table fits
+    ``_ELEMENT_BUDGET``; past it, each distinct row once per request."""
+    n = len(data)
+    table = np.empty((n, n)) if n * n <= _ELEMENT_BUDGET else None
+    filled = np.zeros(n, dtype=bool)
+
+    def distances_to(rows) -> np.ndarray:
+        rows = np.asarray(rows)
+        if table is None:
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            return _sq_distances(data, data[distinct])[inverse]
+        if not filled[rows].all():
+            missing = np.zeros(n, dtype=bool)
+            missing[rows] = True
+            missing &= ~filled
+            table[missing] = _sq_distances(data, data[missing])
+            filled[missing] = True
+        return table[rows]
+
+    return distances_to
+
+
 def _seed_centers(
-    data: np.ndarray, ks: Sequence[int], seeds: Sequence[int], restarts: int
+    data: np.ndarray, ks: Sequence[int], seeds: Sequence[int], restarts: int,
+    distances_to,
 ) -> List[np.ndarray]:
     """k-means++ in lockstep: per K, the ``(restarts, k)`` data rows its
     starting centers copy.  Each step places one center of every K with
@@ -118,12 +152,13 @@ def _seed_centers(
             live = [i for i in live if len(rows[i]) < restarts * ks[i]]
             if first:
                 near[first] = np.inf  # a restart starts its distances afresh
-            np.minimum(near, _sq_distances(data, data[picks]), out=near)
+            np.minimum(near, distances_to(picks), out=near)
     return [np.reshape(rows[i], (restarts, k)) for i, k in enumerate(ks)]
 
 
 def _lloyd(
-    data: np.ndarray, starts: "List[np.ndarray]", max_iterations: int
+    data: np.ndarray, starts: "List[np.ndarray]", max_iterations: int,
+    distances_to,
 ) -> "List[KMeansResult]":
     """Lloyd iterations from every start (the data rows its centers
     copy), in lockstep buckets; one solution per start, in order.
@@ -148,20 +183,21 @@ def _lloyd(
         rows = np.concatenate([starts[run] for run in bucket])
         centers = np.zeros(real.shape + (d,))
         centers[real] = data[rows]
-        distances = np.full(real.shape + (n,), np.inf)
-        copied, inverse = np.unique(rows, return_inverse=True)
-        distances[real] = _sq_distances(data, data[copied])[inverse]
+        # Point-major, so each point's argmin reads one contiguous row.
+        distances = np.full((len(bucket), n, real.shape[1]), np.inf)
+        by_center = distances.transpose(0, 2, 1)
+        by_center[real] = distances_to(rows)
         assignments = np.zeros((len(bucket), n), dtype=np.int64)
         inertia = np.zeros(len(bucket))
         active = np.arange(len(bucket))
         for iteration in range(max(max_iterations, 0) + 1):
-            labels = distances.argmin(axis=1)[active]
+            labels = distances[active].argmin(axis=2)
             settled = (labels == assignments[active]).all(axis=1)
             if iteration >= max_iterations:
                 settled[:] = True  # out of iterations: score as it stands
             done = active[settled]
             inertia[done] = distances[
-                done[:, None], assignments[done], np.arange(n)
+                done[:, None], np.arange(n), assignments[done]
             ].sum(axis=1)
             active = active[~settled]
             if not len(active):
@@ -171,7 +207,7 @@ def _lloyd(
             _update_centers(data, assignments, centers, active, ks)
             moved = np.zeros(real.shape, dtype=bool)
             moved[active] = (centers[active] != before).any(axis=2)
-            distances[moved] = _sq_distances(data, centers[moved])
+            by_center[moved] = _sq_distances(data, centers[moved])
         for slot, run in enumerate(bucket):
             solved[run] = KMeansResult(
                 int(ks[slot]), assignments[slot].copy(),
@@ -195,9 +231,12 @@ def _update_centers(data, assignments, centers, active, ks) -> None:
     width = centers.shape[1]
     target = (np.arange(len(active))[:, None] * width
               + assignments[active]).ravel()
-    sums = np.zeros((len(active) * width, d))
-    np.add.at(sums, target, np.tile(data, (len(active), 1)))
-    counts = np.bincount(target, minlength=len(sums))
+    counts = np.bincount(target, minlength=len(active) * width)
+    # One bincount over (cluster, column) cells adds each cell's terms
+    # in row order into +0.0, as a per-row scatter-add would.
+    cells = (target[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(cells, weights=np.tile(data.ravel(), len(active)),
+                       minlength=counts.size * d).reshape(-1, d)
     present = counts > 0
     means = centers[active].reshape(-1, d)
     means[present] = sums[present] / counts[present, None]
@@ -225,9 +264,10 @@ def lockstep_kmeans(
         if not 1 <= k <= len(data):
             raise AnalysisError(f"k must be in [1, {len(data)}], got {k}")
     restarts = max(restarts, 1)
-    starts = _seed_centers(data, ks, seeds, restarts)
+    distances_to = _row_distances(data)
+    starts = _seed_centers(data, ks, seeds, restarts, distances_to)
     runs = _lloyd(data, [run for per_k in starts for run in per_k],
-                  max_iterations)
+                  max_iterations, distances_to)
     # The first lowest inertia wins, as in one restart after another.
     return [
         min(runs[i * restarts : (i + 1) * restarts],
@@ -260,34 +300,63 @@ def bic_score(data: np.ndarray, result: KMeansResult) -> float:
     Uses the Pelleg & Moore (X-means) formulation also used by SimPoint:
     maximum-likelihood pooled variance, per-cluster log-likelihood, and
     a ``(p / 2) log R`` complexity penalty with ``p = K (d + 1)`` free
-    parameters.  Larger is better.
+    parameters.  Larger is better; ``-inf`` when ``n <= K``.
+    """
+    return float(bic_scores(data, [result])[0])
+
+
+def bic_scores(
+    data: np.ndarray, results: "Sequence[KMeansResult]"
+) -> np.ndarray:
+    """:func:`bic_score` of every result, in one pass per budget of
+    results.
+
+    A cluster's residual is the sum of its members' squared deviations
+    as one ``(members x d)`` block, and every cluster of one size is
+    summed in one ``(clusters, size * d)`` reduction, which sums each
+    row as the block alone.  Residuals and log-likelihood terms then
+    add up in cluster order from +0.0 (an empty cluster adds +0.0).
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
-    k = result.k
-    if n <= k:
-        # Degenerate: every point its own cluster; maximal complexity.
-        return -np.inf
-    residual_sq = 0.0
-    for cluster in range(k):
-        members = data[result.assignments == cluster]
-        if len(members):
-            residual_sq += (
-                ((members - result.centers[cluster]) ** 2).sum()
-            )
-    variance = residual_sq / (d * (n - k))
-    variance = max(variance, 1e-12)
-
-    log_likelihood = 0.0
-    sizes = result.cluster_sizes()
-    for cluster in range(k):
-        size = int(sizes[cluster])
-        if size == 0:
-            continue
-        log_likelihood += (
-            size * np.log(size / n)
-            - size * d / 2.0 * np.log(2.0 * np.pi * variance)
-            - (size - 1) * d / 2.0
+    ks = np.array([result.k for result in results])
+    width = int(ks.max())
+    sizes = np.zeros((len(results), width), dtype=np.int64)
+    residual = np.zeros((len(results), width))
+    step = max(1, _ELEMENT_BUDGET // data.size)
+    for start in range(0, len(results), step):
+        chunk = results[start : start + step]
+        centers = np.zeros((len(chunk), width, d))
+        for slot, result in enumerate(chunk):
+            centers[slot, : result.k] = result.centers
+        labels = np.concatenate([
+            result.assignments + slot * width
+            for slot, result in enumerate(chunk)
+        ])
+        counts = np.bincount(labels, minlength=len(chunk) * width)
+        # Rows grouped by cluster size, then cluster, in row order.
+        order = np.argsort(counts[labels] * len(counts) + labels,
+                           kind="stable")
+        centers = centers.reshape(-1, d)
+        squares = (data[order % n] - centers[labels[order]]) ** 2
+        cell_residual = residual[start : start + len(chunk)].reshape(-1)
+        first = 0
+        for size in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+            cells = np.flatnonzero(counts == size)
+            block = squares[first : first + len(cells) * size]
+            cell_residual[cells] = block.reshape(len(cells), -1).sum(axis=1)
+            first += len(cells) * size
+        sizes[start : start + len(chunk)] = counts.reshape(len(chunk), width)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = np.maximum(
+            residual.cumsum(axis=1)[:, -1] / (d * (n - ks)), 1e-12
         )
-    parameters = k * (d + 1)
-    return float(log_likelihood - parameters / 2.0 * np.log(n))
+        terms = (
+            sizes * np.log(sizes / n)
+            - sizes * d / 2.0 * np.log(2.0 * np.pi * variance)[:, None]
+            - (sizes - 1) * d / 2.0
+        )
+    log_likelihood = np.where(sizes > 0, terms, 0.0).cumsum(axis=1)[:, -1]
+    scores = log_likelihood - ks * (d + 1) / 2.0 * np.log(n)
+    # Degenerate at n <= K: every point its own cluster.
+    return np.where(n > ks, scores, -np.inf)

@@ -18,7 +18,7 @@ import numpy as np
 from ..analysis import (
     ClusteringResult,
     GeneticSelector,
-    choose_k,
+    cluster_benchmarks,
     kiviat_ascii,
     kiviat_normalize,
     kiviat_table,
@@ -148,16 +148,13 @@ def run_fig6(
     selected = ga_result.selected
     reduced = mica_normalized[:, list(selected)]
 
-    clustering = choose_k(
+    clustering, members = cluster_benchmarks(
         reduced,
+        dataset.names,
         k_range=k_range or config.kmeans_k_range,
         score_fraction=config.bic_score_fraction,
         seed=config.seed,
     )
-    members: Dict[int, List[str]] = {}
-    for cluster in range(clustering.result.k):
-        indices = clustering.members(cluster)
-        members[cluster] = [dataset.names[i] for i in indices]
 
     singleton_names = [
         members[cluster][0] for cluster in clustering.singleton_clusters()

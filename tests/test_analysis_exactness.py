@@ -9,7 +9,9 @@ Two guards:
   moves a single bit of either analysis fails here;
 * differential properties: :func:`repro.analysis.kmeans` against the
   historical one-``rng.choice``-per-center seeding and
-  per-cluster-``mean`` Lloyd loop (copied below as the oracle), and the
+  per-cluster-``mean`` Lloyd loop, the all-K BIC pass
+  (:func:`repro.analysis.kmeans.bic_scores`) against the historical
+  per-cluster ``bic_score`` loop (both copied below as oracles), and the
   GA's subset distances against ``scipy.spatial.distance.pdist``.
 
 Refresh the fixture (only for an intended change of analysis output)
@@ -28,11 +30,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from repro.analysis import GeneticSelector, choose_k, kmeans
+from repro.analysis import GeneticSelector, KMeansResult, choose_k, kmeans
 from repro.analysis.genetic import (
     _squared_pair_differences,
     _subset_distances,
 )
+from repro.analysis.kmeans import bic_scores
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
 GOLDEN_SEED = 20061015
@@ -198,6 +201,39 @@ def oracle_kmeans(data, k, seed, restarts, max_iterations=100):
     return best
 
 
+def oracle_bic_score(data: np.ndarray, result: KMeansResult) -> float:
+    """The historical per-cluster ``bic_score`` loop, verbatim."""
+    data = np.asarray(data, dtype=float)
+    n, d = data.shape
+    k = result.k
+    if n <= k:
+        # Degenerate: every point its own cluster; maximal complexity.
+        return -np.inf
+    residual_sq = 0.0
+    for cluster in range(k):
+        members = data[result.assignments == cluster]
+        if len(members):
+            residual_sq += (
+                ((members - result.centers[cluster]) ** 2).sum()
+            )
+    variance = residual_sq / (d * (n - k))
+    variance = max(variance, 1e-12)
+
+    log_likelihood = 0.0
+    sizes = result.cluster_sizes()
+    for cluster in range(k):
+        size = int(sizes[cluster])
+        if size == 0:
+            continue
+        log_likelihood += (
+            size * np.log(size / n)
+            - size * d / 2.0 * np.log(2.0 * np.pi * variance)
+            - (size - 1) * d / 2.0
+        )
+    parameters = k * (d + 1)
+    return float(log_likelihood - parameters / 2.0 * np.log(n))
+
+
 _SETTINGS = settings(max_examples=120, deadline=None)
 
 
@@ -249,6 +285,56 @@ class TestKMeansMatchesOracle:
         assert actual.assignments.tolist() == expected[0].tolist()
         assert actual.centers.tobytes() == expected[1].tobytes()
         assert float(actual.inertia).hex() == float(expected[2]).hex()
+
+
+@st.composite
+def labelled_solutions(draw):
+    """A matrix and k-means-shaped solutions over it: any K in 1..n+2
+    (``n <= K`` scores ``-inf``), labels on a random subset of the K
+    clusters (so some are empty) and arbitrary centers.  Up to 40 rows
+    of up to 200 columns give clusters of 8+ and 128+ elements, where
+    numpy's pairwise sum unrolls and splits."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.one_of(
+        st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 200]),
+        st.integers(1, 200),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        data = np.round(data, 1)  # exact ties and zero residuals
+    solutions = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, n + 2))
+        used = rng.choice(k, size=draw(st.integers(1, k)), replace=False)
+        solutions.append(KMeansResult(
+            k, used[rng.integers(0, len(used), size=n)],
+            data[rng.integers(0, n, size=k)] + rng.normal(size=(k, d)),
+            0.0,
+        ))
+    return data, solutions
+
+
+class TestBicScoresMatchOracle:
+
+    @settings(max_examples=150, deadline=None)
+    @example(case=(  # one column, one cluster of 128+ elements
+        np.random.default_rng(2).normal(size=(300, 1)),
+        [KMeansResult(2, (np.arange(300) >= 130).astype(np.int64),
+                      np.array([[0.5], [-0.5]]), 0.0)],
+    ))
+    @example(case=(  # empty clusters, and n <= K scoring -inf
+        np.arange(6.0).reshape(3, 2),
+        [KMeansResult(k, np.zeros(3, dtype=np.int64), np.ones((k, 2)), 0.0)
+         for k in (1, 2, 3, 4)],
+    ))
+    @given(case=labelled_solutions())
+    def test_all_k_pass_equals_the_per_cluster_loop(self, case):
+        data, solutions = case
+        scores = bic_scores(data, solutions)
+        assert len(scores) == len(solutions)
+        for score, solution in zip(scores.tolist(), solutions):
+            assert score.hex() == oracle_bic_score(data, solution).hex()
 
 
 class TestGASubsetDistances:

@@ -3,24 +3,32 @@
 :func:`repro.analysis.choose_k` runs every (K, restart) of its range
 together and :func:`repro.analysis.kmeans` is the one-K case of the
 same engine.  These differential properties replay the historical
-per-K, per-restart loop (the oracle copied in
-``test_analysis_exactness.py``) and demand the same bits: every
+per-K, per-restart loop and per-cluster BIC loop (the oracles copied
+in ``test_analysis_exactness.py``) and demand the same bits: every
 assignment, center and inertia, and every K's BIC score.  The drawn
 matrices cover 2-60 rows, 1-200 columns (8+ and 128+ columns reach
 numpy's unrolled and split pairwise sums), repeated rows (the
 seeding branch where every point already coincides with a center),
 ranges that start above K = 1, 1-4 restarts and exhausted iteration
-budgets.
+budgets; examples add the paper analysis's shape (122 x 7, K = 1..70)
+and a phases job's (20 x 188, K = 1..12).  A shrunken element budget
+sends the same runs through small buckets and row-by-row distances.
 """
 
 from __future__ import annotations
+
+import importlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import KMeansResult, bic_score, choose_k, kmeans
-from test_analysis_exactness import oracle_kmeans
+from repro.analysis import KMeansResult, choose_k, kmeans
+from test_analysis_exactness import oracle_bic_score, oracle_kmeans
+
+kmeans_module = importlib.import_module("repro.analysis.kmeans")
 
 _WIDTHS = st.one_of(
     st.sampled_from([1, 2, 7, 8, 9, 16, 127, 128, 129, 200]),
@@ -48,10 +56,34 @@ def _same(actual: KMeansResult, expected) -> None:
     assert float(actual.inertia).hex() == float(inertia).hex()
 
 
+def _check_choose_k(data, low, span, seed, restarts) -> None:
+    high = min(low + span, len(data) - 1 if len(data) > 1 else 1)
+    low = min(low, high)
+    clustering = choose_k(
+        data, k_range=(low, low + span), seed=seed, restarts=restarts
+    )
+    assert sorted(clustering.bic_by_k) == list(range(low, high + 1))
+    for k in range(low, high + 1):
+        expected = oracle_kmeans(data, k, seed + k, restarts)
+        score = oracle_bic_score(data, KMeansResult(k, *expected))
+        assert float(clustering.bic_by_k[k]).hex() == float(score).hex()
+        if k == clustering.k:
+            _same(clustering.result, expected)
+
+
 class TestLockstepMatchesPerKLoop:
 
     @settings(max_examples=80, deadline=None)
     @example(data=np.ones((6, 3)), low=1, span=6, seed=0, restarts=2)
+    @example(  # the paper analysis: 122 benchmarks, 7 GA dimensions
+        data=np.random.default_rng(122).normal(size=(122, 7)),
+        low=1, span=69, seed=42, restarts=3,
+    )
+    @example(  # a phases job: 20 intervals of sparse code signatures
+        data=np.random.default_rng(20).exponential(size=(20, 188))
+        * (np.random.default_rng(21).random((20, 188)) < 0.3),
+        low=1, span=11, seed=0, restarts=3,
+    )
     @example(  # one column: per-cluster pairwise means
         data=np.random.default_rng(1).normal(size=(40, 1)),
         low=1, span=5, seed=3, restarts=3,
@@ -66,18 +98,21 @@ class TestLockstepMatchesPerKLoop:
     def test_choose_k_matches_the_per_k_loop(
         self, data, low, span, seed, restarts
     ):
-        high = min(low + span, len(data) - 1 if len(data) > 1 else 1)
-        low = min(low, high)
-        clustering = choose_k(
-            data, k_range=(low, low + span), seed=seed, restarts=restarts
-        )
-        assert sorted(clustering.bic_by_k) == list(range(low, high + 1))
-        for k in range(low, high + 1):
-            expected = oracle_kmeans(data, k, seed + k, restarts)
-            score = bic_score(data, KMeansResult(k, *expected))
-            assert float(clustering.bic_by_k[k]).hex() == float(score).hex()
-            if k == clustering.k:
-                _same(clustering.result, expected)
+        _check_choose_k(data, low, span, seed, restarts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=matrices(),
+        low=st.integers(1, 6),
+        span=st.integers(0, 6),
+        seed=st.integers(0, 2**31),
+        budget=st.sampled_from([1, 64, 1000]),
+    )
+    def test_choose_k_matches_under_a_small_budget(
+        self, data, low, span, seed, budget
+    ):
+        with mock.patch.object(kmeans_module, "_ELEMENT_BUDGET", budget):
+            _check_choose_k(data, low, span, seed, restarts=2)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -96,3 +131,17 @@ class TestLockstepMatchesPerKLoop:
                    max_iterations=max_iterations),
             oracle_kmeans(data, k, seed, restarts, max_iterations),
         )
+
+
+def test_row_memo_stays_within_the_budget():
+    """Past ``_ELEMENT_BUDGET`` the n x n row table is never built."""
+    n = 600
+    assert n * n > kmeans_module._ELEMENT_BUDGET
+    data = np.random.default_rng(3).normal(size=(n, 2))
+    tracemalloc.start()
+    try:
+        choose_k(data, k_range=(1, 4), seed=0, restarts=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 // 2, peak

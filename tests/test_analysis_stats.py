@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from repro.errors import AnalysisError
 from repro.analysis import (
     PCA,
     condensed_index,
     correlation_matrix,
-    distance_matrix,
     max_normalize,
     pairwise_distances,
     pearson,
@@ -66,16 +66,9 @@ class TestDistance:
         assert distances[1] == pytest.approx(0.0)   # (0,2)
         assert distances[2] == pytest.approx(5.0)   # (1,2)
 
-    def test_distance_matrix_round_trip(self, random_matrix):
-        condensed = pairwise_distances(random_matrix)
-        square = distance_matrix(condensed)
-        assert square.shape == (20, 20)
-        assert np.allclose(square, square.T)
-        assert np.allclose(np.diag(square), 0.0)
-
     def test_condensed_index_consistency(self, random_matrix):
         condensed = pairwise_distances(random_matrix)
-        square = distance_matrix(condensed)
+        square = squareform(condensed)
         n = len(random_matrix)
         for i in range(n):
             for j in range(n):
