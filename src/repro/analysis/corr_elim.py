@@ -9,7 +9,7 @@ set of ``k`` retained characteristics.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -52,10 +52,16 @@ def correlation_elimination_order(
 
 
 def retain_by_correlation(
-    data: np.ndarray, keep: int, ranking: str = "mean"
+    data: np.ndarray,
+    keep: int,
+    ranking: str = "mean",
+    order: "Sequence[int] | None" = None,
 ) -> List[int]:
     """The ``keep`` characteristic indices retained by correlation
     elimination, in ascending index order.
+
+    ``order`` is the :func:`correlation_elimination_order` of ``data``
+    under ``ranking`` when the caller already has it (computed if None).
 
     Raises:
         AnalysisError: if ``keep`` is not within ``[1, d]``.
@@ -63,6 +69,7 @@ def retain_by_correlation(
     d = np.asarray(data).shape[1]
     if not 1 <= keep <= d:
         raise AnalysisError(f"keep must be in [1, {d}], got {keep}")
-    order = correlation_elimination_order(data, ranking=ranking)
+    if order is None:
+        order = correlation_elimination_order(data, ranking=ranking)
     retained = order[d - keep:]
     return sorted(retained)

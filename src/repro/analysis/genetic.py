@@ -26,6 +26,22 @@ subset's distances are the square root of its rows summed in feature
 order: bit-for-bit ``pairwise_distances(data[:, mask])``.  The
 full-space side of the correlation is likewise centered once
 (:class:`PearsonAgainst`).
+
+Breeding replays numpy's draws in bulk.  Per child the historical loop
+(:func:`_breed_reference`) draws a tournament (``integers(0, P,
+size=3)``), ``random()`` for crossover and, on crossover, a second
+tournament and ``random(N)`` for the mask, then ``random(N)`` for the
+flips.  On PCG64 a double is ``(word >> 11) * 2**-53`` and a bounded
+integer is Lemire's ``(u32 * P) >> 32`` over uint32 halves: a fresh
+word's low half, its high half buffered for the next uint32 draw.
+:func:`_breed` draws one ``random_raw`` block (2N + 5 words per child),
+walks a cursor through it, breeds the children with a few gathers and
+re-positions the generator (restore, ``advance``, then the buffered
+half, which ``advance`` clears).  A child numpy would breed otherwise,
+on a rejected Lemire draw (leftover below ``2**32 mod P``, never for a
+power-of-two P) or as an all-zero child (the ``integers(N)`` repair
+draw), is bred by the loop from its own start; bulk breeding resumes
+after it.  ``tests/test_numpy_draw_protocol.py`` pins this behaviour.
 """
 
 from __future__ import annotations
@@ -168,19 +184,10 @@ class GeneticSelector:
             elite_order = np.argsort(scores)[::-1][: self.elite]
             next_population[: self.elite] = population[elite_order]
 
-            for row in range(self.elite, self.population):
-                parent_a = self._tournament(rng, population, scores)
-                if rng.random() < self.crossover_rate:
-                    parent_b = self._tournament(rng, population, scores)
-                    take_from_a = rng.random(n_features) < 0.5
-                    child = np.where(take_from_a, parent_a, parent_b)
-                else:
-                    child = parent_a.copy()
-                flips = rng.random(n_features) < mutation_rate
-                child = child ^ flips
-                if not child.any():
-                    child[rng.integers(n_features)] = True
-                next_population[row] = child
+            next_population[self.elite :] = _breed(
+                rng, population, scores, self.population - self.elite,
+                self.crossover_rate, mutation_rate,
+            )
 
             population = next_population
             scores = np.array([evaluate(ind)[0] for ind in population])
@@ -204,16 +211,124 @@ class GeneticSelector:
             history=tuple(history),
         )
 
-    @staticmethod
-    def _tournament(
-        rng: np.random.Generator,
-        population: np.ndarray,
-        scores: np.ndarray,
-        size: int = 3,
-    ) -> np.ndarray:
-        contenders = rng.integers(0, len(population), size=size)
-        winner = contenders[int(np.argmax(scores[contenders]))]
-        return population[winner]
+
+def _tournament(rng, population, scores) -> np.ndarray:
+    contenders = rng.integers(0, len(population), size=3)
+    return population[contenders[int(np.argmax(scores[contenders]))]]
+
+
+def _breed_reference(
+    rng, population, scores, children, crossover_rate, mutation_rate
+) -> np.ndarray:
+    """``children`` children bred one at a time, each with its own
+    draws in the order of the module docstring."""
+    n_features = population.shape[1]
+    bred = np.empty((children, n_features), dtype=bool)
+    for row in range(children):
+        parent_a = _tournament(rng, population, scores)
+        if rng.random() < crossover_rate:
+            parent_b = _tournament(rng, population, scores)
+            take_from_a = rng.random(n_features) < 0.5
+            child = np.where(take_from_a, parent_a, parent_b)
+        else:
+            child = parent_a.copy()
+        flips = rng.random(n_features) < mutation_rate
+        child = child ^ flips
+        if not child.any():
+            child[rng.integers(n_features)] = True
+        bred[row] = child
+    return bred
+
+
+def _breed(
+    rng, population, scores, children, crossover_rate, mutation_rate
+) -> np.ndarray:
+    """:func:`_breed_reference`, bit for bit and leaving ``rng`` in the
+    same state, from one raw block per run of regular children."""
+    size, n_features = population.shape
+    threshold = (1 << 32) % size  # numpy rejects a Lemire leftover below
+    bitgen = rng.bit_generator
+    bred = np.empty((children, n_features), dtype=bool)
+    done = 0
+    while done < children:
+        start = bitgen.state
+        todo = children - done
+        words = bitgen.random_raw(todo * (2 * n_features + 5))
+        # Half 0 is the generator's buffered uint32; word w gives halves
+        # 2w + 1 (low, drawn first) and 2w + 2 (high, buffered).
+        halves = np.insert(np.column_stack(
+            (words & 0xFFFFFFFF, words >> 32)
+        ).ravel(), 0, start["uinteger"])
+        doubles = (words >> 11) * 2.0**-53  # numpy's next_double
+        crossing = doubles < crossover_rate
+        # Cursor walk: word position, whether a half is buffered, and
+        # which half the generator last buffered.
+        walk = (0, bool(start["has_uint32"]), 0)
+        starts, draws, crossed, flip_at = [], [], [], []
+        for _ in range(todo):
+            starts.append(walk)
+            position, pending, buffered = _tournament_halves(walk, draws)
+            crossed.append(bool(crossing[position]))
+            position += 1
+            if crossed[-1]:
+                position, pending, buffered = _tournament_halves(
+                    (position, pending, buffered), draws
+                )
+                position += n_features  # the crossover mask
+            else:
+                draws.extend(draws[-3:])  # no tournament B
+            flip_at.append(position)
+            walk = (position + n_features, pending, buffered)
+        starts.append(walk)
+
+        scaled = halves[np.reshape(draws, (todo, 2, 3))] * np.uint64(size)
+        contenders = (scaled >> 32).astype(np.intp)
+        crossed = np.array(crossed)[:, None]
+        rejected = (scaled & 0xFFFFFFFF) < threshold
+        best = scores[contenders].argmax(axis=2)
+        winners = contenders[np.arange(todo)[:, None], [0, 1], best]
+        parents = population[winners]
+        flip_at = np.array(flip_at)[:, None] + np.arange(n_features)
+        take_from_a = doubles[flip_at - n_features * crossed] < 0.5
+        take_from_a |= ~crossed
+        flips = doubles[flip_at] < mutation_rate
+        kids = np.where(take_from_a, parents[:, 0], parents[:, 1]) ^ flips
+
+        irregular = np.flatnonzero(_irregular(rejected, kids))
+        regular = int(irregular[0]) if len(irregular) else todo
+        bred[done : done + regular] = kids[:regular]
+        done += regular
+        position, pending, buffered = starts[regular]
+        bitgen.state = start
+        bitgen.advance(position)
+        state = bitgen.state
+        state["has_uint32"] = int(pending)
+        state["uinteger"] = int(halves[buffered])
+        bitgen.state = state
+        if regular < todo:
+            bred[done] = _breed_reference(
+                rng, population, scores, 1, crossover_rate, mutation_rate
+            )[0]
+            done += 1
+    return bred
+
+
+def _tournament_halves(walk: tuple, draws: list) -> tuple:
+    """Append the halves of one tournament's three uint32 draws and
+    return ``walk`` (position, pending, buffered) past them."""
+    position, pending, buffered = walk
+    if pending:
+        draws += (buffered, 2 * position + 1, 2 * position + 2)
+        return position + 1, False, 2 * position + 2
+    draws += (2 * position + 1, 2 * position + 2, 2 * position + 3)
+    return position + 2, True, 2 * position + 4
+
+
+def _irregular(rejected: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """Children the bulk replay cannot breed: one with a rejected
+    tournament draw (numpy draws again) or an all-zero one (it takes
+    the ``integers(N)`` repair draw)."""
+    return rejected.any(axis=(1, 2)) | ~children.any(axis=1)
 
 
 def _squared_pair_differences(data: np.ndarray) -> np.ndarray:

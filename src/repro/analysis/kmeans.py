@@ -25,8 +25,8 @@ every (K, restart) run of a :func:`~repro.analysis.choose_k` together
   one ``bincount`` over (cluster, column) cells, which adds in input
   order into zeroed sums, divided by the counts, gives the same bits
   (signed zeros too).  One column is reduced pairwise, which no
-  scatter-add replays, so it keeps the per-cluster ``mean``
-  (``np.add.reduceat`` over sorted members does not replay it either).
+  scatter-add replays (nor ``np.add.reduceat`` over sorted members),
+  but one ``(clusters, size)`` row sum per cluster size does.
   :func:`bic_scores` sums each cluster's residual as one block and
   adds clusters up in order, as :func:`bic_score` always has.
 * *Memory.* Runs are bucketed by K (little padding) and every array of
@@ -219,28 +219,45 @@ def _lloyd(
 def _update_centers(data, assignments, centers, active, ks) -> None:
     """Move every non-empty cluster of the active runs to its mean."""
     n, d = data.shape
-    if d == 1:
-        # numpy sums one column pairwise; only the per-cluster mean
-        # itself reproduces those bits (see the module docstring).
-        for slot in active:
-            for cluster in range(ks[slot]):
-                members = data[assignments[slot] == cluster]
-                if len(members):
-                    centers[slot, cluster] = members.mean(axis=0)
-        return
     width = centers.shape[1]
     target = (np.arange(len(active))[:, None] * width
               + assignments[active]).ravel()
     counts = np.bincount(target, minlength=len(active) * width)
-    # One bincount over (cluster, column) cells adds each cell's terms
-    # in row order into +0.0, as a per-row scatter-add would.
-    cells = (target[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(cells, weights=np.tile(data.ravel(), len(active)),
-                       minlength=counts.size * d).reshape(-1, d)
+    if d == 1:
+        # numpy sums one column pairwise, as it sums one block alone.
+        members = np.tile(data, (len(active), 1))[_size_order(target, counts)]
+        sums = _block_sums(members, counts)[:, None]
+    else:
+        # One bincount over (cluster, column) cells adds each cell's
+        # terms in row order into +0.0, as a per-row scatter-add would.
+        cells = (target[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(
+            cells, weights=np.tile(data.ravel(), len(active)),
+            minlength=counts.size * d,
+        ).reshape(-1, d)
     present = counts > 0
     means = centers[active].reshape(-1, d)
     means[present] = sums[present] / counts[present, None]
     centers[active] = means.reshape(len(active), width, d)
+
+
+def _size_order(labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row order grouped by cell size, then cell, in row order."""
+    return np.argsort(counts[labels] * len(counts) + labels, kind="stable")
+
+
+def _block_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per cell, the sum of its ``rows`` (in :func:`_size_order`) as one
+    block, which numpy sums as it sums that block alone; every cell of
+    one size is summed in one ``(cells, size * width)`` row sum."""
+    sums = np.zeros(len(counts))
+    first = 0
+    for size in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        cells = np.flatnonzero(counts == size)
+        block = rows[first : first + len(cells) * size]
+        sums[cells] = block.reshape(len(cells), -1).sum(axis=1)
+        first += len(cells) * size
+    return sums
 
 
 def lockstep_kmeans(
@@ -334,18 +351,12 @@ def bic_scores(
             for slot, result in enumerate(chunk)
         ])
         counts = np.bincount(labels, minlength=len(chunk) * width)
-        # Rows grouped by cluster size, then cluster, in row order.
-        order = np.argsort(counts[labels] * len(counts) + labels,
-                           kind="stable")
+        order = _size_order(labels, counts)
         centers = centers.reshape(-1, d)
         squares = (data[order % n] - centers[labels[order]]) ** 2
-        cell_residual = residual[start : start + len(chunk)].reshape(-1)
-        first = 0
-        for size in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
-            cells = np.flatnonzero(counts == size)
-            block = squares[first : first + len(cells) * size]
-            cell_residual[cells] = block.reshape(len(cells), -1).sum(axis=1)
-            first += len(cells) * size
+        residual[start : start + len(chunk)] = _block_sums(
+            squares, counts
+        ).reshape(len(chunk), width)
         sizes[start : start + len(chunk)] = counts.reshape(len(chunk), width)
     with np.errstate(divide="ignore", invalid="ignore"):
         variance = np.maximum(

@@ -89,12 +89,13 @@ def roc_curve(
     maximum = float(candidate.max())
     thresholds = np.linspace(maximum * 1.0001, 0.0, points)
     thresholds[-1] = -1e-12
-    tpr = np.empty(points)
-    fpr = np.empty(points)
-    for index, threshold in enumerate(thresholds):
-        flagged = candidate > threshold
-        tpr[index] = float((flagged & positive).sum()) / n_positive
-        fpr[index] = float((flagged & ~positive).sum()) / n_negative
+    # A class's tuples flagged at a threshold: those above it.
+    tpr, fpr = (
+        (len(ranked) - np.searchsorted(ranked, thresholds, side="right"))
+        / len(ranked)
+        for ranked in (np.sort(candidate[positive]),
+                       np.sort(candidate[~positive]))
+    )
     return RocCurve(
         false_positive_rate=fpr, true_positive_rate=tpr, thresholds=thresholds
     )

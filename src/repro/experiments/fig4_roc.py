@@ -16,6 +16,7 @@ from typing import Dict, Tuple
 from ..analysis import (
     GeneticSelector,
     RocCurve,
+    correlation_elimination_order,
     pairwise_distances,
     retain_by_correlation,
     roc_curve,
@@ -109,9 +110,10 @@ def run_fig4(
         )
         ga_result = selector.select(mica_normalized)
     methods["GA"] = ga_result.selected
+    order = correlation_elimination_order(mica_normalized)
     for size in ce_sizes:
         methods[f"CE-{size}"] = tuple(
-            retain_by_correlation(mica_normalized, size)
+            retain_by_correlation(mica_normalized, size, order=order)
         )
 
     curves: Dict[str, RocCurve] = {}

@@ -2,9 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AnalysisError
 from repro.analysis import auc, classify_quadrants, roc_curve
+
+
+def oracle_roc_rates(reference, candidate, fraction=0.2, points=101):
+    """The historical per-threshold loop of ``roc_curve``, verbatim."""
+    positive = reference > fraction * reference.max()
+    n_positive = int(positive.sum())
+    n_negative = len(reference) - n_positive
+    maximum = float(candidate.max())
+    thresholds = np.linspace(maximum * 1.0001, 0.0, points)
+    thresholds[-1] = -1e-12
+    tpr = np.empty(points)
+    fpr = np.empty(points)
+    for index, threshold in enumerate(thresholds):
+        flagged = candidate > threshold
+        tpr[index] = float((flagged & positive).sum()) / n_positive
+        fpr[index] = float((flagged & ~positive).sum()) / n_negative
+    return tpr, fpr, thresholds
 
 
 @pytest.fixture()
@@ -17,6 +36,36 @@ def spaces():
 
 
 class TestRocCurve:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 300),
+        rounding=st.sampled_from([None, 0, 1]),
+        points=st.sampled_from([2, 11, 101]),
+    )
+    def test_counts_equal_the_threshold_loop(
+        self, seed, size, rounding, points
+    ):
+        """Ties (rounded distances), zeros and thresholds that equal a
+        candidate distance all land on the loop's exact counts."""
+        rng = np.random.default_rng(seed)
+        reference = rng.uniform(0.0, 10.0, size=size)
+        reference[0], reference[-1] = 0.0, 10.0  # both classes present
+        candidate = rng.exponential(3.0, size=size)
+        if rounding is not None:
+            candidate = np.round(candidate, rounding)
+        # The lowest candidate moves onto the middle threshold (the
+        # maximum, and so the sweep, stays put).
+        middle = np.linspace(candidate.max() * 1.0001, 0.0, points)
+        candidate[np.argmin(candidate)] = middle[points // 2]
+        curve = roc_curve(reference, candidate, points=points)
+        tpr, fpr, thresholds = oracle_roc_rates(
+            reference, candidate, points=points
+        )
+        assert curve.true_positive_rate.tobytes() == tpr.tobytes()
+        assert curve.false_positive_rate.tobytes() == fpr.tobytes()
+        assert curve.thresholds.tobytes() == thresholds.tobytes()
+
     def test_perfect_candidate_auc_one(self):
         rng = np.random.default_rng(1)
         reference = rng.uniform(0.0, 10.0, size=400)
