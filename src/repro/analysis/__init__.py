@@ -9,7 +9,7 @@ kiviat-plot data preparation.
 """
 
 from .normalize import zscore, max_normalize
-from .distance import pairwise_distances, condensed_index
+from .distance import pairwise_distances, subset_distances, condensed_index
 from .correlation import pearson, correlation_matrix
 from .pca import PCA
 from .corr_elim import correlation_elimination_order, retain_by_correlation
@@ -30,6 +30,7 @@ __all__ = [
     "zscore",
     "max_normalize",
     "pairwise_distances",
+    "subset_distances",
     "condensed_index",
     "pearson",
     "correlation_matrix",

@@ -18,9 +18,9 @@ import numpy as np
 from ..analysis import (
     GeneticSelector,
     correlation_elimination_order,
-    pairwise_distances,
-    pearson,
+    subset_distances,
 )
+from ..analysis.correlation import PearsonAgainst
 from ..config import DEFAULT_CONFIG, ReproConfig
 from ..reporting import ascii_lines, format_table
 from .dataset import WorkloadDataset
@@ -87,20 +87,21 @@ def run_fig5(
     config: ReproConfig = DEFAULT_CONFIG,
     ga_result=None,
 ) -> Fig5Result:
-    """Compute the Figure 5 comparison."""
-    mica_normalized = dataset.mica_normalized()
-    full_distances = pairwise_distances(mica_normalized)
-    n_features = mica_normalized.shape[1]
+    """Compute the Figure 5 comparison.
 
-    order = correlation_elimination_order(mica_normalized)
+    Each CE point is ``pearson(pairwise_distances(X),
+    pairwise_distances(X[:, kept]))``, read bit for bit off one table of
+    squared pair differences (:func:`subset_distances`).
+    """
+    mica_normalized = dataset.mica_normalized()
+    distances = subset_distances(mica_normalized)
+    kept = np.ones(mica_normalized.shape[1], dtype=bool)
+    correlate = PearsonAgainst(distances(kept))
+
     ce_curve: Dict[int, float] = {}
-    removed = []
-    remaining = list(range(n_features))
-    for victim in order[:-1]:
-        remaining.remove(victim)
-        removed.append(victim)
-        distances = pairwise_distances(mica_normalized[:, remaining])
-        ce_curve[len(remaining)] = pearson(full_distances, distances)
+    for victim in correlation_elimination_order(mica_normalized)[:-1]:
+        kept[victim] = False
+        ce_curve[int(kept.sum())] = correlate(distances(kept))
 
     if ga_result is None:
         selector = GeneticSelector(

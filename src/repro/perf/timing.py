@@ -42,6 +42,7 @@ from ..mica.ilp import producer_indices_reference
 from ..mica.ppm import ppm_predictabilities, ppm_predictabilities_reference
 from ..synth import generate_trace
 from ..synth import generator
+from ..synth import code as synth_code
 from ..synth.code import StaticCode
 from ..synth.profiles import WorkloadProfile
 from ..synth.rng import make_rng
@@ -121,6 +122,9 @@ def _workload(config: ReproConfig, profile_name: str) -> _Workload:
     length = config.trace_length
     trace = generate_trace(profile, length)
     code = generator.code_for_profile(profile)
+    # The reference expansion replays behavior objects; building them
+    # is image set-up, not expansion, so it stays out of the timed rows.
+    code.memory_behaviors()
     code.reset_state()
     visits, outcomes = generator._interpret(
         _Workload.rng(), code, profile, length
@@ -145,6 +149,15 @@ def _workload(config: ReproConfig, profile_name: str) -> _Workload:
         timeline=mica_timeline,
         timeline_reference=mica_timeline_reference,
     )
+
+
+def _memory_plan(w: _Workload) -> np.ndarray:
+    # Every pointer chase's cycle order is built, as the reference's
+    # objects build theirs (production builds each on first visit).
+    plan, _ = synth_code._assign_memory_behaviors(
+        w.rng(), w.code.blocks, w.profile.memory
+    )
+    return plan.pointer_orders(plan.members["pointer"])
 
 
 def _predictor(machine, runner) -> Callable[[_Workload], object]:
@@ -197,6 +210,12 @@ ROWS: Tuple[BenchRow, ...] = (
         lambda w: generator._interpret(w.rng(), w.code, w.profile, w.length),
         lambda w: generator._interpret_reference(
             w.rng(), w.code, w.profile, w.length
+        ),
+    ),
+    BenchRow(
+        "memory_plan", None, _memory_plan,
+        lambda w: synth_code._assign_memory_behaviors_reference(
+            w.rng(), w.code.blocks, w.profile.memory
         ),
     ),
     BenchRow(

@@ -5,9 +5,9 @@ laid out at fixed addresses, each a sequence of loops, each loop a run of
 basic blocks.  Every block ends in a control transfer (so the dynamic
 branch fraction equals the inverse of the mean block length, which is
 derived from the profile's instruction mix).  The static image also owns
-the per-instruction data-access behaviors and per-branch outcome models,
-so executing the same code twice with the same seeds replays the same
-trace.
+the per-instruction data-access behaviors (as the flat arrays of a
+:class:`MemoryPlan`) and per-branch outcome models, so executing the
+same code twice with the same seeds replays the same trace.
 """
 
 from __future__ import annotations
@@ -22,12 +22,17 @@ from ..isa import OpClass
 from ..isa.instruction import INSTRUCTION_BYTES
 from .branches import BranchModel, make_branch_model
 from .memory import (
+    ACCESS_BYTES,
+    BEHAVIOR_KINDS,
     AccessBehavior,
     PointerChase,
     RandomStream,
     ScalarStream,
     SequentialStream,
+    StridedStream,
     make_behavior,
+    pointer_seeds,
+    sequential_repeats,
 )
 from .rng import choice_cdf, choice_indices
 
@@ -103,8 +108,6 @@ class BasicBlock:
             :attr:`OpClass.BRANCH`.
         diamond: outcome model when the terminator is data-dependent,
             else None (terminator outcome follows control flow).
-        memory_slots: (slot index, behavior) pairs for the block's
-            memory instructions.
     """
 
     block_id: int
@@ -112,7 +115,6 @@ class BasicBlock:
     pc_base: int
     opclasses: np.ndarray
     diamond: Optional[BranchModel] = None
-    memory_slots: List[Tuple[int, AccessBehavior]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.opclasses)
@@ -206,56 +208,91 @@ class ControlTables:
     mean_block_length: float
 
 
+#: Behavior classes the batch expansion fuses, as codes into
+#: :data:`~repro.synth.memory.BEHAVIOR_KINDS`.
+_SCALAR, _SEQUENTIAL, _STRIDED, _RANDOM, _POINTER = range(5)
+_CLASSES = {
+    "scalar": (_SCALAR,),
+    "linear": (_SEQUENTIAL, _STRIDED),
+    "random": (_RANDOM,),
+    "pointer": (_POINTER,),
+}
+
+
 @dataclass
 class MemoryPlan:
-    """Class-grouped view of every static memory instruction.
+    """Every static memory instruction's behavior, as flat arrays.
 
-    The batch expansion fuses each behavior class into single array
-    operations; this plan holds the per-instance parameters in flat
-    arrays, ordered by (block id, slot) — the same order the scalar
-    reference iterates, which is what keeps the random-stream RNG
-    consumption identical between the two engines.
-
-    ``scalar`` / ``linear`` (sequential + strided) / ``pointer``
-    behaviors consume no randomness, so fusing them is a pure
-    arithmetic rewrite.  ``random`` instances draw one splittable
-    uniform block per call (see
-    :meth:`repro.synth.memory.RandomStream.generate`), so one batched
-    ``rng.random`` over all instances reproduces the per-instance
-    stream bit-for-bit.
+    Entries are ordered by (block id, slot), the order the scalar
+    reference expands them in; ``kind`` indexes
+    :data:`~repro.synth.memory.BEHAVIOR_KINDS` and ``members`` groups
+    the entries by the class the batch expansion fuses.  Only
+    ``random`` behaviors draw while expanding (one splittable uniform
+    block each, see :meth:`repro.synth.memory.RandomStream.generate`),
+    so one batched ``rng.random`` in this order reproduces the
+    per-instance stream bit-for-bit.  ``cursor`` is the state behavior
+    objects keep: a linear behavior's tick count, a pointer chase's
+    cycle position.  A chase's order depends only on its seed and span,
+    so it is built on its first visit (:meth:`pointer_orders`) and kept.
     """
 
-    scalar_blocks: np.ndarray
-    scalar_slots: np.ndarray
-    scalar_bases: np.ndarray
+    kind: np.ndarray
+    block: np.ndarray
+    slot: np.ndarray
+    base: np.ndarray
+    span: np.ndarray
+    step: np.ndarray
+    repeats: np.ndarray
+    seed: np.ndarray
+    cursor: np.ndarray = field(init=False)
+    members: Dict[str, np.ndarray] = field(init=False)
+    order_start: np.ndarray = field(init=False)
+    order_built: np.ndarray = field(init=False)
+    _orders: np.ndarray = field(init=False)
 
-    linear_behaviors: List[SequentialStream]
-    linear_blocks: np.ndarray
-    linear_slots: np.ndarray
-    linear_bases: np.ndarray
-    linear_steps: np.ndarray
-    linear_repeats: np.ndarray
-    linear_span: np.ndarray
+    def __post_init__(self) -> None:
+        self.cursor = np.zeros(len(self.kind), dtype=np.int64)
+        self.members = {
+            name: np.flatnonzero(np.isin(self.kind, codes))
+            for name, codes in _CLASSES.items()
+        }
+        pointer_span = np.where(self.kind == _POINTER, self.span, 0)
+        self.order_start = np.cumsum(pointer_span) - pointer_span
+        self.order_built = np.zeros(len(self.kind), dtype=bool)
+        # Unbuilt stretches are never written, so they cost no memory.
+        self._orders = np.empty(int(pointer_span.sum()), dtype=np.int64)
 
-    pointer_behaviors: List[PointerChase]
-    pointer_blocks: np.ndarray
-    pointer_slots: np.ndarray
-    pointer_bases: np.ndarray
-    pointer_span: np.ndarray
-    pointer_order_start: np.ndarray
-    pointer_orders: np.ndarray
+    def pointer_orders(self, entries: np.ndarray) -> np.ndarray:
+        """All pointer chases' cycle orders, laid end to end at
+        ``order_start``; those of ``entries`` are built if missing."""
+        for entry in entries[~self.order_built[entries]].tolist():
+            start, span = int(self.order_start[entry]), int(self.span[entry])
+            perm_rng = np.random.default_rng(int(self.seed[entry]))
+            self._orders[start : start + span] = perm_rng.permutation(span)
+        self.order_built[entries] = True
+        return self._orders
 
-    random_behaviors: List[RandomStream]
-    random_blocks: np.ndarray
-    random_slots: np.ndarray
-    random_bases: np.ndarray
-    random_span: np.ndarray
-    random_hot_span: np.ndarray
-    random_bias: np.ndarray
-
-    #: True when an unknown behavior class is present and the expansion
-    #: must fall back to per-instance ``generate`` calls.
-    fallback: bool
+    def behaviors(self) -> List[AccessBehavior]:
+        """The entries as fresh behavior objects, the per-instance
+        specification the scalar reference expansion replays."""
+        made: List[AccessBehavior] = []
+        for kind, base, span, step, repeats, seed in zip(
+            self.kind.tolist(), self.base.tolist(), self.span.tolist(),
+            self.step.tolist(), self.repeats.tolist(), self.seed.tolist(),
+        ):
+            footprint = span * ACCESS_BYTES
+            if kind == _SEQUENTIAL:
+                behavior = SequentialStream(base, footprint, repeats=repeats)
+            elif kind == _STRIDED:
+                behavior = StridedStream(base, footprint, step * ACCESS_BYTES)
+            elif kind == _POINTER:
+                behavior = PointerChase(base, footprint, seed)
+            elif kind == _RANDOM:
+                behavior = RandomStream(base, footprint)
+            else:
+                behavior = ScalarStream(base, footprint)
+            made.append(behavior)
+        return made
 
 
 @dataclass
@@ -267,6 +304,7 @@ class StaticCode:
     hot_functions: List[int]
     cold_functions: List[int]
     data_bytes_allocated: int
+    memory: MemoryPlan
 
     def block_lengths(self) -> np.ndarray:
         """Length of every block, indexed by block id."""
@@ -369,102 +407,19 @@ class StaticCode:
             mean_block_length=float(lengths.mean()),
         )
 
-    def memory_blocks(self) -> List[BasicBlock]:
-        """Blocks owning at least one memory instruction (cached)."""
-        blocks = getattr(self, "_memory_blocks", None)
-        if blocks is None:
-            blocks = [block for block in self.blocks if block.memory_slots]
-            self._memory_blocks = blocks
-        return blocks
-
-    def memory_plan(self) -> MemoryPlan:
-        """The class-grouped :class:`MemoryPlan` (built lazily, cached)."""
-        plan = getattr(self, "_memory_plan", None)
-        if plan is None:
-            plan = self._build_memory_plan()
-            self._memory_plan = plan
-        return plan
-
-    def _build_memory_plan(self) -> MemoryPlan:
-        from .memory import ACCESS_BYTES
-
-        groups: Dict[str, list] = {
-            "scalar": [],
-            "linear": [],
-            "pointer": [],
-            "random": [],
-        }
-        fallback = False
-        for block in self.memory_blocks():
-            for slot, behavior in block.memory_slots:
-                if isinstance(behavior, ScalarStream):
-                    groups["scalar"].append((block.block_id, slot, behavior))
-                elif isinstance(behavior, SequentialStream):
-                    groups["linear"].append((block.block_id, slot, behavior))
-                elif isinstance(behavior, PointerChase):
-                    groups["pointer"].append((block.block_id, slot, behavior))
-                elif isinstance(behavior, RandomStream):
-                    groups["random"].append((block.block_id, slot, behavior))
-                else:
-                    fallback = True
-
-        def ids(kind: str, index: int) -> np.ndarray:
-            return np.array(
-                [item[index] for item in groups[kind]], dtype=np.int64
-            )
-
-        def bases(kind: str) -> np.ndarray:
-            return np.array(
-                [item[2].base for item in groups[kind]], dtype=np.uint64
-            )
-
-        linear = [item[2] for item in groups["linear"]]
-        pointer = [item[2] for item in groups["pointer"]]
-        random = [item[2] for item in groups["random"]]
-        pointer_counts = np.array(
-            [behavior._slots for behavior in pointer], dtype=np.int64
-        )
-        pointer_order_start = np.zeros(len(pointer) + 1, dtype=np.int64)
-        np.cumsum(pointer_counts, out=pointer_order_start[1:])
-        return MemoryPlan(
-            scalar_blocks=ids("scalar", 0),
-            scalar_slots=ids("scalar", 1),
-            scalar_bases=bases("scalar"),
-            linear_behaviors=linear,
-            linear_blocks=ids("linear", 0),
-            linear_slots=ids("linear", 1),
-            linear_bases=bases("linear"),
-            linear_steps=np.array(
-                [b.stride // ACCESS_BYTES for b in linear], dtype=np.int64
-            ),
-            linear_repeats=np.array(
-                [b.repeats for b in linear], dtype=np.int64
-            ),
-            linear_span=np.array([b._slots for b in linear], dtype=np.int64),
-            pointer_behaviors=pointer,
-            pointer_blocks=ids("pointer", 0),
-            pointer_slots=ids("pointer", 1),
-            pointer_bases=bases("pointer"),
-            pointer_span=pointer_counts,
-            pointer_order_start=pointer_order_start,
-            pointer_orders=(
-                np.concatenate([b._order for b in pointer])
-                if pointer
-                else np.empty(0, dtype=np.int64)
-            ),
-            random_behaviors=random,
-            random_blocks=ids("random", 0),
-            random_slots=ids("random", 1),
-            random_bases=bases("random"),
-            random_span=np.array([b._slots for b in random], dtype=np.int64),
-            random_hot_span=np.array(
-                [b._hot_slots for b in random], dtype=np.int64
-            ),
-            random_bias=np.array(
-                [b.hot_probability for b in random], dtype=np.float64
-            ),
-            fallback=fallback,
-        )
+    def memory_behaviors(self) -> List[List[Tuple[int, AccessBehavior]]]:
+        """Per block id, its ``(slot, behavior)`` pairs in slot order,
+        for the scalar reference expansion (built once, cached)."""
+        behaviors = getattr(self, "_memory_behaviors", None)
+        if behaviors is None:
+            behaviors = [[] for _ in self.blocks]
+            plan = self.memory
+            for block, slot, behavior in zip(
+                plan.block.tolist(), plan.slot.tolist(), plan.behaviors()
+            ):
+                behaviors[block].append((slot, behavior))
+            self._memory_behaviors = behaviors
+        return behaviors
 
     def reset_state(self) -> None:
         """Rewind every stateful behavior/branch model in the image.
@@ -476,15 +431,10 @@ class StaticCode:
         for block in self.blocks:
             if block.diamond is not None:
                 block.diamond.reset()
-            for _, behavior in block.memory_slots:
+        self.memory.cursor.fill(0)
+        for pairs in getattr(self, "_memory_behaviors", ()):
+            for _, behavior in pairs:
                 behavior.reset()
-
-    @property
-    def code_bytes(self) -> int:
-        """Static code size from first to last instruction."""
-        last = self.blocks[-1]
-        first = self.blocks[0]
-        return (last.pc_base + len(last) * INSTRUCTION_BYTES) - first.pc_base
 
 
 def _sample_block_length(
@@ -573,7 +523,7 @@ def build_code(
     hot_functions = sorted(int(f) for f in order[:hot_count])
     cold_functions = sorted(int(f) for f in order[hot_count:])
 
-    data_allocated = _assign_memory_behaviors(rng, blocks, memory_spec)
+    memory, data_allocated = _assign_memory_behaviors(rng, blocks, memory_spec)
 
     return StaticCode(
         blocks=blocks,
@@ -581,54 +531,122 @@ def build_code(
         hot_functions=hot_functions,
         cold_functions=cold_functions,
         data_bytes_allocated=data_allocated,
+        memory=memory,
     )
+
+
+def _memory_slots(
+    rng: np.random.Generator, blocks: List[BasicBlock], memory_spec
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(position, block id, slot, kind name)`` of every static memory
+    instruction, in plan order: the loads, then the stores, block-major
+    (``position`` is the flat slot index).  Draws every kind with one
+    ``rng.random`` block per class."""
+    lengths = np.array([block.opclasses.size for block in blocks])
+    opclasses = np.concatenate([block.opclasses for block in blocks])
+    positions, names = [], []
+    for opclass, mix in (
+        (OpClass.LOAD, memory_spec.load_mix),
+        (OpClass.STORE, memory_spec.store_mix),
+    ):
+        found = np.flatnonzero(opclasses == int(opclass))
+        kinds = list(mix.keys())
+        weights = np.array([mix[kind] for kind in kinds], dtype=float)
+        weights = weights / weights.sum()
+        drawn = choice_indices(rng, choice_cdf(weights), len(found))
+        positions.append(found)
+        names.append(np.array(kinds, dtype=str)[drawn])
+    position = np.concatenate(positions)
+    owner = np.repeat(np.arange(len(blocks)), lengths)[position]
+    slot = position - (np.cumsum(lengths) - lengths)[owner]
+    return position, owner, slot, np.concatenate(names)
 
 
 def _assign_memory_behaviors(
     rng: np.random.Generator,
     blocks: List[BasicBlock],
     memory_spec,
-) -> int:
-    """Give every static memory instruction an access behavior.
+) -> Tuple[MemoryPlan, int]:
+    """The :class:`MemoryPlan` of every static memory instruction, and
+    the number of data bytes allocated.
 
-    The data footprint is divided evenly among the non-scalar behaviors;
-    scalar behaviors get a single slot each.  Returns the total number of
-    data bytes allocated.
+    Draws exactly what :func:`_assign_memory_behaviors_reference` draws:
+    the behavior parameters go in plan order, one bulk call per run of
+    same-kind draws (dwell repeats for ``sequential``, permutation
+    seeds for ``pointer``; no other kind draws), and the regions are
+    laid out by one ``cumsum``.
     """
-    # Every slot of every block, block-major: the order the loads (then
-    # the stores) draw their behavior kinds in.
-    lengths = np.array([len(block) for block in blocks], dtype=np.int64)
-    opclasses = np.concatenate([block.opclasses for block in blocks])
-    owners = np.repeat(np.arange(len(blocks)), lengths)
-    slots = np.arange(len(opclasses)) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
+    position, owner, slot, names = _memory_slots(rng, blocks, memory_spec)
+    kind = np.full(len(names), -1, dtype=np.int64)
+    for code, name in enumerate(BEHAVIOR_KINDS):
+        kind[names == name] = code
+    unknown = names[kind < 0].tolist()
+    if unknown:
+        raise ProfileError(f"unknown access-behavior kind: {unknown[0]!r}")
+    stride = memory_spec.stride_bytes
+    if (kind == _STRIDED).any() and (stride <= 0 or stride % ACCESS_BYTES):
+        raise ProfileError("stride must be a positive multiple of 8")
 
-    plan: List[Tuple[BasicBlock, int, str]] = []
-    for opclass, mix in (
-        (OpClass.LOAD, memory_spec.load_mix),
-        (OpClass.STORE, memory_spec.store_mix),
+    # The data footprint is divided evenly among the non-scalar
+    # behaviors; scalar behaviors get a single slot each.
+    scalar = kind == _SCALAR
+    region_bytes = memory_spec.footprint_bytes // max(int((~scalar).sum()), 1)
+    footprint = np.where(scalar, ACCESS_BYTES, max(region_bytes, 64))
+    advance = footprint + REGION_PADDING
+    ends = np.cumsum(advance)
+
+    drawing = np.flatnonzero((kind == _SEQUENTIAL) | (kind == _POINTER))
+    drawn_kind = kind[drawing]
+    starts = np.flatnonzero(np.diff(drawn_kind, prepend=-1))
+    drawn = np.empty(len(drawing), dtype=np.int64)
+    for start, stop, run_kind in zip(
+        starts.tolist(),
+        starts[1:].tolist() + [len(drawing)],
+        drawn_kind[starts].tolist(),
     ):
-        positions = np.flatnonzero(opclasses == int(opclass))
-        kinds = list(mix.keys())
-        weights = np.array([mix[kind] for kind in kinds], dtype=float)
-        weights = weights / weights.sum()
-        drawn = choice_indices(rng, choice_cdf(weights), len(positions))
-        plan.extend(
-            (blocks[owner], slot, kinds[index])
-            for owner, slot, index in zip(
-                owners[positions].tolist(),
-                slots[positions].tolist(),
-                drawn.tolist(),
-            )
-        )
+        draw = sequential_repeats if run_kind == _SEQUENTIAL else pointer_seeds
+        drawn[start:stop] = draw(rng, stop - start)
+    repeats = np.ones(len(kind), dtype=np.int64)
+    repeats[drawing] = np.where(drawn_kind == _SEQUENTIAL, drawn, 1)
+    seed = np.zeros(len(kind), dtype=np.int64)
+    seed[drawing] = np.where(drawn_kind == _POINTER, drawn, 0)
 
-    non_scalar = sum(1 for _, _, kind in plan if kind != "scalar")
+    step = np.where(kind == _STRIDED, stride // ACCESS_BYTES, 1)
+    order = np.argsort(position)
+    plan = MemoryPlan(
+        kind=kind[order],
+        block=owner[order],
+        slot=slot[order],
+        base=(DATA_BASE + ends - advance)[order].astype(np.uint64),
+        span=footprint[order] // ACCESS_BYTES,
+        step=step[order],
+        repeats=repeats[order],
+        seed=seed[order],
+    )
+    return plan, int(ends[-1]) if len(ends) else 0
+
+
+def _assign_memory_behaviors_reference(
+    rng: np.random.Generator,
+    blocks: List[BasicBlock],
+    memory_spec,
+) -> Tuple[List[Tuple[int, int, AccessBehavior]], int]:
+    """Per-slot specification of :func:`_assign_memory_behaviors`.
+
+    One :func:`~repro.synth.memory.make_behavior` call per memory
+    instruction in plan order.  Returns ``(block id, slot, behavior)``
+    in that order and the number of data bytes allocated.
+    """
+    _, owner, slot, names = _memory_slots(rng, blocks, memory_spec)
+    non_scalar = sum(1 for kind in names.tolist() if kind != "scalar")
     region_bytes = memory_spec.footprint_bytes // max(non_scalar, 1)
     region_bytes = max(region_bytes, 64)
 
+    entries: List[Tuple[int, int, AccessBehavior]] = []
     cursor = DATA_BASE
-    for block, slot, kind in plan:
+    for block_id, slot_index, kind in zip(
+        owner.tolist(), slot.tolist(), names.tolist()
+    ):
         footprint = 8 if kind == "scalar" else region_bytes
         behavior = make_behavior(
             kind,
@@ -637,8 +655,6 @@ def _assign_memory_behaviors(
             rng=rng,
             stride=memory_spec.stride_bytes,
         )
-        block.memory_slots.append((slot, behavior))
+        entries.append((block_id, slot_index, behavior))
         cursor += footprint + REGION_PADDING
-    for block in blocks:
-        block.memory_slots.sort(key=lambda pair: pair[0])
-    return cursor - DATA_BASE
+    return entries, cursor - DATA_BASE

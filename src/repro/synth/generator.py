@@ -67,7 +67,12 @@ from ..isa.registers import NUM_INT_REGS
 from ..trace import Trace
 from .branches import BiasedBranch
 from .code import ControlTables, StaticCode, build_code
-from .memory import ACCESS_BYTES, random_slots_from_uniforms
+from .memory import (
+    ACCESS_BYTES,
+    RANDOM_HOT_DIVISOR,
+    RANDOM_HOT_PROBABILITY,
+    random_slots_from_uniforms,
+)
 from .profiles import WorkloadProfile
 from .rng import make_rng
 
@@ -672,92 +677,74 @@ def _scatter_memory(
     zero-occurrence instances excluded) reproduces the reference's
     per-instance draw stream bit-for-bit.
     """
-    plan = code.memory_plan()
+    plan = code.memory
     counts_all = np.bincount(visits, minlength=len(code.blocks))
     order = np.argsort(visits, kind="stable")
     seg = np.cumsum(counts_all) - counts_all
 
-    if plan.fallback:
-        # Unknown behavior class: per-instance calls in block/slot
-        # order, exactly like the reference.
-        for block in code.memory_blocks():
-            count = int(counts_all[block.block_id])
-            if not count:
-                continue
-            start = seg[block.block_id]
-            base_positions = visit_starts[order[start : start + count]]
-            for slot, behavior in block.memory_slots:
-                mem_addr[base_positions + slot] = behavior.generate(rng, count)
-        return
-
-    def occurrences(block_ids: np.ndarray, slots: np.ndarray):
-        """(positions, per-instance counts, instance idx, occurrence idx)
-        for one class group, occurrences ordered by visit index."""
-        counts = counts_all[block_ids]
+    def occurrences(kind: str):
+        """(members, per-member counts, positions, entry, occurrence
+        idx) for one class, occurrences ordered by visit index."""
+        members = plan.members[kind]
+        blocks = plan.block[members]
+        counts = counts_all[blocks]
         total = int(counts.sum())
         if not total:
             return None
         offsets = np.arange(total, dtype=np.int64) - np.repeat(
             np.cumsum(counts) - counts, counts
         )
-        instance = np.repeat(np.arange(len(block_ids)), counts)
-        visit_rows = order[seg[block_ids][instance] + offsets]
-        return visit_starts[visit_rows] + slots[instance], counts, instance, offsets
+        entry = np.repeat(members, counts)
+        visit_rows = order[np.repeat(seg[blocks], counts) + offsets]
+        positions = visit_starts[visit_rows] + plan.slot[entry]
+        return members, counts, positions, entry, offsets
 
-    found = occurrences(plan.scalar_blocks, plan.scalar_slots)
-    if found:
-        positions, _, instance, _ = found
-        mem_addr[positions] = plan.scalar_bases[instance]
-
-    found = occurrences(plan.linear_blocks, plan.linear_slots)
-    if found:
-        positions, counts, instance, offsets = found
-        cursors = np.array(
-            [behavior._count for behavior in plan.linear_behaviors],
-            dtype=np.int64,
+    def addresses(entry: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        return plan.base[entry] + slots.astype(np.uint64) * np.uint64(
+            ACCESS_BYTES
         )
-        ticks = cursors[instance] + offsets
+
+    found = occurrences("scalar")
+    if found:
+        _, _, positions, entry, _ = found
+        mem_addr[positions] = plan.base[entry]
+
+    found = occurrences("linear")
+    if found:
+        members, counts, positions, entry, offsets = found
+        ticks = plan.cursor[entry] + offsets
         slots = (
-            ticks // plan.linear_repeats[instance] * plan.linear_steps[instance]
-        ) % plan.linear_span[instance]
-        mem_addr[positions] = plan.linear_bases[instance] + slots.astype(
-            np.uint64
-        ) * np.uint64(ACCESS_BYTES)
-        for behavior, count in zip(plan.linear_behaviors, counts):
-            behavior._count += int(count)
+            ticks // plan.repeats[entry] * plan.step[entry]
+        ) % plan.span[entry]
+        mem_addr[positions] = addresses(entry, slots)
+        plan.cursor[members] += counts
 
-    found = occurrences(plan.pointer_blocks, plan.pointer_slots)
+    found = occurrences("pointer")
     if found:
-        positions, counts, instance, offsets = found
-        cursors = np.array(
-            [behavior._cursor for behavior in plan.pointer_behaviors],
-            dtype=np.int64,
+        members, counts, positions, entry, offsets = found
+        cycle_pos = (plan.cursor[entry] + offsets) % plan.span[entry]
+        orders = plan.pointer_orders(members[counts > 0])
+        mem_addr[positions] = addresses(
+            entry, orders[plan.order_start[entry] + cycle_pos]
         )
-        cycle_pos = (cursors[instance] + offsets) % plan.pointer_span[instance]
-        slots = plan.pointer_orders[
-            plan.pointer_order_start[instance] + cycle_pos
-        ]
-        mem_addr[positions] = plan.pointer_bases[instance] + slots.astype(
-            np.uint64
-        ) * np.uint64(ACCESS_BYTES)
-        for behavior, count in zip(plan.pointer_behaviors, counts):
-            behavior._cursor = (behavior._cursor + int(count)) % behavior._slots
+        plan.cursor[members] = (
+            plan.cursor[members] + counts
+        ) % plan.span[members]
 
-    found = occurrences(plan.random_blocks, plan.random_slots)
+    found = occurrences("random")
     if found:
-        positions, counts, instance, offsets = found
-        draw_start = np.cumsum(2 * counts) - 2 * counts
+        _, counts, positions, entry, offsets = found
+        draws = np.repeat(np.cumsum(2 * counts) - 2 * counts, counts) + offsets
         uniforms = rng.random(int(2 * counts.sum()))
+        span = plan.span[entry]
         slots = random_slots_from_uniforms(
-            uniforms[draw_start[instance] + offsets],
-            uniforms[draw_start[instance] + counts[instance] + offsets],
-            plan.random_hot_span[instance],
-            plan.random_span[instance],
-            plan.random_bias[instance],
+            uniforms[draws],
+            uniforms[draws + np.repeat(counts, counts)],
+            np.maximum(span // RANDOM_HOT_DIVISOR, 1),
+            span,
+            RANDOM_HOT_PROBABILITY,
         )
-        mem_addr[positions] = plan.random_bases[instance] + slots.astype(
-            np.uint64
-        ) * np.uint64(ACCESS_BYTES)
+        mem_addr[positions] = addresses(entry, slots)
 
 
 def _expand_reference(
@@ -799,14 +786,14 @@ def _expand_reference(
 
     mem_addr = np.zeros(total, dtype=np.uint64)
     visit_starts = starts[:-1]
-    for block_id, block in enumerate(code.blocks):
-        if not block.memory_slots:
+    for block_id, memory_slots in enumerate(code.memory_behaviors()):
+        if not memory_slots:
             continue
         visit_indices = np.flatnonzero(visits == block_id)
         if len(visit_indices) == 0:
             continue
         base_positions = visit_starts[visit_indices]
-        for slot, behavior in block.memory_slots:
+        for slot, behavior in memory_slots:
             addresses = behavior.generate(rng, len(visit_indices))
             mem_addr[base_positions + slot] = addresses
 

@@ -11,14 +11,15 @@ interleaving of all behaviors.
 All behaviors generate vectorized address sequences and produce 8-byte
 aligned addresses (the natural Alpha access width).
 
-The batch expansion engine fuses behaviors per class
-(:class:`repro.synth.code.MemoryPlan` /
-``repro.synth.generator._scatter_memory``) and mirrors the slot
-arithmetic and cursor advance implemented here; the fused paths are
-pinned against per-instance ``generate`` calls by
-``tests/test_synth_vectorized_equivalence.py``, so changing a
-behavior's internals will fail those tests until the plan is updated to
-match.
+Production images keep no behavior objects: the static code builder
+draws every behavior's parameters in bulk into the flat arrays of
+:class:`repro.synth.code.MemoryPlan`, and the batch expansion
+(``repro.synth.generator._scatter_memory``) mirrors the slot
+arithmetic and cursor advance implemented here.  The classes below are
+the per-instance specification: the scalar references build and
+replay them, and ``tests/test_synth_vectorized_equivalence.py`` pins
+the fused paths against them, so changing a behavior's internals will
+fail those tests until the plan is updated to match.
 """
 
 from __future__ import annotations
@@ -35,8 +36,26 @@ ACCESS_BYTES = 8
 
 #: Dwell repeats a ``sequential`` behavior draws from, and the
 #: :func:`~repro.synth.rng.choice_cdf` table of their weights.
-_SEQUENTIAL_REPEATS = (1, 2, 4)
+_SEQUENTIAL_REPEATS = np.array([1, 2, 4])
 _SEQUENTIAL_REPEAT_CDF = choice_cdf([0.4, 0.35, 0.25])
+
+#: A ``random`` behavior's chance of hitting its hot subset, and the
+#: fraction (``1/divisor``) of its region that subset spans.
+RANDOM_HOT_PROBABILITY = 0.6
+RANDOM_HOT_DIVISOR = 16
+
+
+def sequential_repeats(rng: np.random.Generator, count=None):
+    """Dwell repeats of ``count`` ``sequential`` behaviors (one scalar
+    for ``None``), drawn like ``count`` single draws."""
+    drawn = choice_indices(rng, _SEQUENTIAL_REPEAT_CDF, count)
+    return _SEQUENTIAL_REPEATS[drawn]
+
+
+def pointer_seeds(rng: np.random.Generator, count=None):
+    """Cycle-order seeds of ``count`` ``pointer`` behaviors (one scalar
+    for ``None``), drawn like ``count`` single draws."""
+    return rng.integers(2**31, size=count)
 
 
 def random_slots_from_uniforms(
@@ -173,8 +192,8 @@ class RandomStream(AccessBehavior):
         self,
         base: int,
         footprint: int,
-        hot_probability: float = 0.6,
-        hot_divisor: int = 16,
+        hot_probability: float = RANDOM_HOT_PROBABILITY,
+        hot_divisor: int = RANDOM_HOT_DIVISOR,
     ):
         super().__init__(base, footprint)
         if not 0.0 <= hot_probability <= 1.0:
@@ -190,18 +209,10 @@ class RandomStream(AccessBehavior):
         # chosen region), so batching many instances into a single
         # ``rng.random`` call yields a bit-identical stream.
         uniforms = rng.random(2 * count)
-        return self._from_slots(
-            self.slots_from_uniforms(uniforms[:count], uniforms[count:])
-        )
-
-    def slots_from_uniforms(
-        self, region_u: np.ndarray, slot_u: np.ndarray
-    ) -> np.ndarray:
-        """Pure kernel: slot indices from pre-drawn uniform pairs."""
-        return random_slots_from_uniforms(
-            region_u, slot_u, self._hot_slots, self._slots,
-            self.hot_probability,
-        )
+        return self._from_slots(random_slots_from_uniforms(
+            uniforms[:count], uniforms[count:], self._hot_slots,
+            self._slots, self.hot_probability,
+        ))
 
 
 class PointerChase(AccessBehavior):
@@ -263,14 +274,12 @@ def make_behavior(
         return ScalarStream(base, min(footprint, ACCESS_BYTES))
     if kind == "sequential":
         # One scalar draw: it interleaves with PointerChase's seed draws.
-        repeats = _SEQUENTIAL_REPEATS[
-            int(choice_indices(rng, _SEQUENTIAL_REPEAT_CDF))
-        ]
+        repeats = int(sequential_repeats(rng))
         return SequentialStream(base, footprint, repeats=repeats)
     if kind == "strided":
         return StridedStream(base, footprint, stride=stride)
     if kind == "random":
         return RandomStream(base, footprint)
     if kind == "pointer":
-        return PointerChase(base, footprint, seed=int(rng.integers(2**31)))
+        return PointerChase(base, footprint, seed=int(pointer_seeds(rng)))
     raise ProfileError(f"unknown access-behavior kind: {kind!r}")

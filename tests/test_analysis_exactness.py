@@ -11,8 +11,10 @@ Two guards:
   historical one-``rng.choice``-per-center seeding and
   per-cluster-``mean`` Lloyd loop, the all-K BIC pass
   (:func:`repro.analysis.kmeans.bic_scores`) against the historical
-  per-cluster ``bic_score`` loop (both copied below as oracles), and the
-  GA's subset distances against ``scipy.spatial.distance.pdist``.
+  per-cluster ``bic_score`` loop (both copied below as oracles), the
+  shared subset distances against ``scipy.spatial.distance.pdist``, and
+  Figure 5's correlation-elimination curve against one ``pdist`` pair
+  and ``pearson`` per point.
 
 Refresh the fixture (only for an intended change of analysis output)
 with ``PYTHONPATH=src python tests/test_analysis_exactness.py``.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -30,11 +33,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from repro.analysis import GeneticSelector, KMeansResult, choose_k, kmeans
-from repro.analysis.genetic import (
-    _squared_pair_differences,
-    _subset_distances,
+from repro.analysis import (
+    GeneticSelector,
+    KMeansResult,
+    choose_k,
+    correlation_elimination_order,
+    kmeans,
+    pairwise_distances,
+    pearson,
+    subset_distances,
 )
+from repro.experiments import run_fig5
 from repro.analysis.kmeans import bic_scores
 
 GOLDEN = Path(__file__).parent / "data" / "analysis_golden.json"
@@ -352,10 +361,53 @@ class TestGASubsetDistances:
         mask = np.array(bits[: data.shape[1]])
         if not mask.any():
             mask[0] = True
-        squared = _squared_pair_differences(data)
-        assert _subset_distances(squared, mask).tobytes() == pdist(
+        assert subset_distances(data)(mask).tobytes() == pdist(
             data[:, mask]
         ).tobytes()
+
+
+class TestFig5Curve:
+    """Every correlation-elimination point of Figure 5 is the
+    correlation of two fresh ``pdist`` calls, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=arrays(
+            np.float64,
+            st.tuples(st.integers(3, 12), st.integers(2, 10)),
+            elements=st.one_of(
+                st.sampled_from([-1.0, 0.0, 2.5]),
+                st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+        ),
+        constant=st.lists(st.booleans(), min_size=10, max_size=10),
+    )
+    @example(
+        # Tied columns 1 and 2, constant column 0.
+        data=np.array([[1.0, 2.0, 2.0], [1.0, 5.0, 5.0], [1.0, 3.0, 3.0]]),
+        constant=[False] * 10,
+    )
+    @example(
+        # Rounding depends on the order the squared columns are summed.
+        data=np.array([
+            [1.3, -1.3, 6.4, 1.0], [-5.4, 3.6, 13.0, 9.5],
+            [-7.0, -12.7, -6.2, 0.4], [-23.3, -2.2, -12.5, -7.3],
+        ]),
+        constant=[False] * 10,
+    )
+    def test_every_point_equals_pearson_of_pdists(self, data, constant):
+        data[:, np.array(constant[: data.shape[1]])] = 0.25
+        dataset = SimpleNamespace(mica_normalized=lambda: data)
+        ga = SimpleNamespace(n_selected=1, rho=1.0, selected=(0,))
+        curve = run_fig5(dataset, ga_result=ga).ce_curve
+        kept = np.ones(data.shape[1], dtype=bool)
+        for victim in correlation_elimination_order(data)[:-1]:
+            kept[victim] = False
+            expected = pearson(
+                pairwise_distances(data), pairwise_distances(data[:, kept])
+            )
+            assert curve[int(kept.sum())].hex() == expected.hex()
+        assert len(curve) == data.shape[1] - 1
 
 
 if __name__ == "__main__":

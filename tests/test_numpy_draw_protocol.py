@@ -1,5 +1,6 @@
 """Canary: the numpy ``Generator``/``PCG64`` behaviour bulk GA breeding
-replays from raw words (see ``repro.analysis.genetic``).
+replays from raw words (see ``repro.analysis.genetic``) and the static
+code builder's bulk behavior draws rely on (``repro.synth.code``).
 
 If a numpy release changes any of these, this file fails under its own
 name (CI runs it before tier-1) rather than as a golden-output diff:
@@ -12,7 +13,11 @@ name (CI runs it before tier-1) rather than as a golden-output diff:
 * ``advance(words)`` clears the buffered half, and setting
   ``has_uint32``/``uinteger`` afterwards reproduces the state of a
   generator that drew those words;
-* ``random_raw`` hands out words without touching the buffered half.
+* ``random_raw`` hands out words without touching the buffered half;
+* ``random(k)`` equals ``k`` scalar ``random()`` calls while a uint32
+  half is buffered, and keeps it buffered;
+* ``integers(2**31, size=m)`` equals ``m`` scalar calls, each the next
+  uint32 half shifted right by one (Lemire never rejects at 2**31).
 
 Pure numpy: nothing here imports the package.
 """
@@ -115,3 +120,35 @@ def test_advance_and_the_buffered_half_reproduce_the_state():
     drawn.integers(0, 12, size=1)
     assert drawn.bit_generator.state["uinteger"] == int(words[0]) >> 32
     assert drawn.bit_generator.state["has_uint32"] == 0
+
+
+# The static code builder (``repro.synth.code._assign_memory_behaviors``)
+# draws each run of ``sequential`` dwell repeats as one ``random(k)`` and
+# each run of ``pointer`` seeds as one ``integers(2**31, size=m)``.
+
+
+def test_a_double_block_draws_like_single_doubles_beside_a_pending_half():
+    block, single = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (block, single):
+        rng.integers(2**31)  # the word's high half stays buffered
+    assert block.bit_generator.state["has_uint32"] == 1
+    drawn = block.random(5)
+    assert drawn.tobytes() == np.array(
+        [single.random() for _ in range(5)]
+    ).tobytes()
+    assert block.bit_generator.state == single.bit_generator.state
+    assert block.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("pending", [0, 1])
+def test_seed_blocks_are_buffered_uint32_halves_shifted_right(pending):
+    block, single = np.random.default_rng(8), np.random.default_rng(8)
+    halves = _halves(np.random.default_rng(8).bit_generator.random_raw(4))
+    for rng in (block, single):
+        rng.integers(2**31, size=pending)
+    drawn = block.integers(2**31, size=5)
+    assert drawn.tolist() == [int(single.integers(2**31)) for _ in range(5)]
+    assert drawn.tolist() == [
+        half >> 1 for half in halves[pending : pending + 5]
+    ]
+    assert block.bit_generator.state == single.bit_generator.state

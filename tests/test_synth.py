@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ProfileError
 from repro.isa import OpClass
 from repro.synth import (
+    BEHAVIOR_KINDS,
     BiasedBranch,
     BranchSpec,
     CodeSpec,
@@ -272,13 +273,20 @@ class TestStaticCode:
         rng = make_rng("code-test-4")
         code = build_code(rng, profile.code, profile.mix, profile.memory,
                           profile.branches)
-        memory_slots = sum(len(b.memory_slots) for b in code.blocks)
-        memory_templates = sum(
-            int((b.opclasses == int(OpClass.LOAD)).sum()
-                + (b.opclasses == int(OpClass.STORE)).sum())
+        plan = code.memory
+        expected = [
+            (b.block_id, slot)
             for b in code.blocks
-        )
-        assert memory_slots == memory_templates
+            for slot in np.flatnonzero(
+                (b.opclasses == int(OpClass.LOAD))
+                | (b.opclasses == int(OpClass.STORE))
+            ).tolist()
+        ]
+        # One plan entry per memory instruction, in (block, slot) order,
+        # each with a known kind and a region of at least one slot.
+        assert list(zip(plan.block.tolist(), plan.slot.tolist())) == expected
+        assert set(plan.kind.tolist()) <= set(range(len(BEHAVIOR_KINDS)))
+        assert (plan.span >= 1).all()
 
 
 class TestGenerateTrace:
