@@ -107,8 +107,12 @@ class ReproConfig:
         trace content hash) keys the on-disk characterization cache in
         :mod:`repro.perf`.  Fields that only affect trace *generation*
         or downstream analyses (trace length, seeds, GA knobs) are
-        deliberately excluded.
+        deliberately excluded.  Memoized in the instance ``__dict__``,
+        outside the fields (a :meth:`with_overrides` copy has none).
         """
+        memo = self.__dict__.get("_characterization_fingerprint")
+        if memo is not None:
+            return memo
         import hashlib
 
         payload = repr((
@@ -119,7 +123,9 @@ class ReproConfig:
             tuple(self.stride_thresholds),
             self.ppm_max_order,
         ))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        memo = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        object.__setattr__(self, "_characterization_fingerprint", memo)
+        return memo
 
 
 #: A conservative configuration for fast tests.

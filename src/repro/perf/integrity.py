@@ -18,7 +18,9 @@ violation into a **verified miss**: the bad file is quarantined —
 renamed to ``<name>.quarantined`` so it can never be re-served — and
 ``None`` is returned.  Only OS-level read errors (EIO and friends) are
 treated as transient misses that leave the file in place.  Corruption
-therefore never crashes a build and is never silently served.
+therefore never crashes a build and is never silently served.  A cache
+object re-reads a settled entry it verified only once its ``stat``
+identity changed, as any write changes it (:mod:`repro.perf.cache`).
 
 Writes go through :func:`write_entry`, which stays atomic (temp file +
 ``os.replace``) and removes its temporary file when the writer dies

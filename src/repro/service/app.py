@@ -12,7 +12,7 @@ failure policies:
 * **deadline overrun** -> 504; the watchdog expires overdue jobs and
   cooperative checkpoints between compute stages abandon the work.
 * **worker casualty** -> retried with bounded backoff plus
-  deterministic jitter; dataset jobs additionally delegate to the
+  deterministic jitter; dataset jobs leave retries to the
   crash-isolated :func:`~repro.experiments.build_dataset` machinery.
 * **repeated infrastructure failure** -> the circuit breaker opens and
   cold submissions get 503 + ``Retry-After`` until a half-open probe
@@ -35,7 +35,6 @@ import logging
 import math
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -212,6 +211,7 @@ class CharacterizationService:
         settings: "ServiceSettings | None" = None,
     ):
         from ..experiments.dataset import default_cache_dir
+        from ..perf import CharacterizationCache, HpcCache
 
         self.config = config
         self.settings = settings or ServiceSettings()
@@ -219,6 +219,10 @@ class CharacterizationService:
             self.cache_dir = Path(
                 self.settings.cache_dir or default_cache_dir()
             )
+            # Kept for the service's lifetime: a settled entry is then
+            # verified once per file version.
+            self._char_cache = CharacterizationCache(self.cache_dir)
+            self._hpc_cache = HpcCache(self.cache_dir)
         else:
             self.cache_dir = None
         self._journal = None
@@ -696,7 +700,6 @@ class CharacterizationService:
         if kind == "phases":
             return None  # no phase-level cache exists (yet)
 
-        from ..perf import CharacterizationCache, HpcCache
         from ..synth import TraceRecipe
         from ..workloads import get_benchmark
 
@@ -706,12 +709,10 @@ class CharacterizationService:
         )
         if kind == "characterize":
             payload = characterize_payload
-            values = CharacterizationCache(directory).load(
-                recipe, self._config_for(params)
-            )
+            values = self._char_cache.load(recipe, self._config_for(params))
         else:
             payload = hpc_payload
-            values = HpcCache(directory).load(recipe)
+            values = self._hpc_cache.load(recipe)
         if values is None:
             return None
         return payload(
@@ -961,7 +962,9 @@ class CharacterizationService:
                     f"dataset job {job.id} exceeded its deadline: "
                     f"{error}"
                 ) from error
-            raise BrokenProcessPool(str(error)) from error
+            # build_dataset has retried each benchmark: terminal here,
+            # or _run_job would re-run the whole build per attempt.
+            raise ServiceError(f"dataset job {job.id}: {error}") from error
         self._record_pool_rebuilds(job, dataset.report)
         self._record_report_quarantines(dataset.report)
         return dataset_payload(dataset)

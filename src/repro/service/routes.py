@@ -45,8 +45,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
-    # ``_respond`` writes headers and body as two sends.  With Nagle on,
-    # a keep-alive client's delayed ACK holds the body back ~40 ms.
+    # The stdlib's ``send_error`` writes headers and body as two sends;
+    # with Nagle on, a client's delayed ACK would hold the body ~40 ms.
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -123,11 +123,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         for name, value in headers.items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        # One write: end_headers sends the headers alone (HTTP/0.9: none).
+        staged = getattr(self, "_headers_buffer", None)
+        head = b"".join(staged) + b"\r\n" if staged else b""
+        self._headers_buffer = []
+        self.wfile.write(head + data)
 
     def log_message(self, format: str, *args) -> None:
-        logger.debug("%s - %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s - %s", self.address_string(), format % args)
 
 
 def make_server(

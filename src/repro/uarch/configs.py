@@ -83,10 +83,16 @@ class MachineConfig:
         trace content hash and :data:`repro.uarch.HPC_SIM_VERSION`)
         keys the on-disk HPC cache in :mod:`repro.perf`.  Nested
         dataclasses are frozen, so their ``repr`` is deterministic.
+        Memoized in the instance ``__dict__``, outside the fields (a
+        ``dataclasses.replace`` copy has none).
         """
-        import hashlib
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            import hashlib
 
-        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
+            memo = hashlib.sha256(repr(self).encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
 
 #: Alpha 21164A: dual-issue in-order, tiny direct-mapped L1s, 96 KB

@@ -1,9 +1,12 @@
 """Tests for repro.config."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import DEFAULT_CONFIG, SMOKE_CONFIG, ReproConfig
 from repro.errors import ConfigurationError
+from repro.uarch import EV56_CONFIG, EV67_CONFIG
 
 
 class TestReproConfig:
@@ -54,3 +57,37 @@ class TestReproConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ReproConfig(**kwargs)
+
+
+class TestFingerprintMemos:
+    """The char-cache config digest and the HPC machine digests are
+    memoized outside the dataclass fields: the same digests as the
+    unmemoized hash, and a copy with other fields starts without one."""
+
+    def test_characterization_fingerprint_is_memoized_unchanged(self):
+        config = ReproConfig()
+        assert config.characterization_fingerprint() == "ed06996164db4bbc"
+        assert "_characterization_fingerprint" in config.__dict__
+        assert config.characterization_fingerprint() == "ed06996164db4bbc"
+        assert config == ReproConfig() and hash(config) == hash(ReproConfig())
+        assert repr(config) == repr(ReproConfig())
+
+    def test_with_overrides_copy_starts_without_the_memo(self):
+        config = ReproConfig()
+        config.characterization_fingerprint()
+        other = config.with_overrides(block_bytes=64)
+        assert "_characterization_fingerprint" not in other.__dict__
+        assert other.characterization_fingerprint() == "28b65600d45fb4e9"
+        assert config.characterization_fingerprint() == "ed06996164db4bbc"
+
+    def test_machine_fingerprint_memo_and_replace_copy(self):
+        assert EV56_CONFIG.fingerprint() == "2ee2c9bc02d2710c"
+        assert EV67_CONFIG.fingerprint() == "1c8ba49dd782221e"
+        assert "_fingerprint" in EV56_CONFIG.__dict__
+        wider = replace(EV56_CONFIG, issue_width=4)
+        assert "_fingerprint" not in wider.__dict__
+        assert wider.fingerprint() not in (
+            EV56_CONFIG.fingerprint(), EV67_CONFIG.fingerprint()
+        )
+        assert replace(EV56_CONFIG) == EV56_CONFIG
+        assert replace(EV56_CONFIG).fingerprint() == "2ee2c9bc02d2710c"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -427,9 +428,48 @@ class TestValidation:
         finally:
             conn.close()
 
+    def test_keep_alive_responses_frame_and_log_each_request(
+        self, live_service, caplog
+    ):
+        """Each response (status line, headers and body in one write)
+        is framed by its own ``Content-Length``; at DEBUG level every
+        request line is still logged."""
+        caplog.set_level(logging.DEBUG, logger="repro.service")
+        _, client = live_service()
+        warm = client.post("/v1/hpc", {"benchmark": "mcf", "wait": True})
+        conn = http.client.HTTPConnection(
+            client.host, client.port, timeout=10
+        )
+        try:
+            for index in range(6):
+                if index % 2:
+                    conn.request("GET", "/healthz")
+                else:
+                    conn.request(
+                        "POST", "/v1/hpc", json.dumps({"benchmark": "mcf"}),
+                        {"Content-Type": "application/json"},
+                    )
+                response = conn.getresponse()
+                raw = response.read()
+                assert response.status == 200
+                assert int(response.getheader("Content-Length")) == len(raw)
+                assert not response.will_close
+                if index % 2:
+                    assert json.loads(raw)["status"] == "ok"
+                else:
+                    assert raw == warm.raw
+        finally:
+            conn.close()
+        logged = [record.getMessage() for record in caplog.records]
+        assert sum('"POST /v1/hpc HTTP/1.1" 200' in line
+                   for line in logged) == 4
+        assert sum('"GET /healthz HTTP/1.1" 200' in line
+                   for line in logged) == 3
+
     def test_keep_alive_responses_do_not_stall(self, live_service):
-        # Headers and body go out as two sends; with Nagle on, a plain
-        # client's delayed ACK stalls every keep-alive response ~40 ms.
+        # _respond sends a response in one write; with headers and body
+        # as two sends and Nagle on, a plain client's delayed ACK would
+        # stall every keep-alive response ~40 ms.
         _, client = live_service()
         conn = http.client.HTTPConnection(
             client.host, client.port, timeout=10
@@ -525,6 +565,26 @@ class TestInjectedFaults:
             )
         assert response.status == 500
         assert "2 attempt(s)" in response.body["error"]["message"]
+
+    def test_failing_dataset_job_retries_at_one_layer_only(
+        self, live_service, tmp_path
+    ):
+        """``build_dataset`` retries each benchmark; the service job
+        then fails once instead of re-running the whole build."""
+        service, client = live_service(max_attempts=3)
+        state = tmp_path / "state"
+        plan = [faults.WorkerFault(BENCH, mode="error", times=20)]
+        with faults.inject_worker_faults(plan, state):
+            response = client.post(
+                "/v1/dataset", {"benchmarks": ["mcf"], "wait": True}
+            )
+        assert response.status == 500
+        assert response.error_code == "internal"
+        attempts = list(state.glob("worker-fault-*"))
+        assert 1 <= len(attempts) <= 3
+        stats = service.stats()
+        assert (stats["failed"], stats["retries"]) == (1, 0)
+        assert stats["breaker"]["consecutive_failures"] == 0
 
     def test_breaker_opens_then_recovers_bit_for_bit(
         self, live_service, tmp_path

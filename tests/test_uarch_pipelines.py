@@ -1,5 +1,7 @@
 """Tests for the pipeline models and HPC collection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,7 @@ class TestOutOfOrderModel:
         # Independent instructions but a window-1 machine cannot overlap
         # long latencies... compare small vs large windows instead.
         trace = make_independent_alu(2000)
-        small_window = EV67_CONFIG.__class__(
-            **{**EV67_CONFIG.__dict__, "window_size": 8}
-        )
+        small_window = replace(EV67_CONFIG, window_size=8)
         ipc_small, _ = OutOfOrderModel(small_window).run(trace)
         ipc_large, _ = OutOfOrderModel(EV67_CONFIG).run(trace)
         assert ipc_large >= ipc_small
